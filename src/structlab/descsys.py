@@ -565,7 +565,7 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationEvent:
     """One program surfacing during an enumeration of the system."""
 
@@ -658,6 +658,8 @@ def _parse_family_args(text: str) -> dict[str, int]:
             raise DescriptorError(f"bad family argument {part!r}")
         key, _, val = part.partition("=")
         key = key.strip()
+        if key in args:
+            raise DescriptorError(f"family argument {key!r} is given twice")
         try:
             args[key] = int(val)
         except ValueError as exc:
@@ -671,6 +673,11 @@ def _require_args(name: str, args: dict[str, int], *wanted: str) -> list[int]:
     if missing or extra:
         raise DescriptorError(
             f"family {name!r} takes arguments {wanted}, got {sorted(args)}"
+        )
+    n = args.get("n")
+    if n is not None and not 1 <= n <= MAX_UNIVERSE_BITS:
+        raise DescriptorError(
+            f"family {name!r} width n must be in [1, {MAX_UNIVERSE_BITS}], got {n}"
         )
     return [args[w] for w in wanted]
 

@@ -533,10 +533,10 @@ def improvement_slack_report(
     improved = 0
     slack_samples: list = []
     drop_samples: list = []
+    streams = {s: enumeration_stream(sys, s) for s in seeds}
     for x in xs:
         for s in seeds:
-            stream = enumeration_stream(sys, s)
-            trace = anytime_search(sys, x, alpha, stream, "mdl")
+            trace = anytime_search(sys, x, alpha, streams[s], "mdl")
             audit = improvement_audit(sys, trace, c=c)
             searches += 1
             if audit.qualifying_count:

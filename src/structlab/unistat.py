@@ -27,7 +27,12 @@ one ``object<TAB>level`` line per pair.
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise
+from operator import itemgetter
 
 from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet
@@ -76,11 +81,17 @@ class EnumeratedD:
     minimal program length).  ``N_l`` is the total number of pairs and
     ``width`` the bit length of that count -- indexes are always read as
     ``width``-bit numerals with leading zeros.
+
+    Construction records each object's first-appearance index and whether
+    the levels are non-decreasing.  On such a level-sorted enumeration a
+    section is a prefix, which shares its parent's first-appearance table;
+    lookups in that table are bounded by the section's own ``N_l``.
     """
 
     def __init__(self, pairs, l: "int | None" = None):
         order: list[tuple] = []
         seen: set = set()
+        first: dict = {}
         for obj, level in pairs:
             o = _coerce_object(obj)
             i = int(level)
@@ -89,8 +100,11 @@ class EnumeratedD:
             if (o, i) in seen:
                 raise StructLabError(f"repeated enumeration pair ({o!r}, {i})")
             seen.add((o, i))
+            first.setdefault(o, len(order))
             order.append((o, i))
         self._order = tuple(order)
+        self._first = first
+        self._level_sorted = all(a[1] <= b[1] for a, b in pairwise(order))
         top = max((i for _, i in order), default=0)
         if l is None:
             l = top
@@ -131,13 +145,25 @@ class EnumeratedD:
                 out.append(o)
         return tuple(out)
 
+    def _first_index(self, obj) -> "int | None":
+        """Index of the first pair carrying ``obj``, or None if it never appears."""
+        pos = self._first.get(obj)
+        return pos if pos is not None and pos < len(self._order) else None
+
     def section(self, l: int) -> "EnumeratedD":
         """The sub-enumeration of pairs with level <= l, reindexed."""
         if l < 0:
             raise StructLabError(f"section level must be nonnegative, got {l}")
-        return EnumeratedD(
-            ((o, i) for o, i in self._order if i <= l), l=l
-        )
+        if not self._level_sorted:
+            return EnumeratedD(
+                ((o, i) for o, i in self._order if i <= l), l=l
+            )
+        sec = object.__new__(EnumeratedD)
+        sec._order = self._order[: bisect_right(self._order, l, key=itemgetter(1))]
+        sec._first = self._first
+        sec._level_sorted = True
+        sec._l = l
+        return sec
 
     def __len__(self) -> int:
         return len(self._order)
@@ -184,11 +210,7 @@ class IndexRecord:
 def build_index(d: EnumeratedD, x) -> IndexRecord:
     """Locate ``x``'s first pair and its common prefix with the count."""
     xo = _coerce_object(x)
-    index = None
-    for pos, (o, _) in enumerate(d.order):
-        if o == xo:
-            index = pos
-            break
+    index = d._first_index(xo)
     if index is None:
         return IndexRecord(xo, None, None)
     count = _count_bits(d)
@@ -220,8 +242,12 @@ class SliBlock:
     def cardinality(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, x: object) -> bool:
-        return x in set(self.members)
+        return x in self._member_set
 
 
 def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
@@ -244,20 +270,17 @@ def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
         )
     lo = (d.N_l >> (width - i)) << (width - i)
     hi = lo + (1 << (width - i - 1)) - 1
-    members, seen = [], set()
-    for pos, (o, _) in enumerate(d.order):
-        if o in seen:
-            continue
-        seen.add(o)
-        if lo <= pos <= hi:
-            members.append(o)
+    first = d._first  # o appears at pos < N_l, so first[o] is its index here too
+    members = tuple(
+        o for pos, (o, _) in enumerate(d.order[lo : hi + 1], start=lo) if first[o] == pos
+    )
     return SliBlock(
         i=i,
         prefix=BitString(count[:i]),
         width=width,
         lo=lo,
         hi=hi,
-        members=tuple(members),
+        members=members,
     )
 
 
@@ -266,20 +289,28 @@ def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
 # ---------------------------------------------------------------------------
 
 
+#: One induced enumeration per live system; an entry goes with its system.
+_INDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def induced_data_D(sys: DescriptionSystem) -> EnumeratedD:
     """Enumerate the universe as (string, K(string)) pairs, shortest first.
 
     Pairs are sorted by (program length, program); each string appears
     exactly once, so pairs with level <= l form a prefix of the enumeration
     and the full count of a section equals the number of strings of
-    complexity at most l.
+    complexity at most l.  The enumeration is built once per system and
+    shared by later calls for as long as the system is alive.
     """
-    n = sys.universe_n
-    rows = sorted(
-        (sys.K_data(v), sys.data_witness(v).sort_key(), BitString.from_value(n, v))
-        for v in sys.universe_values()
-    )
-    return EnumeratedD(((b, k) for k, _, b in rows))
+    d = _INDUCED.get(sys)
+    if d is None:
+        n = sys.universe_n
+        rows = sorted(
+            (sys.K_data(v), sys.data_witness(v).sort_key(), BitString.from_value(n, v))
+            for v in sys.universe_values()
+        )
+        d = _INDUCED[sys] = EnumeratedD(((b, k) for k, _, b in rows))
+    return d
 
 
 def induced_Dk(sys: DescriptionSystem, k: int) -> EnumeratedD:

@@ -164,3 +164,47 @@ def oracle_loss_product(strategy_table, x: BitString) -> Fraction:
         product *= p if bit == 1 else 1 - p
         prefix = prefix + BitString("1" if bit else "0")
     return product
+
+
+def oracle_section(order, l: int) -> tuple:
+    """Pairs of an enumeration with level <= l, in order, by a full filter."""
+    return tuple((o, i) for o, i in order if i <= l)
+
+
+def oracle_index(order, x):
+    """(first index of x, common prefix of its numeral with the count), by scan."""
+    index = None
+    for pos, (o, _) in enumerate(order):
+        if o == x:
+            index = pos
+            break
+    if index is None:
+        return None, None
+    count = format(len(order), "b")
+    numeral = format(index, f"0{len(count)}b")
+    keep = 0
+    while keep < len(count) and numeral[keep] == count[keep]:
+        keep += 1
+    return index, count[:keep]
+
+
+def oracle_half_block(order, i: int):
+    """(lo, hi, members) of the level-i half-block, or None when bit i is 0.
+
+    Members are the objects whose first appearance falls in [lo, hi],
+    found by one scan over the whole enumeration.
+    """
+    count = format(len(order), "b")
+    width = len(count)
+    if count[i] != "1":
+        return None
+    lo = (len(order) >> (width - i)) << (width - i)
+    hi = lo + (1 << (width - i - 1)) - 1
+    members, seen = [], set()
+    for pos, (o, _) in enumerate(order):
+        if o in seen:
+            continue
+        seen.add(o)
+        if lo <= pos <= hi:
+            members.append(o)
+    return lo, hi, tuple(members)

@@ -4,8 +4,9 @@ Every test here prints one ``ACCEPTANCE Cnn PASS/FAIL`` line (shown by the
 ``-rP`` report option) and backs it with assertions over large randomized
 batteries.  Everything exact stays exact: curve values are compared as
 integer / Fraction keys, probability mass as Fractions, and counting claims
-as integer inequalities.  The two measured-gap items (C11, C12) archive
-their artifacts under ``reports/`` at the repository root.
+as integer inequalities.  C11 regenerates the measured-gap archive into a
+temporary directory and byte-compares it with ``reports/`` at the
+repository root.
 """
 
 import json
@@ -666,12 +667,21 @@ def test_c10_anytime_search(battery):
 # ---------------------------------------------------------------------------
 
 
-def test_c11_gap_reports_archived():
-    out = REPO_ROOT / "reports"
+def test_c11_gap_reports_archived(tmp_path):
+    archive = REPO_ROOT / "reports"
+    out = tmp_path / "reports"
     t0 = time.perf_counter()
     result = generate_gap_reports(out)
     elapsed = time.perf_counter() - t0
     missing = [name for name in result["files"] if not (out / name).exists()]
+    written = sorted(p.name for p in out.iterdir())
+    archived = sorted(p.name for p in archive.iterdir())
+    differing = [
+        name
+        for name in written
+        if name not in archived
+        or (out / name).read_bytes() != (archive / name).read_bytes()
+    ]
     parsed = {}
     for name in result["files"]:
         parsed[name] = json.loads((out / name).read_text())
@@ -693,12 +703,20 @@ def test_c11_gap_reports_archived():
         )
         and parsed["nonstoch_12.json"]["ok"] is True
     )
-    ok = not missing and shape_ok and elapsed < 300.0
+    ok = (
+        not missing
+        and shape_ok
+        and written == archived
+        and not differing
+        and elapsed < 300.0
+    )
     report(
         11,
         ok,
-        f"{len(result['files'])} report files archived under reports/ in "
-        f"{elapsed:.1f}s",
+        f"{len(result['files'])} report files regenerated in {elapsed:.1f}s, "
+        "byte-identical to the archive under reports/"
+        + (f"; differing {differing}" if differing else "")
+        + ("" if written == archived else f"; files {written} != {archived}"),
     )
 
 

@@ -276,6 +276,19 @@ def test_domain_error_exits_one(fixa_path, tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args", ["n=-1", "n=0", "n=17", "n=2,n=3"], ids=["neg", "zero", "wide", "dup"]
+)
+def test_bad_family_arguments_exit_one(args, tmp_path, capsys):
+    system = tmp_path / "system.tsv"
+    system.write_text(f"data\t0\t@family:literal({args})\nset\t0\t@family:cube(n=2)\n")
+    rc = run("profile", "--system", str(system), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "profile"
+    assert record["error"]["type"] == "DescriptorError"
+
+
 def test_unreadable_input_exits_two(tmp_path, capsys):
     rc = run(
         "profile", "--system", str(tmp_path / "missing.tsv"),

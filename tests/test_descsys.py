@@ -284,6 +284,22 @@ def test_family_argument_validation():
         build_system("set\t0\t@family:mystery(n=3)\ndata\t1\t@family:literal(n=3)")
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("data\t0\t@family:literal(n=-1)", "width n"),
+        ("data\t0\t@family:literal(n=0)", "width n"),
+        ("data\t0\t@family:literal(n=17)", "width n"),
+        ("data\t0\t@family:literal(n=2,n=3)", "given twice"),
+        ("data\t0\t@family:literal(n=2,n=2)", "given twice"),
+        ("set\t1\t@family:patches(n=17,m=1)", "width n"),
+    ],
+)
+def test_family_arguments_checked_before_expansion(family, message):
+    with pytest.raises(DescriptorError, match=message):
+        build_system(f"{family}\ndata\t1\t@family:literal(n=2)\nset\t0\t@family:cube(n=2)")
+
+
 ### Enumeration streams
 
 

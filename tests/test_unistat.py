@@ -1,12 +1,15 @@
 """Enumeration indexes, half-blocks, and curve reconstruction."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, RefusalError, StructLabError
+from structlab.experiments import build_report_family_systems
 from structlab.structfn import profile
 from structlab.unistat import (
     EnumeratedD,
@@ -23,6 +26,7 @@ from structlab.unistat import (
 )
 
 from .gensys import random_system
+from .oracles import oracle_half_block, oracle_index, oracle_section
 
 B = BitString
 
@@ -186,6 +190,89 @@ def test_induced_rounds_reference(fixa):
         (B("01"), 2),
     )
     assert not d.is_injective()
+
+
+def test_induced_enumeration_is_built_once_per_live_system():
+    sys = random_system(3, n=4)
+    d = induced_data_D(sys)
+    assert induced_data_D(sys) is d
+    assert induced_data_D(random_system(3, n=4)) is not d
+    gone = weakref.ref(d)
+    del sys, d
+    gc.collect()
+    assert gone() is None
+
+
+# ---------------------------------------------------------------------------
+# fast paths against reference scans
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_scans(d: EnumeratedD, probes) -> None:
+    """Sections, indexes and half-blocks of ``d`` equal the oracle scans.
+
+    Checks every level up to one past ``d.l``, every probe object at each
+    level, and every prefix length of each section's count.
+    """
+    for l in range(d.l + 2):
+        sec = d.section(l)
+        assert sec.order == oracle_section(d.order, l)
+        assert sec == EnumeratedD(sec.order, l=l)
+        for x in probes:
+            rec = build_index(sec, x)
+            index, m = oracle_index(sec.order, x)
+            assert (rec.I, rec.m) == (index, None if m is None else B(m))
+        for i in range(sec.width):
+            ref = oracle_half_block(sec.order, i)
+            if ref is None:
+                with pytest.raises(RefusalError):
+                    build_Sli(sec, i)
+                continue
+            blk = build_Sli(sec, i)
+            assert (blk.lo, blk.hi, blk.members) == ref
+            assert [x in blk for x in probes] == [x in ref[2] for x in probes]
+
+
+def _probes(d: EnumeratedD, limit: int = 64) -> list:
+    objects = d.objects()
+    stride = max(1, len(objects) // limit)
+    return list(objects[::stride]) + [objects[-1], B("1" * 17)]
+
+
+@pytest.mark.parametrize("name", ["cylinders-6", "hamming-12", "patches-8"])
+def test_battery_enumerations_match_scans(name):
+    sys = build_report_family_systems()[name]
+    d = induced_data_D(sys)
+    assert d._level_sorted
+    assert_matches_scans(d, _probes(d))
+
+
+def test_fixture_enumerations_match_scans(fixa):
+    for d in (induced_data_D(fixa), induced_Dk(fixa, 3)):
+        assert d._level_sorted
+        assert_matches_scans(d, list(d.objects()) + [B("0")])
+
+
+@pytest.mark.parametrize("sort_levels", [False, True])
+def test_random_enumerations_match_scans(sort_levels):
+    """Injective (even seeds) and repeating (odd seeds) random enumerations."""
+    paths = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        count = rng.randint(1, 32 if seed % 2 == 0 else 120)
+        if seed % 2 == 0:
+            values = rng.sample(range(32), count)
+        else:
+            values = [rng.randrange(32) for _ in range(count)]
+        top = rng.randint(0, 5)
+        pairs = sorted({(v, rng.randint(0, top)) for v in values}, key=lambda p: p[1])
+        if not sort_levels:
+            rng.shuffle(pairs)
+        d = EnumeratedD((B.from_value(5, v), level) for v, level in pairs)
+        paths.add(d._level_sorted)
+        probes = [B.from_value(5, v) for v in range(32)] + [B("0000")]
+        assert_matches_scans(d, probes)
+    assert paths == {True} if sort_levels else False in paths
 
 
 # ---------------------------------------------------------------------------
