@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .codec import BitString
 from .descsys import (
+    MAX_UNIVERSE_BITS,
     DescriptionSystem,
     FiniteSet,
     enumeration_stream,
@@ -216,8 +217,10 @@ def _target_curve(text: str) -> list[int]:
 
 
 def _full_cube(n: int) -> FiniteSet:
-    if not 1 <= n <= 16:
-        raise StructLabError(f"universe width must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_UNIVERSE_BITS:
+        raise StructLabError(
+            f"universe width must be in [1, {MAX_UNIVERSE_BITS}], got {n}"
+        )
     return FiniteSet(n, range(1 << n))
 
 

@@ -87,7 +87,7 @@ class FiniteSet:
     *print* it.
     """
 
-    __slots__ = ("_n", "_values", "_members")
+    __slots__ = ("_n", "_values", "_members", "_hash")
 
     def __init__(self, n: int, values: Iterable["int | str | BitString"]):
         if not 1 <= n <= MAX_UNIVERSE_BITS:
@@ -96,6 +96,9 @@ class FiniteSet:
         self._n = n
         self._values = tuple(vals)
         self._members = frozenset(vals)
+        # Sets key the shortcut and set-index tables; the cube has 2^n
+        # members, so hashing the tuple on every lookup would cost O(2^n).
+        self._hash = hash((n, self._values))
 
     @staticmethod
     def _coerce(n: int, v: "int | str | BitString") -> int:
@@ -166,7 +169,7 @@ class FiniteSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._values))
+        return self._hash
 
     def __repr__(self) -> str:
         shown = ",".join(str(b) for b in self.bitstrings()[:6])
@@ -473,6 +476,27 @@ class DescriptionSystem:
             "cond": cond,
         }
 
+    def _chain_rule_defects(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(rank, v, K(x) - K(S) - K(x|S))`` for every representable pair.
+
+        Set-major: one pass over ``set_entries()`` (``rank`` indexes it) and
+        each set's members in value order, O(sum of |S|).  Each set's
+        shortcut table is read once per entry, keeping only the shortcuts
+        that beat the index code.
+        """
+        k_data = self._k_data
+        for rank, entry in enumerate(self._set_entries):
+            s = entry.set
+            index_code = s.ceil_log_card
+            cheaper = {
+                v: q
+                for v, q in self._shortcut_min.get(s, {}).items()
+                if q < index_code
+            }
+            k_s = entry.K_S
+            for v in s.values:
+                yield rank, v, k_data[v] - k_s - cheaper.get(v, index_code)
+
     @property
     def c_sub(self) -> int:
         """max over representable S and x in S of K(x) - K(S) - K(x|S).
@@ -481,14 +505,9 @@ class DescriptionSystem:
         undershoot plain data complexity; 0 for a system with no sets.
         """
         if self._c_sub is None:
-            best: "int | None" = None
-            for entry in self._set_entries:
-                k_s = entry.K_S
-                for v in entry.set.values:
-                    gap = self._k_data[v] - k_s - int(self.K_cond(v, entry.set))
-                    if best is None or gap > best:
-                        best = gap
-            self._c_sub = 0 if best is None else best
+            self._c_sub = max(
+                (defect for _, _, defect in self._chain_rule_defects()), default=0
+            )
         return self._c_sub
 
     # -- serialization ---------------------------------------------------

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from .codec import BitString
 from .descsys import (
+    MAX_UNIVERSE_BITS,
     DescriptionSystem,
     FiniteSet,
     build_system,
@@ -185,8 +186,10 @@ def make_nonstoch_system(
     string) and all Kraft sums stay within budget, so the system is a
     legal codebook, not a bookkeeping trick.
     """
-    if not 1 <= n <= 16:
-        raise StructLabError(f"universe width must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_UNIVERSE_BITS:
+        raise StructLabError(
+            f"universe width must be in [1, {MAX_UNIVERSE_BITS}], got {n}"
+        )
     if not 2 <= alpha0 <= 32:
         raise StructLabError(f"the drop budget must be in [2, 32], got {alpha0}")
     if not 1 <= beta_level <= n:
@@ -283,30 +286,37 @@ class AdditivityReport:
 
 
 def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
-    """Measure ``K(x) - K(S) - K(x|S)`` over every representable pair."""
+    """Measure ``K(x) - K(S) - K(x|S)`` over every representable pair.
+
+    One set-major walk over ``sys.set_entries()``, O(sum of |S|).  Each
+    extreme record is the first pair in (x, entry rank) order to reach it.
+    """
     histogram: dict[int, int] = {}
-    count = 0
-    max_rec = min_rec = None
-    for x in sys.universe_strings():
-        k_x = sys.K_data(x)
-        for entry in sys.entries_containing(x):
-            defect = k_x - entry.K_S - int(entry.K_cond)
-            record = AdditivityRecord(
-                x=x,
-                set_program=entry.witness_program,
-                K_x=k_x,
-                K_S=entry.K_S,
-                K_cond=int(entry.K_cond),
-                defect=defect,
-            )
-            count += 1
-            histogram[defect] = histogram.get(defect, 0) + 1
-            if max_rec is None or defect > max_rec.defect:
-                max_rec = record
-            if min_rec is None or defect < min_rec.defect:
-                min_rec = record
+    highest = lowest = None  # least (-defect, v, rank) and (defect, v, rank)
+    for rank, v, defect in sys._chain_rule_defects():
+        histogram[defect] = histogram.get(defect, 0) + 1
+        if highest is None or (-defect, v, rank) < highest:
+            highest = (-defect, v, rank)
+        if lowest is None or (defect, v, rank) < lowest:
+            lowest = (defect, v, rank)
+
+    def record(v: int, rank: int) -> AdditivityRecord:
+        entry = sys.set_entries()[rank]
+        k_x = sys.K_data(v)
+        k_cond = int(sys.K_cond(v, entry.set))
+        return AdditivityRecord(
+            x=BitString.from_value(sys.universe_n, v),
+            set_program=entry.witness_program,
+            K_x=k_x,
+            K_S=entry.K_S,
+            K_cond=k_cond,
+            defect=k_x - entry.K_S - k_cond,
+        )
+
+    max_rec = None if highest is None else record(highest[1], highest[2])
+    min_rec = None if lowest is None else record(lowest[1], lowest[2])
     return AdditivityReport(
-        pair_count=count,
+        pair_count=sum(histogram.values()),
         c_sub=sys.c_sub,
         max_defect=None if max_rec is None else max_rec.defect,
         min_defect=None if min_rec is None else min_rec.defect,

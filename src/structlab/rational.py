@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["pow2", "ceil_log2", "floor_log2", "log2_display", "format_number"]
+__all__ = ["pow2", "ceil_log2", "log2_display"]
 
 
 def pow2(e: int) -> Fraction:
@@ -32,13 +32,6 @@ def ceil_log2(m: int) -> int:
     if m < 1:
         raise ValueError(f"ceil_log2 needs a positive integer, got {m}")
     return (m - 1).bit_length()
-
-
-def floor_log2(m: int) -> int:
-    """Largest integer c with 2**c <= m, for integer m >= 1."""
-    if m < 1:
-        raise ValueError(f"floor_log2 needs a positive integer, got {m}")
-    return m.bit_length() - 1
 
 
 def log2_display(key: "int | Fraction | None") -> float:
@@ -61,14 +54,3 @@ def log2_display(key: "int | Fraction | None") -> float:
     if key & (key - 1) == 0:
         return float(key.bit_length() - 1)
     return math.log2(key)
-
-
-def format_number(v: "int | float | Fraction | None") -> str:
-    """Deterministic short rendering for report files."""
-    if v is None or (isinstance(v, float) and math.isinf(v)):
-        return "inf"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

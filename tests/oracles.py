@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from structlab.codec import BitString
 from structlab.descsys import DescriptionSystem, FiniteSet
+from structlab.experiments import AdditivityRecord, AdditivityReport
 
 INF = math.inf
 
@@ -57,14 +58,67 @@ def oracle_distinct_sets(sys: DescriptionSystem):
     return table
 
 
+def oracle_K_data_table(sys: DescriptionSystem) -> dict[int, int]:
+    """K(x) for every universe value, from one scan of the data programs."""
+    best: dict[int, int] = {}
+    for p, out in sys.data_programs.items():
+        if out.value not in best or len(p) < best[out.value]:
+            best[out.value] = len(p)
+    return best
+
+
 def oracle_c_sub(sys: DescriptionSystem) -> int:
+    k_data = oracle_K_data_table(sys)
     best = None
-    for s in oracle_distinct_sets(sys):
-        for xb in s.bitstrings():
-            gap = oracle_K_data(sys, xb) - oracle_K_set(sys, s) - oracle_K_cond(sys, xb, s)
+    for s, (k, _) in oracle_distinct_sets(sys).items():
+        for v in s.values:
+            gap = k_data[v] - k - oracle_K_cond(sys, v, s)
             if best is None or gap > best:
                 best = gap
     return 0 if best is None else int(best)
+
+
+def oracle_additivity_report(sys: DescriptionSystem) -> AdditivityReport:
+    """The chain-rule defect census string by string.
+
+    For each x in value order, scan every distinct set in the library's
+    rank order (K(S), |S|, witness); a later pair replaces an extreme only
+    when strictly beyond it, so the first pair in (x, rank) order wins.
+    """
+    k_data = oracle_K_data_table(sys)
+    ranked = sorted(
+        oracle_distinct_sets(sys).items(),
+        key=lambda kv: (kv[1][0], kv[0].cardinality, kv[1][1].sort_key()),
+    )
+    members = [(s, frozenset(s.values), k, w) for s, (k, w) in ranked]
+    histogram: dict[int, int] = {}
+    count = 0
+    max_rec = min_rec = None
+    for v in range(sys.universe_size()):
+        for s, held, k_s, witness in members:
+            if v not in held:
+                continue
+            k_cond = int(oracle_K_cond(sys, v, s))
+            defect = k_data[v] - k_s - k_cond
+            count += 1
+            histogram[defect] = histogram.get(defect, 0) + 1
+            record = AdditivityRecord(
+                BitString.from_value(sys.universe_n, v), witness,
+                k_data[v], k_s, k_cond, defect,
+            )
+            if max_rec is None or defect > max_rec.defect:
+                max_rec = record
+            if min_rec is None or defect < min_rec.defect:
+                min_rec = record
+    return AdditivityReport(
+        pair_count=count,
+        c_sub=0 if max_rec is None else max_rec.defect,
+        max_defect=None if max_rec is None else max_rec.defect,
+        min_defect=None if min_rec is None else min_rec.defect,
+        max_record=max_rec,
+        min_record=min_rec,
+        histogram=histogram,
+    )
 
 
 def oracle_kraft(programs) -> Fraction:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from structlab.cli import RunManifest, main
-from structlab.descsys import load_system
+from structlab.descsys import MAX_UNIVERSE_BITS, load_system
 from structlab.errors import StructLabError
 
 GOLDEN_PROFILE_CSV = """\
@@ -287,6 +287,22 @@ def test_bad_family_arguments_exit_one(args, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["command"] == "profile"
     assert record["error"]["type"] == "DescriptorError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--target", "3,2,2", "--stream", "unread.txt"],
+        ["nonstoch", "--alpha0", "3", "--beta-level", "1"],
+    ],
+    ids=["synth", "nonstoch"],
+)
+def test_too_wide_universe_exits_one(argv, tmp_path, capsys):
+    rc = run(*argv, "--n", str(MAX_UNIVERSE_BITS + 1), "--out", str(tmp_path))
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "StructLabError"
+    assert "universe width" in record["error"]["message"]
 
 
 def test_unreadable_input_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,22 @@ def test_finite_set_sorted_dedup_and_membership():
     assert "001" in s and B("101") in s and 2 in s
     assert "111" not in s and 9 not in s
     assert s.ceil_log_card == 2
+
+
+def test_finite_set_hash_contract():
+    rng = random.Random(7)
+    values = rng.sample(range(64), 20)
+    shuffled = rng.sample(values, len(values))
+    forms = [
+        FiniteSet(6, values),
+        FiniteSet(6, shuffled),
+        FiniteSet(6, [format(v, "06b") for v in shuffled]),
+        FiniteSet(6, [B.from_value(6, v) for v in values]),
+    ]
+    for s in forms:
+        assert s == forms[0]
+        assert hash(s) == hash(forms[0]) == hash((s.n, s.values))
+    assert len(set(forms)) == 1
 
 
 def test_finite_set_rejects_mismatched_width():
@@ -330,6 +347,20 @@ def test_permutation_preserves_complexities(fixa):
     image_b = FiniteSet(2, [perm[0], perm[1]])
     assert image.K_set(image_b) == fixa.K_set(b)
     assert image.c_sub == fixa.c_sub
+
+
+def test_permutation_keeps_set_and_cond_lookups():
+    sys = random_system(11, n=5)
+    assert sys.cond_shortcuts
+    perm = list(range(32))
+    random.Random(3).shuffle(perm)
+    image = apply_permutation(sys, perm.__getitem__)
+    for s in oracle_distinct_sets(sys):
+        # a freshly built set must find the image's tables by hash and equality
+        moved = FiniteSet(5, [perm[v] for v in reversed(s.values)])
+        assert image.K_set(moved) == sys.K_set(s)
+        for v in range(32):
+            assert image.K_cond(perm[v], moved) == sys.K_cond(v, s)
 
 
 def test_permutation_must_be_bijective(fixa):

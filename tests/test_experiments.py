@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from structlab.codec import BitString
-from structlab.descsys import build_system
+from structlab.descsys import MAX_UNIVERSE_BITS, build_system
 from structlab.errors import StructLabError
 from structlab.experiments import (
     additivity_defect_report,
@@ -20,6 +20,9 @@ from structlab.experiments import (
     verify_nonstoch,
 )
 from structlab.structfn import profile
+
+from .gensys import random_system
+from .oracles import oracle_additivity_report, oracle_c_sub
 
 B = BitString
 
@@ -91,6 +94,8 @@ def test_nonstoch_validation():
         make_nonstoch_system(6, 3, 7)
     with pytest.raises(StructLabError, match="planted deficiency"):
         make_nonstoch_system(6, 3, 0)
+    with pytest.raises(StructLabError, match="universe width"):
+        make_nonstoch_system(MAX_UNIVERSE_BITS + 1, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +119,52 @@ def test_additivity_report_on_fixture(fixa):
     assert d["max_record"]["K_cond"] == 2
 
 
+def _oracle_battery_systems():
+    """Random systems at widths 2..8: shortcuts, duplicate programs, ties."""
+    return [random_system(seed, n=2 + seed % 7) for seed in range(56)]
+
+
 def test_additivity_max_matches_c_sub(fixa):
-    report = additivity_defect_report(fixa)
-    # the positive extreme is the subadditivity constant (clamped at 0)
-    assert max(report.max_defect, 0) == fixa.c_sub
+    # c_sub may be negative: it is the largest defect, never clamped at 0
+    for sys in [fixa, *_oracle_battery_systems()]:
+        report = additivity_defect_report(sys)
+        if report.pair_count > 0:
+            assert report.max_defect == sys.c_sub
+
+
+def _assert_walk_matches_oracles(sys):
+    report = additivity_defect_report(sys)
+    assert report.to_json_dict() == oracle_additivity_report(sys).to_json_dict()
+    assert sys.c_sub == oracle_c_sub(sys)
+
+
+def test_additivity_walk_matches_oracle_on_stock_systems(fixa):
+    _assert_walk_matches_oracles(fixa)
+    for sys in build_report_family_systems().values():
+        _assert_walk_matches_oracles(sys)
+    _assert_walk_matches_oracles(make_nonstoch_system(8, 4, 5, seed=2).system)
+
+
+def test_additivity_walk_matches_oracle_on_random_systems():
+    shortcut_wins = duplicate_sets = tied_extremes = 0
+    for sys in _oracle_battery_systems():
+        _assert_walk_matches_oracles(sys)
+        shortcut_wins += any(
+            len(q) < s.ceil_log_card and out.value in s
+            for s, table in sys.cond_shortcuts.items()
+            for q, out in table.items()
+        )
+        duplicate_sets += len(set(sys.set_programs.values())) < len(sys.set_programs)
+        pairs = list(sys._chain_rule_defects())
+        for extreme in (max, min):
+            target = extreme(d for *_, d in pairs)
+            tied = [(rank, v) for rank, v, d in pairs if d == target]
+            # set-major and string-major order pick different first pairs
+            tied_extremes += min(tied) != min(tied, key=lambda rv: (rv[1], rv[0]))
+    # the battery exercises the cases the tie-breaks and shortcut reads guard
+    assert shortcut_wins >= 10
+    assert duplicate_sets >= 5
+    assert tied_extremes >= 5
 
 
 # ---------------------------------------------------------------------------
