@@ -1,6 +1,8 @@
 """End-to-end runs of the batch front door."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -8,21 +10,41 @@ from structlab.cli import RunManifest, main
 from structlab.descsys import MAX_UNIVERSE_BITS, load_system
 from structlab.errors import StructLabError
 
-GOLDEN_PROFILE_CSV = """\
-x,alpha,h,lambda,beta
-00,0,inf,inf,inf
-00,1,2,3,0
-00,2,1,3,0
-00,3,0,3,0
-"""
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-GOLDEN_SNOOP_CSV = """\
-alpha,loss,witness_program
-0,inf,
-1,2,0
-2,1,10
-3,0,110
-"""
+#: One run per subcommand, format and mode.  Each runs in a scratch
+#: directory holding ``fixa.tsv`` and ``golden/inputs/``, with relative
+#: paths and ``--out out``, so the manifest is compared byte for byte too.
+GOLDEN_CASES = {
+    "profile-x-csv": ["profile", "--system", "fixa.tsv", "--x", "00"],
+    "profile-csv": ["profile", "--system", "ham4.tsv"],
+    "profile-json": ["profile", "--system", "ham4.tsv", "--format", "json"],
+    "search-mdl": ["search", "--system", "cyl6.tsv", "--x", "001011", "--seed", "5"],
+    "search-ml": [
+        "search", "--system", "cyl6.tsv", "--x", "001011", "--seed", "5", "--mode", "ml",
+    ],
+    "search-direct": [
+        "search", "--system", "cyl6.tsv", "--x", "001011", "--seed", "5",
+        "--mode", "direct",
+    ],
+    "unistat-k": ["unistat", "--system", "ham4.tsv", "--x", "0110", "--k", "6"],
+    "unistat": ["unistat", "--system", "fixa.tsv", "--x", "01"],
+    "unistat-refused": ["unistat", "--system", "ham4.tsv", "--x", "0110", "--i", "1"],
+    "snoop-csv": ["snoop", "--system", "fixa.tsv", "--x", "00"],
+    "snoop-json": ["snoop", "--system", "ham4.tsv", "--x", "0110", "--format", "json"],
+    "synth": ["synth", "--target", "3,2,2", "--stream", "synth.txt"],
+    "cover": ["cover", "--records", "records.txt", "--x", "00", "--delta", "1"],
+    "convert-expand-pmf": ["convert", "--mode", "expand-pmf", "--members", "000,011,101"],
+    "convert-expand-fn": ["convert", "--mode", "expand-fn", "--members", "000,011,101"],
+    "convert-restrict-pmf": [
+        "convert", "--mode", "restrict-pmf", "--pmf", "model.pmf", "--x", "011",
+    ],
+    "convert-restrict-fn": [
+        "convert", "--mode", "restrict-fn", "--fn", "model.fn", "--x", "010",
+    ],
+    "audit": ["audit", "--system", "ham4.tsv"],
+    "nonstoch": ["nonstoch", "--n", "6", "--alpha0", "3", "--beta-level", "4"],
+}
 
 
 @pytest.fixture
@@ -34,19 +56,22 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_cli_golden(case, fixtures_dir, tmp_path, monkeypatch):
+    shutil.copytree(GOLDEN / "inputs", tmp_path, dirs_exist_ok=True)
+    shutil.copy(fixtures_dir / "fixa.tsv", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run(*GOLDEN_CASES[case], "--out", "out") == 0
+    expected = GOLDEN / case
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
-
-
-def test_profile_golden_csv(fixa_path, tmp_path):
-    rc = run("profile", "--system", fixa_path, "--x", "00", "--out", str(tmp_path))
-    assert rc == 0
-    assert (tmp_path / "profile.csv").read_text() == GOLDEN_PROFILE_CSV
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["command"] == "profile"
-    assert manifest["x"] == "00"
-    assert manifest["format"] == "csv"
 
 
 def test_profile_whole_universe_json(fixa_path, tmp_path):
@@ -169,17 +194,6 @@ def test_unistat_run(fixa_path, tmp_path):
     assert payload["reconstruction"]["objects"] == ["00"]
     assert "muchnik" in payload
     assert payload["muchnik"]["k"] == 3
-
-
-# ---------------------------------------------------------------------------
-# snoop
-# ---------------------------------------------------------------------------
-
-
-def test_snoop_golden_csv(fixa_path, tmp_path):
-    rc = run("snoop", "--system", fixa_path, "--x", "00", "--out", str(tmp_path))
-    assert rc == 0
-    assert (tmp_path / "snoop.csv").read_text() == GOLDEN_SNOOP_CSV
 
 
 # ---------------------------------------------------------------------------
