@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys as _sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
+from .artifacts import number, write_json, write_text
 from .codec import BitString
 from .descsys import (
     MAX_UNIVERSE_BITS,
@@ -47,6 +46,7 @@ from .modelclasses import (
 from .predict import codebook_from_sets, snooping_curve
 from .search import (
     anytime_search,
+    check_audit_constant,
     improvement_audit,
     mdl_guarantee_holds,
     trace_jsonl_lines,
@@ -93,70 +93,8 @@ class RunManifest:
                 f"the {self.command} command consumes an enumeration stream "
                 "and needs an explicit seed"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
-            "x": self.x,
-            "seed": self.seed,
-            "alpha_max": self.alpha_max,
-            "out": self.out,
-            "format": self.format,
-            "options": dict(sorted(self.options.items())),
-        }
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-# ---------------------------------------------------------------------------
-
-
-def _fmt(v) -> str:
-    """Curve cell: 'inf' for missing values, plain integers when exact."""
-    if v is None:
-        return "inf"
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        if v == int(v):
-            return str(int(v))
-        return repr(v)
-    return str(v)
-
-
-def _json_safe(v):
-    """Make a payload JSON-serializable without losing exactness.
-
-    Infinities become the string 'inf', integral floats collapse to ints,
-    fractions render as 'p/q', bit strings as their digits.
-    """
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        if v == int(v):
-            return int(v)
-        return v
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return v.numerator
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, BitString):
-        return str(v)
-    if isinstance(v, dict):
-        return {k: _json_safe(u) for k, u in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(u) for u in v]
-    return v
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+        if "c" in self.options:
+            check_audit_constant(self.options["c"])
 
 
 def _object_str(obj) -> str:
@@ -227,100 +165,92 @@ def _full_cube(n: int) -> FiniteSet:
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
+#
+# Each body yields its artifacts as (file name, payload) pairs: a str is
+# written as text, anything else as JSON through the artifact encoder.
 
 
-def _profile_rows(sys: DescriptionSystem, xs, alpha_max):
-    for x in xs:
-        prof = profile(sys, x, alpha_max=alpha_max)
-        yield x, prof
-
-
-def _cmd_profile(args, out: Path) -> None:
+def _cmd_profile(args):
     sys = load_system(args.system)
     xs = [BitString(args.x)] if args.x is not None else list(sys.universe_strings())
+    profiles = ((x, profile(sys, x, alpha_max=args.alpha_max)) for x in xs)
     if args.format == "csv":
         lines = ["x,alpha,h,lambda,beta"]
-        for x, prof in _profile_rows(sys, xs, args.alpha_max):
-            h, lam, beta = prof.h_values(), prof.lambda_values(), prof.beta_values()
-            for a in range(prof.alpha_max + 1):
-                lines.append(f"{x},{a},{_fmt(h[a])},{_fmt(lam[a])},{_fmt(beta[a])}")
-        _write_text(out / "profile.csv", "\n".join(lines) + "\n")
+        for x, prof in profiles:
+            curves = zip(prof.h_values(), prof.lambda_values(), prof.beta_values())
+            for a, (h, lam, beta) in enumerate(curves):
+                lines.append(f"{x},{a},{number(h)},{number(lam)},{number(beta)}")
+        yield "profile.csv", "\n".join(lines) + "\n"
         return
-    payload = {"profiles": []}
-    for x, prof in _profile_rows(sys, xs, args.alpha_max):
-        payload["profiles"].append(
+    yield "profile.json", {
+        "profiles": [
             {
-                "x": str(x),
+                "x": x,
                 "K_x": prof.K_x,
                 "alpha_max": prof.alpha_max,
                 "c_sub": prof.c_sub,
                 "h": prof.h_values(),
                 "lambda": prof.lambda_values(),
                 "beta": prof.beta_values(),
-                "critical_alphas": list(prof.critical_alphas),
+                "critical_alphas": prof.critical_alphas,
                 "mss_alpha": None if prof.sufficiency is None else prof.sufficiency.alpha,
             }
-        )
-    _write_json(out / "profile.json", payload)
+            for x, prof in profiles
+        ]
+    }
 
 
-def _cmd_search(args, out: Path) -> None:
+def _cmd_search(args):
     sys = load_system(args.system)
     alpha = args.alpha_max
     if alpha is None:
         alpha = sys.max_set_program_length()
     stream = enumeration_stream(sys, args.seed)
     trace = anytime_search(sys, args.x, alpha, stream, mode=args.mode)
-    _write_text(out / "trace.jsonl", "\n".join(trace_jsonl_lines(trace)) + "\n")
+    yield "trace.jsonl", "\n".join(trace_jsonl_lines(trace)) + "\n"
     final = trace.declarations[-1] if trace.declarations else None
     payload = {
-        "x": str(trace.x),
+        "x": trace.x,
         "alpha": trace.alpha,
         "mode": trace.mode,
         "seed": args.seed,
         "declaration_count": len(trace.declarations),
         "flagged_empty": trace.flagged_empty,
-        "final_program": None if final is None else str(final.record.witness_program),
+        "final_program": None if final is None else final.record.witness_program,
         "final_objective": None if final is None else final.objective,
         "final_objective_key": None if final is None else str(final.objective_key),
     }
     if args.mode == "mdl":
         payload["guarantee_ok"] = mdl_guarantee_holds(sys, trace)
-        payload["improvement_audit"] = improvement_audit(sys, trace, c=args.c).to_json_dict()
-    _write_json(out / "search.json", payload)
+        payload["improvement_audit"] = improvement_audit(sys, trace, c=args.c)
+    yield "search.json", payload
 
 
-def _cmd_synth(args, out: Path) -> None:
+def _cmd_synth(args):
     target = _target_curve(args.target)
     n = args.n if args.n is not None else (target[0] if target else 0)
     universe = _full_cube(n)
     events = parse_synth_stream(Path(args.stream).read_text(encoding="utf-8"), width=n)
-    run = synthesize(target, universe, events, n=n)
-    _write_json(out / "synth.json", run.to_json_dict())
+    yield "synth.json", synthesize(target, universe, events, n=n)
 
 
-def _cmd_cover(args, out: Path) -> None:
+def _cmd_cover(args):
     records = _parse_cover_records(Path(args.records).read_text(encoding="utf-8"))
-    report = cover_family(records, args.x, delta=args.delta)
-    _write_json(out / "cover.json", report.to_json_dict())
+    yield "cover.json", cover_family(records, args.x, delta=args.delta)
 
 
-def _cmd_unistat(args, out: Path) -> None:
+def _cmd_unistat(args):
     sys = load_system(args.system)
     x = BitString(args.x)
     d = induced_data_D(sys)
     idx = build_index(d, x)
     payload = {
         "universe_n": sys.universe_n,
-        "x": str(x),
+        "x": x,
         "K_x": sys.K_data(x),
         "pair_count": d.N_l,
         "width": d.width,
-        "index": {
-            "I": idx.I,
-            "m": None if idx.m is None else str(idx.m),
-            "m_len": idx.m_len,
-        },
+        "index": {"I": idx.I, "m": idx.m, "m_len": idx.m_len},
     }
     level = args.i if args.i is not None else idx.m_len
     if level is not None:
@@ -328,7 +258,7 @@ def _cmd_unistat(args, out: Path) -> None:
             block = build_Sli(d, level)
             payload["half_block"] = {
                 "i": block.i,
-                "prefix": str(block.prefix),
+                "prefix": block.prefix,
                 "lo": block.lo,
                 "hi": block.hi,
                 "cardinality": block.cardinality,
@@ -341,42 +271,33 @@ def _cmd_unistat(args, out: Path) -> None:
     rec = reconstruct_from_prefix(d, rec_level)
     payload["reconstruction"] = {
         "i": rec.i,
-        "m": None if rec.m is None else str(rec.m),
+        "m": rec.m,
         "cutoff_count": rec.cutoff_count,
         "objects": sorted(_object_str(o) for o in rec.objects),
     }
     if args.k is not None:
         alpha0 = args.alpha0 if args.alpha0 is not None else args.k
-        d_k = induced_Dk(sys, args.k)
-        curve = muchnik_lambda(d_k, x, args.k, alpha0)
-        payload["muchnik"] = curve.to_json_dict()
-    _write_json(out / "unistat.json", payload)
+        payload["muchnik"] = muchnik_lambda(induced_Dk(sys, args.k), x, args.k, alpha0)
+    yield "unistat.json", payload
 
 
-def _cmd_snoop(args, out: Path) -> None:
+def _cmd_snoop(args):
     sys = load_system(args.system)
-    codebook = codebook_from_sets(sys)
-    curve = snooping_curve(codebook, args.x, alpha_max=args.alpha_max)
+    curve = snooping_curve(codebook_from_sets(sys), args.x, alpha_max=args.alpha_max)
     if args.format == "csv":
-        _write_text(out / "snoop.csv", curve.to_csv())
+        yield "snoop.csv", curve.to_csv()
         return
-    payload = {
-        "x": str(curve.x),
+    yield "snoop.json", {
+        "x": curve.x,
         "alpha_max": curve.alpha_max,
         "rows": [
-            {
-                "alpha": row.alpha,
-                "loss": row.loss,
-                "product": None if row.product is None else row.product,
-                "witness": None if row.witness is None else str(row.witness),
-            }
+            {"alpha": row.alpha, "loss": row.loss, "product": row.product, "witness": row.witness}
             for row in curve.rows
         ],
     }
-    _write_json(out / "snoop.json", payload)
 
 
-def _cmd_convert(args, out: Path) -> None:
+def _cmd_convert(args):
     mode = args.mode
     if mode in ("expand-pmf", "expand-fn"):
         if args.members is None:
@@ -384,23 +305,13 @@ def _cmd_convert(args, out: Path) -> None:
         s = _parse_members(args.members, args.n)
         if mode == "expand-pmf":
             model = expand_set(s, "pmf")
-            _write_text(out / "model.pmf", format_pmf(model))
-            payload = {
-                "mode": mode,
-                "cardinality": s.cardinality,
-                "support_length": model.n,
-                "file": "model.pmf",
-            }
+            yield "model.pmf", format_pmf(model)
+            shape = {"support_length": model.n, "file": "model.pmf"}
         else:
             model = expand_set(s, "fn")
-            _write_text(out / "model.fn", format_fn(model))
-            payload = {
-                "mode": mode,
-                "cardinality": s.cardinality,
-                "arg_len": model.arg_len,
-                "file": "model.fn",
-            }
-        _write_json(out / "convert.json", payload)
+            yield "model.fn", format_fn(model)
+            shape = {"arg_len": model.arg_len, "file": "model.fn"}
+        yield "convert.json", {"mode": mode, "cardinality": s.cardinality, **shape}
         return
     if args.x is None:
         raise StructLabError(f"{mode} needs --x")
@@ -415,35 +326,26 @@ def _cmd_convert(args, out: Path) -> None:
     else:  # pragma: no cover - argparse restricts choices
         raise StructLabError(f"unknown conversion {mode!r}")
     restriction = restrict_to_set(model, args.x)
-    _write_text(
-        out / "set.txt",
-        ",".join(str(b) for b in restriction.set.bitstrings()) + "\n",
-    )
-    payload = dict(restriction.to_json_dict())
-    payload["mode"] = mode
-    payload["file"] = "set.txt"
-    _write_json(out / "convert.json", payload)
+    yield "set.txt", _object_str(restriction.set) + "\n"
+    yield "convert.json", {**restriction.to_json_dict(), "mode": mode, "file": "set.txt"}
 
 
-def _cmd_audit(args, out: Path) -> None:
+def _cmd_audit(args):
     sys = load_system(args.system)
-    sums = sys.kraft_sums()
-    payload = {
+    yield "audit.json", {
         "universe_n": sys.universe_n,
         "data_programs": len(sys.data_programs),
         "set_programs": len(sys.set_programs),
-        "kraft": sums,
+        "kraft": sys.kraft_sums(),
         "c_sub": sys.c_sub,
-        "additivity": additivity_defect_report(sys).to_json_dict(),
+        "additivity": additivity_defect_report(sys),
     }
-    _write_json(out / "audit.json", payload)
 
 
-def _cmd_nonstoch(args, out: Path) -> None:
+def _cmd_nonstoch(args):
     plan = make_nonstoch_system(args.n, args.alpha0, args.beta_level, seed=args.seed)
-    report = verify_nonstoch(plan)
-    _write_json(out / "nonstoch.json", report.to_json_dict())
-    _write_text(out / "system.tsv", plan.system.to_descriptor_text())
+    yield "nonstoch.json", verify_nonstoch(plan)
+    yield "system.tsv", plan.system.to_descriptor_text()
 
 
 _HANDLERS = {
@@ -563,15 +465,22 @@ def _error_record(command: str, exc: Exception) -> str:
     )
 
 
+def _artifacts(args):
+    """The manifest echo first, so a refused run still archives it."""
+    yield "manifest.json", _manifest_from_args(args)
+    yield from _HANDLERS[args.command](args)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
     try:
-        manifest = _manifest_from_args(args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "manifest.json", manifest.to_json_dict())
-        _HANDLERS[command](args, out)
+        for name, payload in _artifacts(args):
+            path = Path(args.out) / name
+            if isinstance(payload, str):
+                write_text(path, payload)
+            else:
+                write_json(path, payload, int_floats=True)
     except StructLabError as exc:
         print(_error_record(command, exc), file=_sys.stderr)
         return 1

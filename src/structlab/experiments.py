@@ -26,7 +26,6 @@ so reruns are byte-identical and diffs are meaningful.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .artifacts import number, write_json
 from .codec import BitString
 from .descsys import (
     MAX_UNIVERSE_BITS,
@@ -66,18 +66,6 @@ __all__ = [
     "build_report_family_systems",
     "generate_gap_reports",
 ]
-
-
-def _json_number(v):
-    """Make a numeric field JSON-safe: infinities become the string 'inf'."""
-    if v is None:
-        return None
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        if v == int(v):
-            return int(v)
-    return v
 
 
 def _sample_strings(
@@ -170,7 +158,7 @@ class NonStochReport:
             "x": str(self.plan.x),
             "K_x": self.K_x,
             "c_sub": self.c_sub,
-            "beta": [_json_number(v) for v in self.beta_values()],
+            "beta": [number(v) for v in self.beta_values()],
             "ok": self.ok,
         }
 
@@ -245,16 +233,6 @@ class AdditivityRecord:
     K_cond: int
     defect: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "set_program": str(self.set_program),
-            "K_x": self.K_x,
-            "K_S": self.K_S,
-            "K_cond": self.K_cond,
-            "defect": self.defect,
-        }
-
 
 @dataclass(frozen=True)
 class AdditivityReport:
@@ -272,17 +250,6 @@ class AdditivityReport:
     max_record: "AdditivityRecord | None"
     min_record: "AdditivityRecord | None"
     histogram: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "c_sub": self.c_sub,
-            "max_defect": self.max_defect,
-            "min_defect": self.min_defect,
-            "max_record": None if self.max_record is None else self.max_record.to_json_dict(),
-            "min_record": None if self.min_record is None else self.min_record.to_json_dict(),
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
 
 
 def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
@@ -347,8 +314,8 @@ class GapSummary:
         return {
             "label": self.label,
             "count": self.count,
-            "min": _json_number(self.minimum),
-            "max": _json_number(self.maximum),
+            "min": number(self.minimum),
+            "max": number(self.maximum),
             "mean": self.mean,
             "min_witness": self.min_witness,
             "max_witness": self.max_witness,
@@ -391,13 +358,6 @@ class ReverseFitGapReport:
     epsilons: tuple
     strings_used: int
     summaries: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "strings_used": self.strings_used,
-            "summaries": [s.to_json_dict() for s in self.summaries],
-        }
 
 
 def reverse_fit_gap_report(
@@ -443,12 +403,6 @@ class UniversalGapReport:
 
     strings_used: int
     summaries: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strings_used": self.strings_used,
-            "summaries": [s.to_json_dict() for s in self.summaries],
-        }
 
 
 def universal_gap_report(
@@ -515,17 +469,6 @@ class ImprovementSlackReport:
     improved_count: int
     slack: GapSummary
     deficiency_drop: GapSummary
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "searches": self.searches,
-            "traces_with_pairs": self.traces_with_pairs,
-            "qualifying_pairs": self.qualifying_pairs,
-            "improved_count": self.improved_count,
-            "slack": self.slack.to_json_dict(),
-            "deficiency_drop": self.deficiency_drop.to_json_dict(),
-        }
 
 
 def improvement_slack_report(
@@ -608,12 +551,6 @@ def build_report_family_systems() -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def generate_gap_reports(
     out_dir,
     *,
@@ -634,15 +571,14 @@ def generate_gap_reports(
     Returns the written file names and per-section wall-clock seconds.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if systems is None:
         systems = build_report_family_systems()
-    files: list[str] = []
+    artifacts: dict = {}
     seconds: dict[str, float] = {}
 
     for name, system in sorted(systems.items()):
         start = time.perf_counter()
-        payload = {
+        artifacts[f"gaps_{name}.json"] = {
             "system": name,
             "universe_n": system.universe_n,
             "set_programs": len(system.set_programs),
@@ -650,37 +586,33 @@ def generate_gap_reports(
             "c_sub": system.c_sub,
             "reverse_fit_gap": reverse_fit_gap_report(
                 system, epsilons=epsilons, max_strings=reverse_strings
-            ).to_json_dict(),
+            ),
             "universal_family_gap": universal_gap_report(
                 system, max_strings=universal_strings
-            ).to_json_dict(),
-            "additivity_defect": additivity_defect_report(system).to_json_dict(),
+            ),
+            "additivity_defect": additivity_defect_report(system),
             "improvement_slack": improvement_slack_report(
                 system, c=c, seeds=improvement_seeds, max_strings=improvement_strings
-            ).to_json_dict(),
+            ),
         }
-        filename = f"gaps_{name}.json"
-        _write_json(out / filename, payload)
-        files.append(filename)
         seconds[name] = time.perf_counter() - start
 
     start = time.perf_counter()
     plan = make_nonstoch_system(12, 5, 6, seed=0)
-    _write_json(out / "nonstoch_12.json", verify_nonstoch(plan).to_json_dict())
-    files.append("nonstoch_12.json")
+    artifacts["nonstoch_12.json"] = verify_nonstoch(plan)
     seconds["nonstoch"] = time.perf_counter() - start
 
-    index = {
-        "files": sorted(files),
+    artifacts["index.json"] = {
+        "files": sorted(artifacts),
         "parameters": {
-            "epsilons": list(epsilons),
+            "epsilons": epsilons,
             "reverse_strings": reverse_strings,
             "universal_strings": universal_strings,
             "improvement_strings": improvement_strings,
-            "improvement_seeds": list(improvement_seeds),
+            "improvement_seeds": improvement_seeds,
             "c": c,
         },
     }
-    _write_json(out / "index.json", index)
-    files.append("index.json")
-    return {"out_dir": str(out), "files": files, "seconds": seconds}
+    for filename, payload in artifacts.items():
+        write_json(out / filename, payload, int_floats=False)
+    return {"out_dir": str(out), "files": list(artifacts), "seconds": seconds}

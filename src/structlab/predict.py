@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .artifacts import number
 from .codec import EMPTY, BitString
 from .descsys import DescriptionSystem, FiniteSet, check_prefix_free, kraft_sum
 from .errors import FixtureError, StructLabError
@@ -333,16 +334,8 @@ class SnoopingCurve:
         lines = ["alpha,loss,witness_program"]
         for row in self.rows:
             witness = "" if row.witness is None else str(row.witness)
-            lines.append(f"{row.alpha},{format_loss(row.loss)},{witness}")
+            lines.append(f"{row.alpha},{number(row.loss)},{witness}")
         return "\n".join(lines) + "\n"
-
-
-def format_loss(loss: float) -> str:
-    if math.isinf(loss):
-        return "inf"
-    if loss == int(loss):
-        return str(int(loss))
-    return repr(loss)
 
 
 def snooping_curve(

@@ -300,26 +300,16 @@ class ImprovementAudit:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": str(self.x),
-            "c": self.c,
-            "threshold_bits": self.threshold_bits,
+            **vars(self),
             "qualifying_count": self.qualifying_count,
             "max_slack_needed": self.max_slack_needed,
-            "pairs": [
-                {
-                    "time_1": p.time_1,
-                    "time_2": p.time_2,
-                    "program_1": str(p.program_1),
-                    "program_2": str(p.program_2),
-                    "lambda_drop": p.lambda_drop,
-                    "delta_1": p.delta_1,
-                    "delta_2": p.delta_2,
-                    "required_drop": p.required_drop,
-                    "slack_needed": p.slack_needed,
-                }
-                for p in self.pairs
-            ],
         }
+
+
+def check_audit_constant(c: float) -> None:
+    """Refuse an improvement-audit constant that is not a finite number."""
+    if not math.isfinite(c):
+        raise StructLabError(f"the improvement-audit constant c must be finite, got {c}")
 
 
 def improvement_audit(
@@ -336,18 +326,27 @@ def improvement_audit(
     """
     if trace.mode != "mdl":
         raise StructLabError("improvement audits are defined for mdl traces")
+    check_audit_constant(c)
     n = sys.universe_n
     log_n = math.log2(n) if n > 1 else 0.0
     threshold = 2.0 * c * log_n
     two_c = 2.0 * c
     exact = float(two_c).is_integer()
-    n_pow = n ** int(two_c) if exact else None
+    decls = trace.declarations
+    n_pow = None
+    if exact:
+        # mdl keys are positive integers and fall along the trace, so once
+        # n**2c exceeds the first key no pair qualifies; bit lengths tell
+        # that without building n**2c, whose size grows with c.
+        power = int(two_c)
+        top = decls[0].objective_key if decls else 0
+        if power < 0 or (n.bit_length() - 1) * power < top.bit_length():
+            n_pow = n ** power
 
     pairs: list[AuditPair] = []
-    decls = trace.declarations
     for d1, d2 in zip(decls, decls[1:]):
         if exact:
-            qualifies = d2.objective_key * n_pow <= d1.objective_key
+            qualifies = n_pow is not None and d2.objective_key * n_pow <= d1.objective_key
         else:
             qualifies = log2_display(d2.objective_key) <= (
                 log2_display(d1.objective_key) - threshold

@@ -29,7 +29,6 @@ are exact and machine-checkable:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -49,6 +48,7 @@ __all__ = [
     "CoverRecord",
     "CoverReport",
     "cover_family",
+    "MAX_THRESHOLD_BITS",
     "ImproveReport",
     "improve_model",
 ]
@@ -427,6 +427,13 @@ def _coerce_records(records: Iterable) -> list[CoverRecord]:
     return out
 
 
+#: Largest magnitude of the cover threshold's exponent ``claimed_cond -
+#: delta``.  Past it the threshold is met by every member (below) or by none
+#: (above) of any record file of practical size, and its exact value would
+#: only inflate the report's numbers.
+MAX_THRESHOLD_BITS = 64
+
+
 def cover_family(
     records: Iterable, x, delta: "int | None" = None
 ) -> CoverReport:
@@ -445,7 +452,8 @@ def cover_family(
 
     ``delta`` defaults to one more than the bits of the anchor's two-part
     total, making the default threshold comfortably below the number of
-    records any real family would need.
+    records any real family would need.  ``claimed_cond - delta`` must lie
+    in ``[-MAX_THRESHOLD_BITS, MAX_THRESHOLD_BITS]``.
     """
     recs = _coerce_records(records)
     shape = recs[0].shape
@@ -462,7 +470,13 @@ def cover_family(
     if delta is None:
         m = anchor.claimed_k + anchor.set.ceil_log_card
         delta = ceil_log2(max(m, 1)) + 1
-    t = pow2(anchor.claimed_cond - delta)
+    exponent = anchor.claimed_cond - delta
+    if not -MAX_THRESHOLD_BITS <= exponent <= MAX_THRESHOLD_BITS:
+        raise StructLabError(
+            f"the cover threshold exponent K_COND - delta must be in "
+            f"[-{MAX_THRESHOLD_BITS}, {MAX_THRESHOLD_BITS}], got {exponent}"
+        )
+    t = pow2(exponent)
     capacity = 1 << anchor.set.ceil_log_card
 
     counts: dict[int, int] = {}
@@ -535,20 +549,6 @@ class ImproveReport:
     slack_total: "float | None"
     slack_complexity: "float | None"
     slack_cardinality: "float | None"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "alpha": self.alpha,
-            "anchor_program": str(self.anchor.witness_program),
-            "anchor_total": self.anchor.total_length,
-            "best_program": str(self.best.witness_program),
-            "best_total": self.best.total_length,
-            "improved": self.improved,
-            "slack_total": self.slack_total,
-            "slack_complexity": self.slack_complexity,
-            "slack_cardinality": self.slack_cardinality,
-        }
 
 
 def improve_model(

@@ -367,15 +367,6 @@ class MuchnikCurve:
     def value(self, alpha: int) -> "int | None":
         return self.values[alpha]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "k": self.k,
-            "alpha0": self.alpha0,
-            "cutoff": self.cutoff,
-            "values": list(self.values),
-        }
-
 
 def muchnik_lambda(d_k: EnumeratedD, x, k: int, alpha0: int) -> MuchnikCurve:
     """Rebuild the two-part-cost curve of ``x`` on budgets [0, k].
@@ -514,21 +505,6 @@ class SliDominanceRecord:
     slack: "int | None"
     contains: "bool | None"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "program": str(self.program),
-            "K_S": self.K_S,
-            "cardinality": self.cardinality,
-            "variant": self.variant,
-            "l": self.l,
-            "in_section": self.in_section,
-            "i": self.i,
-            "block_cardinality": self.block_cardinality,
-            "block_lambda": self.block_lambda,
-            "slack": self.slack,
-            "contains": self.contains,
-        }
-
 
 @dataclass(frozen=True)
 class SliDominanceReport:
@@ -540,14 +516,6 @@ class SliDominanceReport:
     def max_slack(self) -> "int | None":
         slacks = [r.slack for r in self.records if r.slack is not None]
         return max(slacks) if slacks else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "c_sub": self.c_sub,
-            "max_slack": self.max_slack,
-            "records": [r.to_json_dict() for r in self.records],
-        }
 
 
 def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:
@@ -627,18 +595,6 @@ class UniversalFamilyRow:
     h_gap: "float | None"
     beta_gap: "float | None"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lambda_analog": self.lambda_analog,
-            "lambda_l": self.lambda_l,
-            "h_analog": self.h_analog,
-            "h_l": self.h_l,
-            "lambda_gap": self.lambda_gap,
-            "h_gap": self.h_gap,
-            "beta_gap": self.beta_gap,
-        }
-
 
 @dataclass(frozen=True)
 class UniversalFamilyReport:
@@ -646,14 +602,6 @@ class UniversalFamilyReport:
     K_x: int
     alpha_max: int
     rows: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "K_x": self.K_x,
-            "alpha_max": self.alpha_max,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def universal_family_report(

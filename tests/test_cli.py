@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,35 @@ def test_search_seed_independent_final(fixa_path, tmp_path):
     assert finals[0] == finals[1] == 3
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_search_refuses_non_finite_c(c, fixa_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run(
+        "search", "--system", fixa_path, "--x", "00", "--seed", "1",
+        f"--c={c}", "--out", str(out),
+    )
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "search"
+    assert record["error"]["type"] == "StructLabError"
+    assert "must be finite" in record["error"]["message"]
+    # refused before the manifest echo is written
+    assert not out.exists()
+
+
+def test_search_huge_c_is_fast(fixa_path, tmp_path):
+    start = time.perf_counter()
+    rc = run(
+        "search", "--system", fixa_path, "--x", "00", "--seed", "1",
+        "--c", "1e9", "--out", str(tmp_path),
+    )
+    assert rc == 0
+    assert time.perf_counter() - start < 1.0
+    audit = json.loads((tmp_path / "search.json").read_text())["improvement_audit"]
+    assert audit["c"] == 1000000000
+    assert audit["qualifying_count"] == 0
+
+
 def test_search_requires_seed(fixa_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("search", "--system", fixa_path, "--x", "00", "--out", str(tmp_path))
@@ -170,6 +200,29 @@ def test_cover_run(tmp_path):
     payload = json.loads((tmp_path / "out" / "cover.json").read_text())
     assert payload["covered"] is True
     assert payload["x"] == "00"
+
+
+@pytest.mark.parametrize(
+    "records, delta",
+    [
+        ("record 2 1 00,01\n", "-100000"),
+        ("record 2 1 00,01\n", "1000000"),
+        (f"record 2 {10**4000} 00,01\n", "1"),
+    ],
+    ids=["delta-low", "delta-high", "huge-k-cond"],
+)
+def test_cover_threshold_out_of_range_exits_one(records, delta, tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text(records)
+    rc = run(
+        "cover", "--records", str(path), "--x", "00", "--delta", delta,
+        "--out", str(tmp_path / "out"),
+    )
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "cover"
+    assert record["error"]["type"] == "StructLabError"
+    assert "threshold exponent" in record["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

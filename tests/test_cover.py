@@ -125,6 +125,24 @@ def test_subunit_threshold():
     assert report.covered
 
 
+@pytest.mark.parametrize(
+    "cond, delta, exponent",
+    [(2, -100000, 100002), (2, 1000000, -999998), (10**6, 1, 999999), (2, -63, 65), (2, 67, -65)],
+)
+def test_threshold_exponent_out_of_range_rejected(cond, delta, exponent):
+    records = [rec(2, [0, 1], cond=cond), rec(2, [0, 2], cond=cond)]
+    with pytest.raises(StructLabError, match=f"got {exponent}"):
+        cover_family(records, "00", delta=delta)
+
+
+@pytest.mark.parametrize("delta", [-62, 66])
+def test_threshold_exponent_range_is_inclusive(delta):
+    records = [rec(2, [0, 1], cond=2), rec(2, [0, 2], cond=2)]
+    report = cover_family(records, "00", delta=delta)
+    assert report.threshold == Fraction(2) ** (2 - delta)
+    assert report.block_budget_ok
+
+
 def test_report_json_serializable():
     import json
 

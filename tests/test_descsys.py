@@ -21,7 +21,7 @@ from structlab.descsys import (
     enumeration_stream,
     kraft_sum,
 )
-from structlab.errors import DescriptorError
+from structlab.errors import DescriptorError, StructLabError
 
 from .gensys import random_system
 from .oracles import (
@@ -315,6 +315,69 @@ def test_family_argument_validation():
 def test_family_arguments_checked_before_expansion(family, message):
     with pytest.raises(DescriptorError, match=message):
         build_system(f"{family}\ndata\t1\t@family:literal(n=2)\nset\t0\t@family:cube(n=2)")
+
+
+# Descriptor text for a width n <= 6: mostly well-formed entries (so the
+# checks past the tokenizer are reached and some texts build), mixed with
+# near misses: wrong widths, duplicate or out-of-range family arguments,
+# unknown names, prefix clashes, dangling cond anchors and broken lines.
+_FAMILIES = ["cube", "singletons", "cylinders", "hamming", "patches", "literal", "bernoulli"]
+
+
+@st.composite
+def _descriptor_text(draw):
+    n = draw(st.integers(1, 6))
+    string = st.text(alphabet="01", min_size=n, max_size=n)
+    any_string = st.text(alphabet="01", min_size=1, max_size=6)
+    program = st.one_of(
+        st.text(alphabet="01", max_size=5).map("1".__add__),
+        st.text(alphabet="01", max_size=5).map("1".__add__),
+        st.sampled_from([".", "0", "00", "2"]),
+    )
+    arg = st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["n", "m"]), st.sampled_from([n, n, n, 1, 2, 3])),
+        st.builds("{}={}".format, st.sampled_from(["n", "m", "k"]), st.sampled_from([-1, 0, 17, "x"])),
+    )
+    family_call = st.one_of(
+        st.builds(
+            "@family:{}(n={}{})".format,
+            st.sampled_from(_FAMILIES),
+            st.just(n),
+            st.sampled_from(["", "", ",m=1", f",m={n}", ",m=2", ",n=2"]),
+        ),
+        st.builds(
+            "@family:{}({})".format,
+            st.sampled_from(_FAMILIES + ["mystery"]),
+            st.lists(arg, max_size=3).map(",".join),
+        ),
+    )
+    members = st.lists(string, min_size=1, max_size=4).map(",".join)
+    entry = st.one_of(
+        st.builds("data\t{}\t{}".format, program, st.one_of(string, string, any_string, family_call)),
+        st.builds("set\t{}\t{}".format, program, st.one_of(members, members, any_string, family_call)),
+        st.builds("cond\t{}\t{}@{}".format, program, string, st.sampled_from(["0", "1", "10", "."])),
+    )
+    broken = st.sampled_from(
+        ["data 0", "set 0 00 extra", "sets\t1\t0", "set\t1\t,", "cond\t1\t0", "data\t1\t@family:cube(n=2"]
+    )
+    lines = []
+    if draw(st.integers(0, 3)):
+        lines.append(f"data\t0\t@family:literal(n={n})")
+    if draw(st.integers(0, 3)):
+        lines.append(f"set\t0\t@family:cube(n={n})")
+    lines += draw(st.lists(st.one_of(entry, entry, entry, broken), max_size=5))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300)
+@given(_descriptor_text())
+def test_descriptor_text_builds_or_refuses(text):
+    # the only outcomes allowed for any descriptor text
+    try:
+        system = build_system(text)
+    except StructLabError:
+        return
+    assert isinstance(system, DescriptionSystem)
 
 
 ### Enumeration streams

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structlab.artifacts import jsonable
 from structlab.codec import EMPTY, BitString, encode_sd
 from structlab.descsys import (
     DescriptionSystem,
@@ -305,7 +306,7 @@ def test_audit_no_pairs_on_single_declaration(fixa):
     assert audit.qualifying_count == 0
     assert audit.max_slack_needed is None
     assert audit.threshold_bits == pytest.approx(2.0)
-    assert audit.to_json_dict()["pairs"] == []
+    assert jsonable(audit, int_floats=True)["pairs"] == []
 
 
 def test_audit_qualifying_pair_weight_family():
@@ -343,12 +344,62 @@ def test_audit_threshold_scaling():
     assert improvement_audit(sys, trace, c=1.5).qualifying_count == 0
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_audit_refuses_non_finite_constant(fixa, c):
+    trace = anytime_search(fixa, "00", 3, enumeration_stream(fixa, 0), "mdl")
+    with pytest.raises(StructLabError, match="must be finite"):
+        improvement_audit(fixa, trace, c=c)
+
+
+def test_audit_huge_constant_builds_no_huge_power():
+    sys = build_system(WEIGHT_FAMILY_12)
+    ham0 = B("10") + encode_sd(EMPTY)
+    stream = manual_stream(sys, first=[("set", B("0")), ("set", ham0)])
+    trace = anytime_search(sys, "0" * 12, 15, stream, "mdl")
+    # 12**(2 * 10**12) would have about 7 * 10**12 bits
+    audit = improvement_audit(sys, trace, c=1e12)
+    assert audit.qualifying_count == 0
+    assert audit.threshold_bits == pytest.approx(2e12 * math.log2(12))
+
+
+def test_audit_cut_off_is_exact_at_its_boundary():
+    # keys 2 * 26 = 52 then 2 * 1: the ratio 26 reaches 5**2 = 25, so the
+    # pair qualifies at c = 1 although 52 has as many bits as 2**(2 * 3)
+    members = ",".join(format(v, "05b") for v in range(26))
+    sys = build_system(
+        f"data\t0\t@family:literal(n=5)\nset\t0\t{members}\nset\t1\t00000"
+    )
+    stream = manual_stream(sys, first=[("set", B("0")), ("set", B("1"))])
+    trace = anytime_search(sys, "00000", 1, stream, "mdl")
+    assert [d.objective_key for d in trace.declarations] == [52, 2]
+    assert improvement_audit(sys, trace, c=1.0).qualifying_count == 1
+    assert improvement_audit(sys, trace, c=1.5).qualifying_count == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_audit_pairs_match_direct_power_comparison(seed):
+    # the bit-length cut-off must never change which pairs qualify
+    sys = random_system(seed, n=2 + seed % 5)
+    alpha = sys.max_set_program_length()
+    stream = enumeration_stream(sys, seed)
+    n = sys.universe_n
+    for x in list(sys.universe_strings())[:6]:
+        trace = anytime_search(sys, x, alpha, stream, "mdl")
+        keys = [d.objective_key for d in trace.declarations]
+        for two_c in range(-1, 12):
+            expected = sum(
+                k2 * n**two_c <= k1 for k1, k2 in zip(keys, keys[1:])
+            )
+            audit = improvement_audit(sys, trace, c=two_c / 2)
+            assert audit.qualifying_count == expected, (x, two_c)
+
+
 def test_audit_json_shape():
     sys = build_system(WEIGHT_FAMILY_12)
     ham0 = B("10") + encode_sd(EMPTY)
     stream = manual_stream(sys, first=[("set", B("0")), ("set", ham0)])
     trace = anytime_search(sys, "0" * 12, 15, stream, "mdl")
-    report = improvement_audit(sys, trace, c=1.0).to_json_dict()
+    report = jsonable(improvement_audit(sys, trace, c=1.0), int_floats=True)
     assert report["x"] == "0" * 12
     assert report["qualifying_count"] == 1
     assert report["pairs"][0]["program_1"] == "0"

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from structlab.artifacts import jsonable
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, RefusalError, StructLabError
@@ -426,7 +427,7 @@ def test_universal_family_rows_are_json_ready(fixa):
     import json
 
     report = universal_family_report(fixa, "11")
-    blob = json.dumps(report.to_json_dict(), sort_keys=True)
+    blob = json.dumps(jsonable(report, int_floats=False), sort_keys=True)
     assert '"alpha": 0' in blob
 
 
