@@ -291,7 +291,12 @@ def _cmd_snoop(args):
         "x": curve.x,
         "alpha_max": curve.alpha_max,
         "rows": [
-            {"alpha": row.alpha, "loss": row.loss, "product": row.product, "witness": row.witness}
+            {
+                "alpha": row.alpha,
+                "loss": row.loss,
+                "product": row.product,
+                "witness": row.witness,
+            }
             for row in curve.rows
         ],
     }
