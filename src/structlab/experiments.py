@@ -573,12 +573,12 @@ def generate_gap_reports(
     out = Path(out_dir)
     if systems is None:
         systems = build_report_family_systems()
-    artifacts: dict = {}
+    payloads: dict = {}
     seconds: dict[str, float] = {}
 
     for name, system in sorted(systems.items()):
         start = time.perf_counter()
-        artifacts[f"gaps_{name}.json"] = {
+        payloads[f"gaps_{name}.json"] = {
             "system": name,
             "universe_n": system.universe_n,
             "set_programs": len(system.set_programs),
@@ -599,11 +599,11 @@ def generate_gap_reports(
 
     start = time.perf_counter()
     plan = make_nonstoch_system(12, 5, 6, seed=0)
-    artifacts["nonstoch_12.json"] = verify_nonstoch(plan)
+    payloads["nonstoch_12.json"] = verify_nonstoch(plan)
     seconds["nonstoch"] = time.perf_counter() - start
 
-    artifacts["index.json"] = {
-        "files": sorted(artifacts),
+    payloads["index.json"] = {
+        "files": sorted(payloads),
         "parameters": {
             "epsilons": epsilons,
             "reverse_strings": reverse_strings,
@@ -613,6 +613,6 @@ def generate_gap_reports(
             "c": c,
         },
     }
-    for filename, payload in artifacts.items():
+    for filename, payload in payloads.items():
         write_json(out / filename, payload, int_floats=False)
-    return {"out_dir": str(out), "files": list(artifacts), "seconds": seconds}
+    return {"out_dir": str(out), "files": list(payloads), "seconds": seconds}
