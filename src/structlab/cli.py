@@ -154,6 +154,19 @@ def _target_curve(text: str) -> list[int]:
         raise StructLabError(f"bad target curve {text!r}") from exc
 
 
+def _check_budget(sys: DescriptionSystem, flag: str, value: "int | None") -> None:
+    """Refuse a budget past the longest data or set program.
+
+    Every curve is constant past it and ``induced_Dk`` only repeats whole
+    rounds, so a larger value would buy nothing but unbounded work.
+    """
+    longest = max(map(len, [*sys.data_programs, *sys.set_programs]))
+    if value is not None and value > longest:
+        raise StructLabError(
+            f"{flag} {value} exceeds the longest data or set program ({longest} bits)"
+        )
+
+
 def _full_cube(n: int) -> FiniteSet:
     if not 1 <= n <= MAX_UNIVERSE_BITS:
         raise StructLabError(
@@ -172,6 +185,7 @@ def _full_cube(n: int) -> FiniteSet:
 
 def _cmd_profile(args):
     sys = load_system(args.system)
+    _check_budget(sys, "--alpha-max", args.alpha_max)
     xs = [BitString(args.x)] if args.x is not None else list(sys.universe_strings())
     profiles = ((x, profile(sys, x, alpha_max=args.alpha_max)) for x in xs)
     if args.format == "csv":
@@ -241,6 +255,7 @@ def _cmd_cover(args):
 
 def _cmd_unistat(args):
     sys = load_system(args.system)
+    _check_budget(sys, "--k", args.k)
     x = BitString(args.x)
     d = induced_data_D(sys)
     idx = build_index(d, x)
@@ -283,6 +298,7 @@ def _cmd_unistat(args):
 
 def _cmd_snoop(args):
     sys = load_system(args.system)
+    _check_budget(sys, "--alpha-max", args.alpha_max)
     curve = snooping_curve(codebook_from_sets(sys), args.x, alpha_max=args.alpha_max)
     if args.format == "csv":
         yield "snoop.csv", curve.to_csv()

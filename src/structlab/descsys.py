@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .codec import BitString, encode_sd, string_of_integer
-from .errors import DescriptorError
+from .errors import DescriptorError, StructLabError
 from .rational import ceil_log2, log2_display, pow2
 
 __all__ = [
@@ -60,12 +60,12 @@ __all__ = [
     "build_system",
     "build_system_from_entries",
     "load_system",
-    "complexity",
     "enumerate_models",
     "enumeration_stream",
     "apply_permutation",
     "check_prefix_free",
     "kraft_sum",
+    "Codebook",
     "MAX_UNIVERSE_BITS",
 ]
 
@@ -267,6 +267,70 @@ def kraft_sum(programs: Iterable[BitString]) -> Fraction:
     return sum((pow2(-len(p)) for p in programs), start=Fraction(0))
 
 
+class Codebook:
+    """Prefix-free programs naming models that share one length ``n``.
+
+    The program side is audited exactly like a description-system
+    namespace: programs are prefix-free and their Kraft sum is at most 1,
+    so the length of the shortest program naming a model is an honest
+    complexity.  Subclasses set the model type and the words their error
+    messages use, such as ``"a probability model"``, ``"support length"``
+    and the namespace ``"pmf"``.
+    """
+
+    __slots__ = ("_n", "_programs")
+
+    model_type: type
+    model_noun: str
+    length_noun: str
+    namespace: str
+
+    def __init__(self, programs):
+        norm = {}
+        for prog, model in dict(programs).items():
+            b = BitString(prog) if isinstance(prog, str) else prog
+            if not isinstance(b, BitString):
+                raise StructLabError(f"malformed program {prog!r}")
+            if not isinstance(model, self.model_type):
+                raise StructLabError(f"program {b!r} does not map to {self.model_noun}")
+            norm[b] = model
+        if not norm:
+            raise StructLabError("a codebook needs at least one program")
+        lengths = {model.n for model in norm.values()}
+        if len(lengths) != 1:
+            raise StructLabError(
+                f"codebook models must share one {self.length_noun}, got {sorted(lengths)}"
+            )
+        check_prefix_free(norm, self.namespace)
+        total = kraft_sum(norm)
+        if total > 1:
+            raise StructLabError(
+                f"{self.namespace} programs overfill the Kraft budget: {total}"
+            )
+        self._n = lengths.pop()
+        self._programs = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def programs(self) -> dict:
+        """Program -> model, in (length, value) order of the programs."""
+        return dict(self._programs)
+
+    def max_program_length(self) -> int:
+        return max(len(p) for p in self._programs)
+
+    def complexity(self, model) -> "int | float":
+        """Length of the shortest program naming an equal model."""
+        lengths = [len(p) for p, m in self._programs.items() if m == model]
+        return min(lengths) if lengths else math.inf
+
+    def __len__(self) -> int:
+        return len(self._programs)
+
+
 # ---------------------------------------------------------------------------
 # The description system
 # ---------------------------------------------------------------------------
@@ -456,9 +520,8 @@ class DescriptionSystem:
         return cached
 
     def max_set_program_length(self) -> int:
-        if not self._set_entries:
-            return 0
-        return max(e.K_S for e in self._set_entries)
+        # The entries are sorted by K(S) first.
+        return self._set_entries[-1].K_S if self._set_entries else 0
 
     # -- audits --------------------------------------------------------
 
@@ -536,30 +599,8 @@ class DescriptionSystem:
 
 
 # ---------------------------------------------------------------------------
-# The complexity dispatcher
+# Model enumeration
 # ---------------------------------------------------------------------------
-
-
-def complexity(sys: DescriptionSystem, kind: str, *args) -> "int | float":
-    """Unified complexity query.
-
-    ``complexity(sys, "data", x)`` -> K(x);
-    ``complexity(sys, "set", S)`` -> K(S) (inf when unrepresentable);
-    ``complexity(sys, "cond", x, S)`` -> K(x|S) (inf when undefined).
-    """
-    if kind == "data":
-        if len(args) != 1:
-            raise DescriptorError("data query takes exactly one string")
-        return sys.K_data(args[0])
-    if kind == "set":
-        if len(args) != 1 or not isinstance(args[0], FiniteSet):
-            raise DescriptorError("set query takes exactly one FiniteSet")
-        return sys.K_set(args[0])
-    if kind == "cond":
-        if len(args) != 2 or not isinstance(args[1], FiniteSet):
-            raise DescriptorError("cond query takes a string and a FiniteSet")
-        return sys.K_cond(args[0], args[1])
-    raise DescriptorError(f"unknown complexity query kind {kind!r}")
 
 
 def enumerate_models(

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import EMPTY, BitString
-from .descsys import DescriptionSystem, FiniteSet, check_prefix_free, kraft_sum
+from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
 from .rational import log2_display, pow2
+from .structfn import staircase
 
 __all__ = [
     "ProbModel",
@@ -472,52 +473,14 @@ def fn_deficiency(model: TotalFnModel, x: "str | BitString", shortcuts=None) -> 
 # ---------------------------------------------------------------------------
 
 
-class PmfCodebook:
+class PmfCodebook(Codebook):
     """A prefix-free namespace of probability models over one support length."""
 
-    __slots__ = ("_n", "_programs")
-
-    def __init__(self, programs):
-        norm: dict[BitString, ProbModel] = {}
-        for prog, model in dict(programs).items():
-            b = BitString(prog) if isinstance(prog, str) else prog
-            if not isinstance(b, BitString):
-                raise StructLabError(f"malformed program {prog!r}")
-            if not isinstance(model, ProbModel):
-                raise StructLabError(
-                    f"program {b!r} does not map to a probability model"
-                )
-            norm[b] = model
-        if not norm:
-            raise StructLabError("a codebook needs at least one program")
-        lengths = {model.n for model in norm.values()}
-        if len(lengths) != 1:
-            raise StructLabError("codebook models must share one support length")
-        check_prefix_free(norm, "pmf")
-        total = kraft_sum(norm)
-        if total > 1:
-            raise StructLabError(f"pmf programs overfill the Kraft budget: {total}")
-        self._n = lengths.pop()
-        self._programs = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def programs(self) -> dict[BitString, ProbModel]:
-        return dict(self._programs)
-
-    def max_program_length(self) -> int:
-        return max(len(p) for p in self._programs)
-
-    def complexity(self, model: ProbModel) -> "int | float":
-        """Length of the shortest program naming an equal model."""
-        lengths = [len(p) for p, m in self._programs.items() if m == model]
-        return min(lengths) if lengths else math.inf
-
-    def __len__(self) -> int:
-        return len(self._programs)
+    __slots__ = ()
+    model_type = ProbModel
+    model_noun = "a probability model"
+    length_noun = "support length"
+    namespace = "pmf"
 
 
 @dataclass(frozen=True)
@@ -570,23 +533,17 @@ def likelihood_curve(
         alpha_max = codebook.max_program_length()
     if alpha_max < 0:
         raise StructLabError("alpha_max must be nonnegative")
-    scored = [
-        (len(prog), prog, model.probability(xb))
-        for prog, model in codebook.programs.items()
-    ]
+    programs = list(codebook.programs.items())
+    # Largest probability first, ties to the smallest program.
+    best = staircase(
+        ((len(prog), (-model.probability(xb), i)) for i, (prog, model) in enumerate(programs)),
+        alpha_max,
+    )
     rows = []
-    for alpha in range(alpha_max + 1):
-        best: "Fraction | None" = None
-        best_prog = None
-        for length, prog, p in scored:
-            if length > alpha:
-                continue
-            if best is None or p > best:
-                best, best_prog = p, prog
-            elif p == best and p > 0 and prog.sort_key() < best_prog.sort_key():
-                best_prog = prog
-        witness = best_prog if best else None
-        rows.append(LikelihoodRow(alpha=alpha, probability=best, witness=witness))
+    for alpha, key in enumerate(best):
+        p = None if key is None else -key[0]
+        witness = programs[key[1]][0] if p else None
+        rows.append(LikelihoodRow(alpha=alpha, probability=p, witness=witness))
     return LikelihoodCurve(x=xb, alpha_max=alpha_max, rows=tuple(rows))
 
 

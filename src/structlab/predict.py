@@ -32,9 +32,10 @@ from fractions import Fraction
 
 from .artifacts import number
 from .codec import EMPTY, BitString
-from .descsys import DescriptionSystem, FiniteSet, check_prefix_free, kraft_sum
+from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
 from .rational import log2_display, pow2
+from .structfn import staircase
 
 __all__ = [
     "PredictionStrategy",
@@ -250,58 +251,14 @@ def strategy_to_set(
 # ---------------------------------------------------------------------------
 
 
-class StrategyCodebook:
-    """Prefix-free programs naming strategies over one shared horizon.
+class StrategyCodebook(Codebook):
+    """Prefix-free programs naming strategies over one shared horizon."""
 
-    The program side is audited exactly like a description-system
-    namespace: programs are prefix-free and their Kraft sum is at most 1,
-    so the length of the shortest program naming a strategy is an honest
-    complexity.
-    """
-
-    __slots__ = ("_n", "_programs")
-
-    def __init__(self, programs):
-        norm: dict[BitString, PredictionStrategy] = {}
-        for prog, strat in dict(programs).items():
-            b = BitString(prog) if isinstance(prog, str) else prog
-            if not isinstance(strat, PredictionStrategy):
-                raise StructLabError(f"program {b!r} does not map to a strategy")
-            norm[b] = strat
-        if not norm:
-            raise StructLabError("a codebook needs at least one program")
-        horizons = {s.n for s in norm.values()}
-        if len(horizons) != 1:
-            raise StructLabError(
-                f"codebook strategies must share one horizon, got {sorted(horizons)}"
-            )
-        check_prefix_free(norm, "strategy")
-        total = kraft_sum(norm)
-        if total > 1:
-            raise StructLabError(f"strategy programs overfill the Kraft budget: {total}")
-        self._n = horizons.pop()
-        self._programs = dict(
-            sorted(norm.items(), key=lambda kv: kv[0].sort_key())
-        )
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def programs(self) -> dict[BitString, PredictionStrategy]:
-        return dict(self._programs)
-
-    def max_program_length(self) -> int:
-        return max(len(p) for p in self._programs)
-
-    def complexity(self, strategy: PredictionStrategy) -> "int | float":
-        """Length of the shortest program naming an equal strategy."""
-        lengths = [len(p) for p, s in self._programs.items() if s == strategy]
-        return min(lengths) if lengths else math.inf
-
-    def __len__(self) -> int:
-        return len(self._programs)
+    __slots__ = ()
+    model_type = PredictionStrategy
+    model_noun = "a strategy"
+    length_noun = "horizon"
+    namespace = "strategy"
 
 
 @dataclass(frozen=True)
@@ -356,24 +313,21 @@ def snooping_curve(
         alpha_max = codebook.max_program_length()
     if alpha_max < 0:
         raise StructLabError("alpha_max must be nonnegative")
-    scored = [
-        (len(prog), prog, evaluate_loss(strat, xb).product)
-        for prog, strat in codebook.programs.items()
+    programs = list(codebook.programs.items())
+    # Largest realized product first, ties to the smallest program.
+    best = staircase(
+        (
+            (len(prog), (-evaluate_loss(strat, xb).product, i))
+            for i, (prog, strat) in enumerate(programs)
+        ),
+        alpha_max,
+    )
+    rows = [
+        SnoopRow(alpha=alpha, product=None, witness=None)
+        if key is None
+        else SnoopRow(alpha=alpha, product=-key[0], witness=programs[key[1]][0])
+        for alpha, key in enumerate(best)
     ]
-    rows = []
-    for alpha in range(alpha_max + 1):
-        best_product = None
-        best_prog = None
-        for length, prog, product in scored:
-            if length > alpha:
-                continue
-            if (
-                best_product is None
-                or product > best_product
-                or (product == best_product and prog.sort_key() < best_prog.sort_key())
-            ):
-                best_product, best_prog = product, prog
-        rows.append(SnoopRow(alpha=alpha, product=best_product, witness=best_prog))
     return SnoopingCurve(x=xb, alpha_max=alpha_max, rows=tuple(rows))
 
 

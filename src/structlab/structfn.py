@@ -34,12 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import pairwise
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
 from .errors import StructLabError
 from .rational import log2_display, pow2
+
+K = TypeVar("K")
 
 __all__ = [
     "StructureProfile",
@@ -48,6 +51,7 @@ __all__ = [
     "ClosenessSpec",
     "CurveViolation",
     "profile",
+    "staircase",
     "deficiency",
     "deficiency_key",
     "deficiency_tail_count",
@@ -195,17 +199,26 @@ class StructureProfile:
         return (self.K_x, rows, self.critical_alphas, suff, pareto, self.flagged)
 
 
-def _better(
-    candidate_key, candidate: ModelRecord, best_key, best: "ModelRecord | None"
-) -> bool:
-    """Tie-break order: objective key, then K(S), then witness program."""
-    if best is None:
-        return True
-    return (candidate_key, candidate.K_S, candidate.witness_program.sort_key()) < (
-        best_key,
-        best.K_S,
-        best.witness_program.sort_key(),
-    )
+def staircase(candidates: Iterable[tuple[int, K]], alpha_max: int) -> list["K | None"]:
+    """The least key among ``(budget, key)`` candidates with budget <= alpha.
+
+    One entry per alpha in ``0..alpha_max``, None while no candidate fits;
+    the entries never increase.  Every per-budget curve is this minimum,
+    with its tie-breaks and a way back to the winning record carried in the
+    key.  Negative budgets count from 0.  Cost O(candidates + alpha_max).
+    """
+    best: list["K | None"] = [None] * (alpha_max + 1)
+    for budget, key in candidates:
+        if budget <= alpha_max:
+            budget = max(budget, 0)
+            if best[budget] is None or key < best[budget]:
+                best[budget] = key
+    run = None
+    for alpha, key in enumerate(best):
+        if key is not None and (run is None or key < run):
+            run = key
+        best[alpha] = run
+    return best
 
 
 def profile(
@@ -228,62 +241,49 @@ def profile(
     slack = sys.c_sub if mss_slack is None else mss_slack
     k_x = sys.K_data(xb)
 
-    containing = sys.entries_containing(xb)  # sorted by (K, card, program)
-    h_rows: list[ModelRecord | None] = []
-    lambda_rows: list[ModelRecord | None] = []
-    beta_rows: list[ModelRecord | None] = []
+    containing = sys.entries_containing(xb)
 
-    best_h: "ModelRecord | None" = None
-    best_l: "ModelRecord | None" = None
-    best_b: "ModelRecord | None" = None
-    idx = 0
-    for alpha in range(alpha_max + 1):
-        while idx < len(containing) and containing[idx].K_S <= alpha:
-            rec = containing[idx]
-            idx += 1
-            if _better(rec.cardinality, rec, None if best_h is None else best_h.cardinality, best_h):
-                best_h = rec
-            if _better(rec.lambda_key, rec, None if best_l is None else best_l.lambda_key, best_l):
-                best_l = rec
-            if _better(rec.delta_key, rec, None if best_b is None else best_b.delta_key, best_b):
-                best_b = rec
-        h_rows.append(best_h)
-        lambda_rows.append(best_l)
-        beta_rows.append(best_b)
+    def rows(objective) -> tuple["ModelRecord | None", ...]:
+        # Ties break by smaller K(S), then by the witness program.
+        keys = (
+            (rec.K_S, (objective(rec), rec.K_S, rec.witness_program.sort_key(), i))
+            for i, rec in enumerate(containing)
+        )
+        return tuple(
+            None if key is None else containing[key[-1]]
+            for key in staircase(keys, alpha_max)
+        )
 
-    critical: list[int] = []
-    prev_key: "int | None" = None
-    for alpha in range(alpha_max + 1):
-        row = lambda_rows[alpha]
-        if row is not None and (prev_key is None or row.lambda_key < prev_key):
-            critical.append(alpha)
-        if row is not None:
-            prev_key = row.lambda_key
+    h_rows = rows(lambda rec: rec.cardinality)
+    lambda_rows = rows(lambda rec: rec.lambda_key)
+    beta_rows = rows(lambda rec: rec.delta_key)
+
+    critical = tuple(
+        alpha
+        for alpha, (prev, row) in enumerate(pairwise((None, *lambda_rows)))
+        if row is not None and (prev is None or row.lambda_key < prev.lambda_key)
+    )
 
     sufficiency: "SufficiencyRecord | None" = None
     bound_exp = k_x + slack
     if bound_exp >= 0:
-        for alpha in range(alpha_max + 1):
-            row = lambda_rows[alpha]
+        for alpha, row in enumerate(lambda_rows):
             if row is not None and row.lambda_key <= (1 << bound_exp):
                 sufficiency = SufficiencyRecord(alpha, slack, row)
                 break
 
-    pareto = _pareto_frontier(containing)
-
-    flagged = all(r is None for r in lambda_rows)
     return StructureProfile(
         x=xb,
         K_x=k_x,
         alpha_max=alpha_max,
         c_sub=sys.c_sub,
-        h_rows=tuple(h_rows),
-        lambda_rows=tuple(lambda_rows),
-        beta_rows=tuple(beta_rows),
-        critical_alphas=tuple(critical),
+        h_rows=h_rows,
+        lambda_rows=lambda_rows,
+        beta_rows=beta_rows,
+        critical_alphas=critical,
         sufficiency=sufficiency,
-        pareto=pareto,
-        flagged=flagged,
+        pareto=_pareto_frontier(containing),
+        flagged=all(r is None for r in lambda_rows),
     )
 
 

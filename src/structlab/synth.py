@@ -37,7 +37,7 @@ from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
 from .errors import StructLabError
 from .rational import ceil_log2, log2_display, pow2
-from .structfn import profile
+from .structfn import profile, staircase
 
 __all__ = [
     "SynthEvent",
@@ -122,15 +122,10 @@ class SynthesisRun:
         does.  For the surviving witness this is bounded by the target
         pointwise.
         """
-        out: list[int | None] = []
-        best: "int | None" = None
-        for i, s in enumerate(self.final_blocks):
-            if x in s:
-                cost = i + s.ceil_log_card
-                if best is None or cost < best:
-                    best = cost
-            out.append(best)
-        return out
+        return staircase(
+            ((i, i + s.ceil_log_card) for i, s in enumerate(self.final_blocks) if x in s),
+            len(self.final_blocks) - 1,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,19 +322,10 @@ def analog_curve(
     target curve pointwise: every event containing the witness uses its
     full cardinality allowance.
     """
-    out: list[int | None] = []
-    best: "int | None" = None
-    by_level: dict[int, list[SynthEvent]] = {}
-    for ev in events:
-        by_level.setdefault(ev.level, []).append(ev)
-    for alpha in range(alpha_max + 1):
-        for ev in by_level.get(alpha, ()):
-            if x in ev.block:
-                cost = alpha + ev.block.ceil_log_card
-                if best is None or cost < best:
-                    best = cost
-        out.append(best)
-    return out
+    return staircase(
+        ((ev.level, ev.level + ev.block.ceil_log_card) for ev in events if x in ev.block),
+        alpha_max,
+    )
 
 
 # ---------------------------------------------------------------------------

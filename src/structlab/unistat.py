@@ -38,7 +38,7 @@ from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet
 from .errors import FixtureError, RefusalError, StructLabError
 from .rational import log2_display
-from .structfn import profile
+from .structfn import profile, staircase
 
 __all__ = [
     "EnumeratedD",
@@ -180,12 +180,14 @@ class EnumeratedD:
         return f"EnumeratedD(l={self._l}, pairs={self.N_l})"
 
 
-def _count_bits(d: EnumeratedD) -> str:
-    return format(d.N_l, "b")
-
-
-def _index_bits(d: EnumeratedD, index: int) -> str:
-    return format(index, f"0{d.width}b")
+def _count_prefix(d: EnumeratedD, index: int) -> BitString:
+    """The longest common prefix of the pair count and ``index`` as numerals."""
+    count = format(d.N_l, "b")
+    numeral = format(index, f"0{d.width}b")
+    keep = 0
+    while keep < len(count) and numeral[keep] == count[keep]:
+        keep += 1
+    return BitString(count[:keep])
 
 
 @dataclass(frozen=True)
@@ -213,12 +215,7 @@ def build_index(d: EnumeratedD, x) -> IndexRecord:
     index = d._first_index(xo)
     if index is None:
         return IndexRecord(xo, None, None)
-    count = _count_bits(d)
-    numeral = _index_bits(d, index)
-    keep = 0
-    while keep < len(count) and numeral[keep] == count[keep]:
-        keep += 1
-    return IndexRecord(xo, index, BitString(count[:keep]))
+    return IndexRecord(xo, index, _count_prefix(d, index))
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
         raise StructLabError(
             f"half-block level must be in [0, {width}), got {i}"
         )
-    count = _count_bits(d)
+    count = format(d.N_l, "b")
     if count[i] != "1":
         raise RefusalError(
             f"bit {i} of the pair count {d.N_l} is 0; the half-block is not full"
@@ -400,25 +397,16 @@ def muchnik_lambda(d_k: EnumeratedD, x, k: int, alpha0: int) -> MuchnikCurve:
             break
     if cutoff is None:
         raise StructLabError(f"the target string {x!r} never appears in the enumeration")
-    listed = d_k.order[: cutoff + 1]
-    set_pairs = [
-        (level, s)
-        for s, level in listed
-        if isinstance(s, FiniteSet) and x in s
-    ]
-    values: list = []
-    for alpha in range(k + 1):
-        if alpha > alpha0:
-            values.append(k)
-            continue
-        best = None
-        for level, s in set_pairs:
-            if level <= alpha:
-                cost = level + s.ceil_log_card
-                if best is None or cost < best:
-                    best = cost
-        values.append(best)
-    return MuchnikCurve(x=x, k=k, alpha0=alpha0, cutoff=cutoff, values=tuple(values))
+    trusted = staircase(
+        (
+            (level, level + s.ceil_log_card)
+            for s, level in d_k.order[: cutoff + 1]
+            if isinstance(s, FiniteSet) and x in s
+        ),
+        alpha0,
+    )
+    values = tuple(trusted) + (k,) * (k - alpha0)
+    return MuchnikCurve(x=x, k=k, alpha0=alpha0, cutoff=cutoff, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +449,7 @@ def reconstruct_from_prefix(d: EnumeratedD, i: int) -> ReconstructionReport:
         return ReconstructionReport(i=i, anchor=None, m=None, cutoff_count=0, objects=())
     anchor_pos = max(candidates)
     anchor = d.order[anchor_pos][0]
-    count = _count_bits(d)
-    numeral = _index_bits(d, anchor_pos)
-    keep = 0
-    while keep < len(count) and numeral[keep] == count[keep]:
-        keep += 1
-    m = BitString(count[:keep])
+    m = _count_prefix(d, anchor_pos)
     cutoff = int(str(m) + "1" + "0" * (d.width - len(m) - 1), 2)
     objects = tuple(o for o, j in d.order[:cutoff] if j <= i)
     return ReconstructionReport(
@@ -629,13 +612,12 @@ def universal_family_report(
             candidates.append((idx.m_len, sec.width, l))
 
     prof = profile(sys, xb, alpha_max=alpha_max)
+    lambda_best = staircase(((i, (width - 1, l)) for i, width, l in candidates), alpha_max)
+    h_best = staircase(((i, (width - i - 1, l)) for i, width, l in candidates), alpha_max)
     rows = []
     for alpha in range(alpha_max + 1):
-        pool = [(i, width, l) for i, width, l in candidates if i <= alpha]
-        lambda_analog = lambda_l = h_analog = h_l = None
-        if pool:
-            lambda_analog, lambda_l = min((width - 1, l) for _, width, l in pool)
-            h_analog, h_l = min((width - i - 1, l) for i, width, l in pool)
+        lambda_analog, lambda_l = lambda_best[alpha] or (None, None)
+        h_analog, h_l = h_best[alpha] or (None, None)
         lam_key = prof.lambda_key(alpha)
         h_key = prof.h_key(alpha)
         beta_key = prof.beta_key(alpha)

@@ -333,6 +333,32 @@ def test_nonstoch_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["profile", "--x", "00"], "--alpha-max"),
+        (["profile"], "--alpha-max"),
+        (["snoop", "--x", "00"], "--alpha-max"),
+        (["unistat", "--x", "00"], "--k"),
+    ],
+    ids=["profile-x", "profile", "snoop", "unistat"],
+)
+def test_budget_flags_stop_at_the_longest_program(argv, flag, fixa_path, tmp_path, capsys):
+    # fixa's longest data and set programs are 3 bits long.
+    argv = [argv[0], "--system", fixa_path, *argv[1:]]
+    assert run(*argv, flag, "3", "--out", str(tmp_path / "edge")) == 0
+    for value in ("4", str(10**9)):
+        start = time.perf_counter()
+        rc = run(*argv, flag, value, "--out", str(tmp_path / value))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["command"] == argv[0]
+        assert record["error"]["type"] == "StructLabError"
+        message = f"{flag} {value} exceeds the longest data or set program (3 bits)"
+        assert record["error"]["message"] == message
+
+
 def test_domain_error_exits_one(fixa_path, tmp_path, capsys):
     rc = run("profile", "--system", fixa_path, "--x", "0z", "--out", str(tmp_path))
     assert rc == 1

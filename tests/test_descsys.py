@@ -16,7 +16,6 @@ from structlab.descsys import (
     FiniteSet,
     apply_permutation,
     build_system,
-    complexity,
     enumerate_models,
     enumeration_stream,
     kraft_sum,
@@ -120,17 +119,6 @@ def test_fixa_kraft_sums(fixa):
 
 def test_fixa_c_sub(fixa):
     assert fixa.c_sub == 0 == oracle_c_sub(fixa)
-
-
-def test_complexity_dispatcher(fixa):
-    b = FiniteSet(2, ["00", "01"])
-    assert complexity(fixa, "data", "01") == 2
-    assert complexity(fixa, "set", b) == 2
-    assert complexity(fixa, "cond", "00", b) == 1
-    with pytest.raises(DescriptorError):
-        complexity(fixa, "mystery", "00")
-    with pytest.raises(DescriptorError):
-        complexity(fixa, "set", "00")
 
 
 def test_enumerate_models_order_and_filter(fixa):

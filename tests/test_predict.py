@@ -210,6 +210,8 @@ def test_codebook_validation():
         StrategyCodebook({"0": uniform, "1": PredictionStrategy.uniform(3)})
     with pytest.raises(StructLabError, match="prefix"):
         StrategyCodebook({"0": uniform, "01": uniform})
+    with pytest.raises(StructLabError, match="malformed program 0"):
+        StrategyCodebook({0: uniform})
 
 
 def test_codebook_complexity_is_the_shortest_name():

@@ -25,6 +25,7 @@ from structlab.structfn import (
     deficiency_tail_count,
     m_of_x,
     profile,
+    staircase,
     subdivide,
 )
 
@@ -177,6 +178,44 @@ def test_profile_rejects_negative_budget(fixa):
         profile(fixa, "00", alpha_max=-1)
 
 
+### The per-budget fold
+
+
+def test_staircase_without_candidates():
+    assert staircase([], 3) == [None, None, None, None]
+    assert staircase([], -1) == []
+
+
+def test_staircase_ignores_budgets_above_alpha_max():
+    assert staircase([(2, 5), (4, 1)], 3) == [None, None, 5, 5]
+    assert staircase([(-1, 7)], 1) == [7, 7]
+
+
+def test_staircase_least_key_wins_ties():
+    # equal objectives fall through to the tie-break carried in the key
+    assert staircase([(1, (3, "b")), (1, (3, "a")), (0, (3, "c"))], 2) == [
+        (3, "c"),
+        (3, "a"),
+        (3, "a"),
+    ]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(-2, 8), st.integers(0, 20)), max_size=12),
+    st.integers(0, 6),
+)
+def test_staircase_is_the_running_minimum(candidates, alpha_max):
+    out = staircase(candidates, alpha_max)
+    assert out == [
+        min((key for budget, key in candidates if budget <= alpha), default=None)
+        for alpha in range(alpha_max + 1)
+    ]
+    found = [key for key in out if key is not None]
+    assert found == sorted(found, reverse=True)
+    assert out[: len(out) - len(found)] == [None] * (len(out) - len(found))
+
+
 ### Profiles against the naive oracle
 
 
@@ -208,6 +247,9 @@ def _assert_matches_oracle(sys, x, alpha_max):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_profile_matches_oracle_on_random_systems(seed):
     sys = random_system(seed, n=None, max_sets=16)
+    assert sys.max_set_program_length() == max(
+        (e.K_S for e in sys.set_entries()), default=0
+    )
     alpha_max = sys.max_set_program_length() + 1
     for v in range(0, sys.universe_size(), max(1, sys.universe_size() // 8)):
         _assert_matches_oracle(sys, v, alpha_max)
