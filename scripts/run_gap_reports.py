@@ -12,10 +12,12 @@ Usage:
         [--improvement-strings N] [--full]
 
 The induced enumeration is built once per system and each search stream
-once per seed, and the additivity census walks each (set, member) pair
-once, so the per-string cost is the profile and membership work.  On a
-2-core host with Python 3.11 the default run took about 1.8 s and
-``--full`` about 4 minutes, nearly all of it on the 12-bit system.
+once per seed (and checked only then), half-blocks answer size and
+membership from their index range, and the additivity census walks each
+(set, member) pair once, so the per-string cost is the profile and
+search work.  On a 2-core host with Python 3.11 the default run took
+about 0.75 s and ``--full`` about 22 s, nearly all of it on the 12-bit
+system.
 
 ``--full`` disables string sampling everywhere (exhaustive sweeps).
 """

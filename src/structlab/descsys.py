@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .codec import BitString, encode_sd, string_of_integer
 from .errors import DescriptorError, StructLabError
@@ -57,6 +57,7 @@ __all__ = [
     "ModelRecord",
     "DescriptionSystem",
     "EnumerationEvent",
+    "EnumerationStream",
     "build_system",
     "build_system_from_entries",
     "load_system",
@@ -142,9 +143,6 @@ class FiniteSet:
     def bitstrings(self) -> tuple[BitString, ...]:
         return tuple(BitString.from_value(self._n, v) for v in self._values)
 
-    def value_of(self, x: "int | str | BitString") -> int:
-        return self._coerce(self._n, x)
-
     def __contains__(self, x: object) -> bool:
         if isinstance(x, int):
             return x in self._members
@@ -178,9 +176,6 @@ class FiniteSet:
 
     def subset_of(self, other: "FiniteSet") -> bool:
         return self._n == other._n and self._members <= other._members
-
-    def intersection_values(self, values: frozenset[int]) -> frozenset[int]:
-        return self._members & values
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +630,43 @@ class EnumerationEvent:
     output: "BitString | FiniteSet"
 
 
-def enumeration_stream(sys: DescriptionSystem, seed: int) -> tuple[EnumerationEvent, ...]:
+class EnumerationStream:
+    """A complete enumeration of one system's programs, checked when built.
+
+    The order names every data and set program of ``system`` exactly once,
+    as ``(kind, program)`` pairs.  Each event reads its output from the
+    system and takes its time from its position, so every stream that
+    exists is a valid enumeration of the system object it was built for.
+    """
+
+    __slots__ = ("system", "events")
+
+    def __init__(self, system: DescriptionSystem, order: Iterable[tuple[str, BitString]]):
+        order = list(order)
+        expected = len(system.data_programs) + len(system.set_programs)
+        if len(order) != expected:
+            raise StructLabError(
+                f"stream has {len(order)} events, system has {expected} programs"
+            )
+        # per kind: the system's programs and the ones the order has named
+        tables = {"data": (system.data_programs, set()), "set": (system.set_programs, set())}
+        events = []
+        for t, (kind, p) in enumerate(order):
+            if kind not in tables:
+                raise StructLabError(f"unknown stream event kind {kind!r}")
+            programs, seen = tables[kind]
+            output = programs.get(p)
+            if output is None:
+                raise StructLabError(f"stream names a {kind} program {str(p)!r} the system lacks")
+            if p in seen:
+                raise StructLabError("stream repeats a program")
+            seen.add(p)
+            events.append(EnumerationEvent(t, kind, p, output))
+        self.system = system
+        self.events = tuple(events)
+
+
+def enumeration_stream(sys: DescriptionSystem, seed: int) -> EnumerationStream:
     """A seed-keyed total enumeration of all data and set programs.
 
     Every (kind, program) pair appears exactly once; times are 0,1,2,....
@@ -644,13 +675,8 @@ def enumeration_stream(sys: DescriptionSystem, seed: int) -> tuple[EnumerationEv
     canonical: list[tuple[str, BitString]] = [
         ("data", p) for p in sorted(sys.data_programs, key=BitString.sort_key)
     ] + [("set", p) for p in sorted(sys.set_programs, key=BitString.sort_key)]
-    rng = random.Random(seed)
-    rng.shuffle(canonical)
-    events = []
-    for t, (kind, p) in enumerate(canonical):
-        output = sys.data_programs[p] if kind == "data" else sys.set_programs[p]
-        events.append(EnumerationEvent(t, kind, p, output))
-    return tuple(events)
+    random.Random(seed).shuffle(canonical)
+    return EnumerationStream(sys, canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .codec import BitString
-from .descsys import DescriptionSystem, EnumerationEvent, FiniteSet, ModelRecord
+from .descsys import DescriptionSystem, EnumerationStream, FiniteSet, ModelRecord
 from .errors import StructLabError
 from .rational import log2_display, pow2
 
@@ -92,51 +91,27 @@ class SearchTrace:
         return [d.objective_key for d in self.declarations]
 
 
-def _validate_stream(sys: DescriptionSystem, stream: Sequence[EnumerationEvent]) -> None:
-    expected = len(sys.data_programs) + len(sys.set_programs)
-    if len(stream) != expected:
-        raise StructLabError(
-            f"stream has {len(stream)} events, system has {expected} programs"
-        )
-    seen: set[tuple[str, BitString]] = set()
-    last_time = -1
-    for ev in stream:
-        if ev.time <= last_time:
-            raise StructLabError("stream times must strictly increase")
-        last_time = ev.time
-        key = (ev.kind, ev.program)
-        if key in seen:
-            raise StructLabError("stream repeats a program")
-        seen.add(key)
-        if ev.kind == "data":
-            if sys.data_programs.get(ev.program) != ev.output:
-                raise StructLabError("stream data event disagrees with the system")
-        elif ev.kind == "set":
-            if sys.set_programs.get(ev.program) != ev.output:
-                raise StructLabError("stream set event disagrees with the system")
-        else:
-            raise StructLabError(f"unknown stream event kind {ev.kind!r}")
-
-
 def anytime_search(
     sys: DescriptionSystem,
     x,
     alpha: int,
-    stream: Sequence[EnumerationEvent],
+    stream: EnumerationStream,
     mode: str = "mdl",
 ) -> SearchTrace:
     """Fold an enumeration stream into a declaration trace for ``x``.
 
-    The stream must be a complete enumeration of the system (e.g. from
-    :func:`structlab.descsys.enumeration_stream`); the declared sequence
-    depends on the stream order, but the final objective value is
-    stream-independent.
+    The stream must be an :class:`~structlab.descsys.EnumerationStream`
+    built for this same system object (e.g. by
+    :func:`structlab.descsys.enumeration_stream`), which checked its
+    completeness when it was built; the declared sequence depends on the
+    stream order, but the final objective value is stream-independent.
     """
     if mode not in MODES:
         raise StructLabError(f"unknown search mode {mode!r}")
     if alpha < 0:
         raise StructLabError("alpha must be nonnegative")
-    _validate_stream(sys, stream)
+    if not isinstance(stream, EnumerationStream) or stream.system is not sys:
+        raise StructLabError("the stream must be an EnumerationStream built for this system")
     xv = sys._value(x)
     xb = BitString.from_value(sys.universe_n, xv)
 
@@ -145,7 +120,7 @@ def anytime_search(
     best_record: "ModelRecord | None" = None
 
     if mode in ("mdl", "ml"):
-        for ev in stream:
+        for ev in stream.events:
             if ev.kind != "set" or len(ev.program) > alpha:
                 continue
             s: FiniteSet = ev.output  # type: ignore[assignment]
@@ -190,7 +165,7 @@ def anytime_search(
                     Declaration(time, best_record, key, log2_display(key))
                 )
 
-        for ev in stream:
+        for ev in stream.events:
             if ev.kind == "data":
                 if ev.output == xb and not x_known:
                     x_known = True

@@ -23,10 +23,8 @@ total is within a chosen slack of ``K(x)``), and the Pareto frontier of
 ``x``.  A string contained in no representable set gets an all-infinite
 profile with ``flagged`` set.
 
-The module also houses the small exact-combinatorics companions: the
-conditional-complexity tail bound, the monotone envelope ``m(x)``, dyadic
-subdivision of a model, and the windowed curve-closeness test used to
-compare staircase curves.
+The module also houses the conditional-complexity tail bound and the
+windowed curve-closeness test used to compare staircase curves.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ __all__ = [
     "deficiency",
     "deficiency_key",
     "deficiency_tail_count",
-    "m_of_x",
-    "subdivide",
     "curves_close",
 ]
 
@@ -308,47 +304,6 @@ def _pareto_frontier(containing: Sequence[ModelRecord]) -> tuple[ParetoPoint, ..
             points.append(ParetoPoint(key[0], key[1], key[2], triples[key]))
     points.sort(key=lambda p: (p.K_S, p.delta_key, p.lambda_key))
     return tuple(points)
-
-
-# ---------------------------------------------------------------------------
-# Monotone envelope and subdivision
-# ---------------------------------------------------------------------------
-
-
-def m_of_x(sys: DescriptionSystem, x) -> int:
-    """min K(y) over all universe strings y >= x (in numeric/lex order).
-
-    The largest monotone nondecreasing function below K: past x, no string
-    is easier to describe than m(x) says.  A description system makes this
-    envelope exactly computable.
-    """
-    v = sys._value(x)
-    return min(sys.K_data(w) for w in range(v, sys.universe_size()))
-
-
-def subdivide(sys: DescriptionSystem, s: FiniteSet, x, m: int) -> FiniteSet:
-    """The block of x when S is cut into 2**m equal contiguous chunks.
-
-    The sorted elements of S are grouped into blocks of
-    ``ceil(|S| / 2**m)`` consecutive elements (the final block may be
-    smaller); the block containing x is returned.  Describing it costs at
-    most ``K(S)`` plus m bits plus overhead, while its cardinality drops by
-    a factor of almost exactly 2**m — the standard way to walk the
-    structure function's downward staircase.
-    """
-    if s.n != sys.universe_n:
-        raise StructLabError("set width does not match the system universe")
-    if m < 0:
-        raise StructLabError("subdivision depth must be nonnegative")
-    v = sys._value(x)
-    if v not in s:
-        raise StructLabError("subdivide needs x to be a member of S")
-    if (1 << m) > s.cardinality:
-        raise StructLabError("cannot cut a set into more blocks than elements")
-    block_size = -(-s.cardinality // (1 << m))  # ceil division
-    position = s.values.index(v)
-    start = (position // block_size) * block_size
-    return FiniteSet(s.n, s.values[start : start + block_size])
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ one ``object<TAB>level`` line per pair.
 from __future__ import annotations
 
 import weakref
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import pairwise
 from operator import itemgetter
 
@@ -82,16 +82,19 @@ class EnumeratedD:
     ``width`` the bit length of that count -- indexes are always read as
     ``width``-bit numerals with leading zeros.
 
-    Construction records each object's first-appearance index and whether
+    Construction records each object's first-appearance index, the running
+    count of distinct objects over each prefix of the pairs, and whether
     the levels are non-decreasing.  On such a level-sorted enumeration a
-    section is a prefix, which shares its parent's first-appearance table;
-    lookups in that table are bounded by the section's own ``N_l``.
+    section is a prefix, which shares its parent's first-appearance table
+    and running count; lookups in them are bounded by the section's own
+    ``N_l``.
     """
 
     def __init__(self, pairs, l: "int | None" = None):
         order: list[tuple] = []
         seen: set = set()
         first: dict = {}
+        distinct = array("q", [0])  # distinct[p]: number of distinct objects in order[:p]
         for obj, level in pairs:
             o = _coerce_object(obj)
             i = int(level)
@@ -102,8 +105,10 @@ class EnumeratedD:
             seen.add((o, i))
             first.setdefault(o, len(order))
             order.append((o, i))
+            distinct.append(len(first))
         self._order = tuple(order)
         self._first = first
+        self._distinct = distinct
         self._level_sorted = all(a[1] <= b[1] for a, b in pairwise(order))
         top = max((i for _, i in order), default=0)
         if l is None:
@@ -133,8 +138,7 @@ class EnumeratedD:
 
     def is_injective(self) -> bool:
         """True when every object appears in exactly one pair."""
-        objs = [o for o, _ in self._order]
-        return len(objs) == len(set(objs))
+        return self._distinct[self.N_l] == self.N_l
 
     def objects(self) -> tuple:
         """Distinct objects in order of first appearance."""
@@ -161,6 +165,7 @@ class EnumeratedD:
         sec = object.__new__(EnumeratedD)
         sec._order = self._order[: bisect_right(self._order, l, key=itemgetter(1))]
         sec._first = self._first
+        sec._distinct = self._distinct
         sec._level_sorted = True
         sec._l = l
         return sec
@@ -225,7 +230,8 @@ class SliBlock:
     The block at level ``i`` collects the objects whose first-appearance
     index reads ``prefix + '0' + anything`` as a ``width``-bit numeral,
     where ``prefix`` is the first ``i`` bits of the pair count.  ``lo`` and
-    ``hi`` bound the matching index range.
+    ``hi`` bound the matching index range, so size and membership are read
+    from the enumeration's tables; ``members`` is listed only on request.
     """
 
     i: int
@@ -233,18 +239,21 @@ class SliBlock:
     width: int
     lo: int
     hi: int
-    members: tuple
+    source: EnumeratedD
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        distinct = self.source._distinct
+        return distinct[self.hi + 1] - distinct[self.lo]
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+    @property
+    def members(self) -> tuple:
+        first, lo = self.source._first, self.lo
+        pairs = self.source.order[lo : self.hi + 1]
+        return tuple(o for pos, (o, _) in enumerate(pairs, start=lo) if first[o] == pos)
 
     def __contains__(self, x: object) -> bool:
-        return x in self._member_set
+        return self.lo <= self.source._first.get(x, -1) <= self.hi
 
 
 def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
@@ -267,18 +276,7 @@ def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
         )
     lo = (d.N_l >> (width - i)) << (width - i)
     hi = lo + (1 << (width - i - 1)) - 1
-    first = d._first  # o appears at pos < N_l, so first[o] is its index here too
-    members = tuple(
-        o for pos, (o, _) in enumerate(d.order[lo : hi + 1], start=lo) if first[o] == pos
-    )
-    return SliBlock(
-        i=i,
-        prefix=BitString(count[:i]),
-        width=width,
-        lo=lo,
-        hi=hi,
-        members=members,
-    )
+    return SliBlock(i=i, prefix=BitString(count[:i]), width=width, lo=lo, hi=hi, source=d)
 
 
 # ---------------------------------------------------------------------------

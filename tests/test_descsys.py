@@ -372,8 +372,8 @@ def test_descriptor_text_builds_or_refuses(text):
 
 
 def test_stream_is_total_and_deterministic(fixa):
-    s1 = enumeration_stream(fixa, seed=7)
-    s2 = enumeration_stream(fixa, seed=7)
+    s1 = enumeration_stream(fixa, seed=7).events
+    s2 = enumeration_stream(fixa, seed=7).events
     assert s1 == s2
     assert [e.time for e in s1] == list(range(7))
     pairs = {(e.kind, str(e.program)) for e in s1}
@@ -382,7 +382,9 @@ def test_stream_is_total_and_deterministic(fixa):
 
 
 def test_stream_seed_changes_order(fixa):
-    orders = {tuple(str(e.program) for e in enumeration_stream(fixa, s)) for s in range(8)}
+    orders = {
+        tuple(str(e.program) for e in enumeration_stream(fixa, s).events) for s in range(8)
+    }
     assert len(orders) > 1
 
 

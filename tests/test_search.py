@@ -1,6 +1,5 @@
 """Anytime search: declaration traces, online guarantees, audits."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -13,7 +12,7 @@ from structlab.artifacts import jsonable
 from structlab.codec import EMPTY, BitString, encode_sd
 from structlab.descsys import (
     DescriptionSystem,
-    EnumerationEvent,
+    EnumerationStream,
     FiniteSet,
     build_system,
     enumeration_stream,
@@ -42,11 +41,12 @@ def manual_stream(sys, first=()):
     for p in sys.set_programs:
         if ("set", p) not in placed:
             order.append(("set", p))
-    events = []
-    for t, (kind, prog) in enumerate(order):
-        out = sys.data_programs[prog] if kind == "data" else sys.set_programs[prog]
-        events.append(EnumerationEvent(t, kind, prog, out))
-    return events
+    return EnumerationStream(sys, order)
+
+
+def canonical_order(sys):
+    """Every (kind, program) pair of the system, data programs first."""
+    return [("data", p) for p in sys.data_programs] + [("set", p) for p in sys.set_programs]
 
 
 # ---------------------------------------------------------------------------
@@ -66,29 +66,35 @@ def test_negative_alpha_rejected(fixa):
 
 def test_truncated_stream_rejected(fixa):
     with pytest.raises(StructLabError, match="events"):
-        anytime_search(fixa, "00", 3, enumeration_stream(fixa, 0)[:-1])
-
-
-def test_tampered_stream_rejected(fixa):
-    stream = list(enumeration_stream(fixa, 0))
-    i = next(i for i, ev in enumerate(stream) if ev.kind == "data")
-    bad = dataclasses.replace(stream[i], output=B("11") if stream[i].output != B("11") else B("00"))
-    with pytest.raises(StructLabError, match="disagrees"):
-        anytime_search(fixa, "00", 3, stream[:i] + [bad] + stream[i + 1 :])
+        EnumerationStream(fixa, canonical_order(fixa)[:-1])
 
 
 def test_repeated_program_rejected(fixa):
-    stream = list(enumeration_stream(fixa, 0))
-    dupe = dataclasses.replace(stream[0], time=stream[1].time)
+    order = canonical_order(fixa)
     with pytest.raises(StructLabError, match="repeats"):
-        anytime_search(fixa, "00", 3, [stream[0], dupe] + stream[2:])
+        EnumerationStream(fixa, [order[0], order[0]] + order[2:])
 
 
-def test_nonincreasing_times_rejected(fixa):
-    stream = list(enumeration_stream(fixa, 0))
-    stuck = dataclasses.replace(stream[1], time=stream[0].time)
-    with pytest.raises(StructLabError, match="increase"):
-        anytime_search(fixa, "00", 3, [stream[0], stuck] + stream[2:])
+def test_unknown_program_or_kind_rejected(fixa):
+    order = canonical_order(fixa)
+    assert B("1111") not in fixa.data_programs
+    with pytest.raises(StructLabError, match="lacks"):
+        EnumerationStream(fixa, [("data", B("1111"))] + order[1:])
+    with pytest.raises(StructLabError, match="kind"):
+        EnumerationStream(fixa, [("cond", order[0][1])] + order[1:])
+
+
+def test_plain_event_tuple_rejected(fixa):
+    events = enumeration_stream(fixa, 0).events
+    with pytest.raises(StructLabError, match="EnumerationStream"):
+        anytime_search(fixa, "00", 3, events)
+
+
+def test_stream_of_an_equal_system_rejected(fixa):
+    text = fixa.to_descriptor_text()
+    first, second = build_system(text), build_system(text)
+    with pytest.raises(StructLabError, match="this system"):
+        anytime_search(second, "00", 3, enumeration_stream(first, 0))
 
 
 # ---------------------------------------------------------------------------

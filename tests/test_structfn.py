@@ -23,10 +23,8 @@ from structlab.structfn import (
     deficiency,
     deficiency_key,
     deficiency_tail_count,
-    m_of_x,
     profile,
     staircase,
-    subdivide,
 )
 
 from .gensys import random_system
@@ -285,77 +283,6 @@ def test_profile_inequalities_exact(seed):
                 lhs = b * (1 << p.K_x)
                 rhs = Fraction(l) * (Fraction(1 << c) if c >= 0 else Fraction(1, 1 << -c))
                 assert lhs <= rhs
-
-
-### Monotone envelope
-
-
-def test_m_of_x_reference_values(fixa):
-    values = [m_of_x(fixa, v) for v in range(4)]
-    assert values == [1, 2, 3, 3]
-    # a lower bound on K at every point
-    for v in range(4):
-        assert values[v] <= fixa.K_data(v)
-
-
-def test_m_of_x_is_suffix_min():
-    sys = build_system(
-        "data\t111\t00\ndata\t0\t01\ndata\t10\t10\ndata\t110\t11\nset\t0\t00"
-    )
-    # K = [3, 1, 2, 3]; suffix minima = [1, 1, 2, 3]
-    assert [m_of_x(sys, v) for v in range(4)] == [1, 1, 2, 3]
-
-
-### Subdivision
-
-
-def test_subdivide_reference_cases(fixa):
-    a = FiniteSet(2, ["00", "01", "10", "11"])
-    assert subdivide(fixa, a, "10", 1) == FiniteSet(2, ["10", "11"])
-    assert subdivide(fixa, a, "10", 2) == FiniteSet(2, ["10"])
-    assert subdivide(fixa, a, "10", 0) == a
-
-
-def test_subdivide_remainder_block():
-    sys = build_system(
-        "data\t1\t@family:literal(n=3)\nset\t0\t000,001,010,011,100\n"
-    )
-    s = FiniteSet(3, range(5))
-    # ceil(5/2) = 3: blocks {0,1,2}, {3,4}
-    assert subdivide(sys, s, 1, 1) == FiniteSet(3, [0, 1, 2])
-    assert subdivide(sys, s, 4, 1) == FiniteSet(3, [3, 4])
-
-
-def test_subdivide_errors(fixa):
-    a = FiniteSet(2, ["00", "01", "10", "11"])
-    with pytest.raises(StructLabError, match="member"):
-        subdivide(fixa, FiniteSet(2, ["00", "01"]), "10", 1)
-    with pytest.raises(StructLabError, match="more blocks"):
-        subdivide(fixa, a, "10", 3)
-    with pytest.raises(StructLabError):
-        subdivide(fixa, a, "10", -1)
-
-
-@settings(max_examples=40)
-@given(st.integers(min_value=0, max_value=10**5), st.integers(min_value=0, max_value=4))
-def test_subdivide_properties(seed, m):
-    import random as _random
-
-    rng = _random.Random(seed)
-    sys = random_system(seed, n=4, max_sets=4)
-    card = rng.randint(1, 16)
-    s = FiniteSet(4, rng.sample(range(16), card))
-    if (1 << m) > card:
-        return
-    block_size = -(-card // (1 << m))
-    for v in s.values:
-        block = subdivide(sys, s, v, m)
-        assert v in block
-        assert block.subset_of(s)
-        assert block.cardinality <= block_size
-        # blocks partition S: same block for all its members
-        for w in block.values:
-            assert subdivide(sys, s, w, m) == block
 
 
 ### Curve closeness

@@ -230,8 +230,10 @@ def assert_matches_scans(d: EnumeratedD, probes) -> None:
                     build_Sli(sec, i)
                 continue
             blk = build_Sli(sec, i)
-            assert (blk.lo, blk.hi, blk.members) == ref
+            # size and membership come from the index range, before members
+            assert blk.cardinality == len(ref[2])
             assert [x in blk for x in probes] == [x in ref[2] for x in probes]
+            assert (blk.lo, blk.hi, blk.members) == ref
 
 
 def _probes(d: EnumeratedD, limit: int = 64) -> list:
