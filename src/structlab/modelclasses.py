@@ -29,7 +29,7 @@ from fractions import Fraction
 from .codec import EMPTY, BitString
 from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2
+from .rational import log2_display, pow2, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -90,11 +90,7 @@ class ProbModel:
                 )
             if b in norm:
                 raise StructLabError(f"repeated support string {b!r}")
-            q = Fraction(p)
-            if not 0 <= q <= 1:
-                raise StructLabError(
-                    f"probability values must lie in [0, 1], got {q}"
-                )
+            q = unit_fraction(p, "probability")
             if q:
                 norm[b] = q
         total = sum(norm.values(), Fraction(0))

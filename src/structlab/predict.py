@@ -17,6 +17,12 @@ Strategies and finite sets translate into each other without slack:
   (or explicitly rational) threshold; the conservation law caps the
   result's cardinality at the inverse threshold.
 
+A strategy stores its beliefs as one tuple in (length, value) order of the
+prefixes, so prefix ``b`` sits at slot ``b.to_integer()``.  ``set_to_strategy``
+fills that tuple directly: it folds member counts up one list per level and
+shares one ``Fraction`` per distinct (ones, whole) count pair, at cost
+O(|A| + 2**n) per set, and every distinct belief is still checked once.
+
 A :class:`StrategyCodebook` names strategies by prefix-free programs, which
 prices strategies the way description systems price sets; its
 ``snooping_curve`` is the prediction analog of the set profile's size
@@ -27,14 +33,16 @@ namespace via ``codebook_from_sets``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .artifacts import number
 from .codec import EMPTY, BitString
 from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2
+from .rational import log2_display, pow2, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -57,24 +65,49 @@ __all__ = [
 MAX_HORIZON = 16
 
 
-def _coerce_p(p) -> Fraction:
-    q = Fraction(p)
-    if not 0 <= q <= 1:
-        raise StructLabError(f"belief values must lie in [0, 1], got {q}")
-    return q
+def _slot_count(n: int) -> int:
+    """Number of prefixes below length ``n``, once ``n`` is a valid horizon."""
+    if not 1 <= n <= MAX_HORIZON:
+        raise StructLabError(
+            f"prediction horizon must be in [1, {MAX_HORIZON}], got {n}"
+        )
+    return (1 << n) - 1
+
+
+def _slot(length: int, value: int) -> int:
+    """Belief-tuple slot of a prefix: its ``BitString.to_integer()``."""
+    return (1 << length) - 1 + value
+
+
+def _check_beliefs(n: int, beliefs: tuple) -> None:
+    """Refuse a belief tuple of the wrong length or with a value not in [0, 1].
+
+    Each distinct object is tested once, so a tuple that shares one
+    ``Fraction`` among many prefixes costs one test per shared value.
+    """
+    expected = _slot_count(n)
+    if len(beliefs) != expected:
+        raise StructLabError(
+            f"strategy must cover all {expected} prefixes below length {n}, "
+            f"got {len(beliefs)}"
+        )
+    for p in dict(zip(map(id, beliefs), beliefs)).values():
+        if not isinstance(p, Fraction) or not 0 <= p <= 1:
+            raise StructLabError(f"belief values must be Fractions in [0, 1], got {p!r}")
 
 
 class PredictionStrategy:
-    """A total map from prefixes of length < n to rational beliefs in [0,1]."""
+    """A total map from prefixes of length < n to rational beliefs in [0,1].
 
-    __slots__ = ("_n", "_table", "_key")
+    Beliefs are one tuple in (length, value) order of the prefixes: prefix
+    ``b`` sits at slot ``b.to_integer()``.
+    """
+
+    __slots__ = ("_n", "_beliefs")
 
     def __init__(self, n: int, table):
-        if not 1 <= n <= MAX_HORIZON:
-            raise StructLabError(
-                f"prediction horizon must be in [1, {MAX_HORIZON}], got {n}"
-            )
-        norm: dict[BitString, Fraction] = {}
+        slots: list = [None] * _slot_count(n)
+        given = 0
         for prefix, p in dict(table).items():
             b = BitString(prefix) if isinstance(prefix, str) else prefix
             if not isinstance(b, BitString):
@@ -83,28 +116,34 @@ class PredictionStrategy:
                 raise StructLabError(
                     f"prefix {b!r} is not shorter than the horizon {n}"
                 )
-            if b in norm:
+            slot = b.to_integer()
+            if slots[slot] is not None:
                 raise StructLabError(f"repeated prefix {b!r}")
-            norm[b] = _coerce_p(p)
-        expected = (1 << n) - 1
-        if len(norm) != expected:
+            slots[slot] = unit_fraction(p, "belief")
+            given += 1
+        if given != len(slots):
             raise StructLabError(
-                f"strategy must cover all {expected} prefixes below length {n}, "
-                f"got {len(norm)}"
+                f"strategy must cover all {len(slots)} prefixes below length {n}, "
+                f"got {given}"
             )
+        beliefs = tuple(slots)
+        _check_beliefs(n, beliefs)
         self._n = n
-        self._table = norm
-        self._key = (n, tuple(sorted((b.sort_key(), p) for b, p in norm.items())))
+        self._beliefs = beliefs
+
+    @classmethod
+    def _from_beliefs(cls, n: int, beliefs: tuple) -> "PredictionStrategy":
+        """A strategy over beliefs already in slot order, checked like ``__init__``'s."""
+        _check_beliefs(n, beliefs)
+        self = cls.__new__(cls)
+        self._n = n
+        self._beliefs = beliefs
+        return self
 
     @classmethod
     def uniform(cls, n: int) -> "PredictionStrategy":
         """The fair-coin strategy: belief 1/2 everywhere."""
-        half = Fraction(1, 2)
-        table = {}
-        for length in range(n):
-            for v in range(1 << length):
-                table[BitString.from_value(length, v)] = half
-        return cls(n, table)
+        return cls._from_beliefs(n, (Fraction(1, 2),) * _slot_count(n))
 
     @property
     def n(self) -> int:
@@ -112,16 +151,16 @@ class PredictionStrategy:
 
     def p(self, prefix: "str | BitString") -> Fraction:
         b = BitString(prefix) if isinstance(prefix, str) else prefix
-        try:
-            return self._table[b]
-        except KeyError:
-            raise StructLabError(f"prefix {b!r} is outside the horizon") from None
+        if not isinstance(b, BitString) or len(b) >= self._n:
+            raise StructLabError(f"prefix {b!r} is outside the horizon")
+        return self._beliefs[b.to_integer()]
 
     def items(self) -> tuple[tuple[BitString, Fraction], ...]:
         """(prefix, belief) pairs sorted by (length, value)."""
         return tuple(
-            (b, self._table[b])
-            for b in sorted(self._table, key=BitString.sort_key)
+            (BitString.from_value(length, v), self._beliefs[_slot(length, v)])
+            for length in range(self._n)
+            for v in range(1 << length)
         )
 
     def kraft_total(self) -> Fraction:
@@ -138,10 +177,10 @@ class PredictionStrategy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PredictionStrategy):
             return NotImplemented
-        return self._key == other._key
+        return self._n == other._n and self._beliefs == other._beliefs
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self._n, self._beliefs))
 
     def __repr__(self) -> str:
         return f"PredictionStrategy(n={self._n})"
@@ -173,10 +212,11 @@ def evaluate_loss(strategy: PredictionStrategy, x: "str | BitString") -> LossRec
         raise StructLabError(
             f"string length {len(xb)} does not match the horizon {strategy.n}"
         )
+    n, v, beliefs = strategy.n, xb.value, strategy._beliefs
     product = Fraction(1)
-    for i in range(len(xb)):
-        p = strategy.p(xb.substring(0, i))
-        product *= p if xb[i] == 1 else 1 - p
+    for i in range(n):
+        p = beliefs[_slot(i, v >> (n - i))]
+        product *= p if (v >> (n - 1 - i)) & 1 else 1 - p
     return LossRecord(x=xb, product=product)
 
 
@@ -186,24 +226,28 @@ def set_to_strategy(a: FiniteSet) -> PredictionStrategy:
     Prefixes that no member extends get belief 1/2; they never contribute
     to a member's loss, and any fixed value keeps the strategy total.
     Every member's realized product is exactly ``1/|A|``.
+
+    Member counts are folded up one list per level, and each distinct
+    (ones, whole) pair becomes one shared ``Fraction``: O(|A| + 2**n).
     """
     if a.cardinality == 0:
         raise StructLabError("cannot build a strategy from an empty set")
     n = a.n
-    counts: dict[tuple[int, int], int] = {}
+    counts = [0] * (1 << n)
     for v in a.values:
-        for length in range(n + 1):
-            key = (length, v >> (n - length))
-            counts[key] = counts.get(key, 0) + 1
-    table: dict[BitString, Fraction] = {}
-    for length in range(n):
-        for v in range(1 << length):
-            whole = counts.get((length, v), 0)
-            ones = counts.get((length + 1, (v << 1) | 1), 0)
-            table[BitString.from_value(length, v)] = (
-                Fraction(ones, whole) if whole else Fraction(1, 2)
-            )
-    return PredictionStrategy(n, table)
+        counts[v] = 1
+    shared = {(0, 0): Fraction(1, 2)}
+    levels = []
+    for _ in range(n):
+        ones = counts[1::2]
+        counts = list(map(operator.add, counts[0::2], ones))
+        pairs = list(zip(ones, counts))
+        for pair in set(pairs).difference(shared):
+            shared[pair] = Fraction(*pair)
+        levels.append(list(map(shared.__getitem__, pairs)))
+    return PredictionStrategy._from_beliefs(
+        n, tuple(chain.from_iterable(reversed(levels)))
+    )
 
 
 def strategy_to_set(
@@ -238,7 +282,7 @@ def strategy_to_set(
         if length == n:
             hits.append(prefix_value)
             return
-        p = strategy.p(BitString.from_value(length, prefix_value))
+        p = strategy._beliefs[_slot(length, prefix_value)]
         walk((prefix_value << 1) | 1, length + 1, product * p)
         walk(prefix_value << 1, length + 1, product * (1 - p))
 

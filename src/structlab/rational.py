@@ -9,7 +9,9 @@ helpers here keep that discipline in one place:
 * ``ceil_log2(m)`` is the exact integer ceiling of log2 of a positive
   integer;
 * ``log2_display`` converts exact keys to floats for reports, mapping
-  ``None`` to ``math.inf`` (the conventional encoding of an empty minimum).
+  ``None`` to ``math.inf`` (the conventional encoding of an empty minimum);
+* ``unit_fraction`` reads a belief or probability as an exact value in
+  [0, 1], refusing anything else with a ``StructLabError``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["pow2", "ceil_log2", "log2_display"]
+from .errors import StructLabError
+
+__all__ = ["pow2", "ceil_log2", "log2_display", "unit_fraction"]
 
 
 def pow2(e: int) -> Fraction:
@@ -54,3 +58,19 @@ def log2_display(key: "int | Fraction | None") -> float:
     if key & (key - 1) == 0:
         return float(key.bit_length() - 1)
     return math.log2(key)
+
+
+def unit_fraction(value, noun: str) -> Fraction:
+    """``value`` as an exact Fraction in [0, 1].
+
+    Anything ``Fraction`` cannot read (``"abc"``, ``"1/0"``, ``None``, NaN,
+    infinity) and anything outside [0, 1] raises ``StructLabError``; the
+    message names the value and calls it a ``noun`` value.
+    """
+    try:
+        q = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise StructLabError(f"malformed {noun} value {value!r}") from None
+    if not 0 <= q <= 1:
+        raise StructLabError(f"{noun} values must lie in [0, 1], got {q}")
+    return q

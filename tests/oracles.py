@@ -15,6 +15,7 @@ from fractions import Fraction
 from structlab.codec import BitString
 from structlab.descsys import DescriptionSystem, FiniteSet
 from structlab.experiments import AdditivityRecord, AdditivityReport
+from structlab.predict import PredictionStrategy
 
 INF = math.inf
 
@@ -218,6 +219,29 @@ def oracle_loss_product(strategy_table, x: BitString) -> Fraction:
         product *= p if bit == 1 else 1 - p
         prefix = prefix + BitString("1" if bit else "0")
     return product
+
+
+def oracle_set_to_strategy(a: FiniteSet) -> PredictionStrategy:
+    """Proportion-following strategy of a non-empty set, through a dict table.
+
+    Counts every (length, prefix) a member extends, then divides; prefixes
+    no member extends get 1/2.
+    """
+    n = a.n
+    counts: dict[tuple[int, int], int] = {}
+    for v in a.values:
+        for length in range(n + 1):
+            key = (length, v >> (n - length))
+            counts[key] = counts.get(key, 0) + 1
+    table: dict[BitString, Fraction] = {}
+    for length in range(n):
+        for v in range(1 << length):
+            whole = counts.get((length, v), 0)
+            ones = counts.get((length + 1, (v << 1) | 1), 0)
+            table[BitString.from_value(length, v)] = (
+                Fraction(ones, whole) if whole else Fraction(1, 2)
+            )
+    return PredictionStrategy(n, table)
 
 
 def oracle_section(order, l: int) -> tuple:

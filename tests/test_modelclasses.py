@@ -75,6 +75,12 @@ def test_pmf_validation():
         ProbModel(1, {"0": Fraction(3, 2), "1": Fraction(-1, 2)})
 
 
+@pytest.mark.parametrize("value", ["abc", "1/0", None, float("nan"), float("inf")])
+def test_malformed_probability_is_a_structlab_error(value):
+    with pytest.raises(StructLabError, match=f"malformed probability value {value!r}"):
+        ProbModel(1, {"0": value, "1": 0})
+
+
 def test_pmf_drops_explicit_zeros():
     with_zero = ProbModel(2, {"00": 1, "01": 0})
     without = ProbModel(2, {"00": 1})

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
@@ -26,7 +28,7 @@ from structlab.rational import log2_display
 from structlab.structfn import profile
 
 from .gensys import random_system
-from .oracles import oracle_loss_product
+from .oracles import oracle_loss_product, oracle_set_to_strategy
 
 B = BitString
 
@@ -58,6 +60,55 @@ def test_strategy_validation():
         PredictionStrategy(1, {"0": Fraction(1, 2)})
     with pytest.raises(StructLabError, match="lie in"):
         PredictionStrategy(1, {"": Fraction(3, 2)})
+
+
+def test_repeated_prefix_is_refused():
+    # "0" and BitString("0") are distinct keys naming one prefix
+    with pytest.raises(StructLabError, match="repeated prefix"):
+        PredictionStrategy(2, {"": 0, "0": 0, B("0"): 1, "1": 0})
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", None, float("nan"), float("inf")])
+def test_malformed_belief_is_a_structlab_error(value):
+    with pytest.raises(StructLabError, match=f"malformed belief value {value!r}"):
+        PredictionStrategy(1, {"": value})
+
+
+@pytest.mark.parametrize(
+    "n, beliefs, message",
+    [
+        (2, (Fraction(1, 2),) * 2, "cover all 3 prefixes"),
+        (2, (Fraction(1, 2), Fraction(3, 2), Fraction(3, 2)), "in \\[0, 1\\]"),
+        (1, (0.5,), "Fractions"),
+        (17, (), "horizon"),
+    ],
+)
+def test_belief_tuple_check(n, beliefs, message):
+    # the check set_to_strategy hands its tuple to
+    with pytest.raises(StructLabError, match=message):
+        PredictionStrategy._from_beliefs(n, beliefs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p_refuses_prefixes_past_the_horizon(n):
+    strat = PredictionStrategy.uniform(n)
+    assert strat.p(B.ones(n - 1)) == Fraction(1, 2)
+    for length in (n, n + 3):
+        with pytest.raises(StructLabError, match="outside the horizon"):
+            strat.p(B.zeros(length))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_uniform_equals_a_dict_built_table(n):
+    table = {
+        B.from_value(length, v): Fraction(1, 2)
+        for length in range(n)
+        for v in range(1 << length)
+    }
+    built = PredictionStrategy(n, table)
+    assert PredictionStrategy.uniform(n) == built
+    assert hash(PredictionStrategy.uniform(n)) == hash(built)
+    assert PredictionStrategy.uniform(n).items() == built.items()
 
 
 def test_uniform_strategy_loses_one_bit_per_step():
@@ -133,6 +184,35 @@ def test_singleton_set_is_an_oracle():
     strat = set_to_strategy(FiniteSet(3, ["110"]))
     assert evaluate_loss(strat, "110").product == 1
     assert strat.p("0") == Fraction(1, 2)  # dead branch
+
+
+@st.composite
+def nonempty_sets(draw):
+    """Random, singleton, full-cube and one-subtree sets at widths 1..8."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "singleton", "cube", "subtree"]))
+    if kind == "cube":
+        return FiniteSet(n, range(1 << n))
+    if kind == "singleton":
+        return FiniteSet(n, [draw(st.integers(0, (1 << n) - 1))])
+    if kind == "random":
+        return FiniteSet(n, draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
+    # every member extends one prefix, so all other subtrees are empty
+    k = draw(st.integers(0, n))
+    prefix = draw(st.integers(0, (1 << k) - 1))
+    tails = draw(st.sets(st.integers(0, (1 << (n - k)) - 1), min_size=1))
+    return FiniteSet(n, [(prefix << (n - k)) | t for t in tails])
+
+
+@settings(max_examples=200)
+@given(nonempty_sets())
+def test_set_to_strategy_matches_the_dict_oracle(a):
+    fast = set_to_strategy(a)
+    oracle = oracle_set_to_strategy(a)
+    assert fast.items() == oracle.items()
+    assert fast == oracle
+    assert hash(fast) == hash(oracle)
+    assert PredictionStrategy(a.n, dict(oracle.items())) == fast
 
 
 def test_empty_set_has_no_strategy():
@@ -219,6 +299,13 @@ def test_codebook_complexity_is_the_shortest_name():
     book = StrategyCodebook({"0": uniform, "11": uniform})
     assert book.complexity(uniform) == 1
     assert book.complexity(PredictionStrategy.uniform(3)) == math.inf
+
+
+def test_codebook_complexity_finds_a_set_built_strategy():
+    a = FiniteSet(3, ["001", "010", "011", "110"])
+    book = StrategyCodebook({"0": PredictionStrategy.uniform(3), "10": set_to_strategy(a)})
+    dict_built = PredictionStrategy(3, dict(set_to_strategy(a).items()))
+    assert book.complexity(dict_built) == 2
 
 
 def test_single_uniform_codebook_curve():
