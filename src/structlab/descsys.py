@@ -93,10 +93,14 @@ class FiniteSet:
     def __init__(self, n: int, values: Iterable["int | str | BitString"]):
         if not 1 <= n <= MAX_UNIVERSE_BITS:
             raise DescriptorError(f"universe width must be in [1, {MAX_UNIVERSE_BITS}], got {n}")
-        vals = sorted({self._coerce(n, v) for v in values})
+        members = frozenset([v if type(v) is int else self._coerce(n, v) for v in values])
+        vals = sorted(members)
+        if vals and not 0 <= vals[0] <= vals[-1] < 1 << n:
+            bad = vals[0] if vals[0] < 0 else vals[-1]
+            raise DescriptorError(f"element value {bad} outside universe of width {n}")
         self._n = n
         self._values = tuple(vals)
-        self._members = frozenset(vals)
+        self._members = members
         # Sets key the shortcut and set-index tables; the cube has 2^n
         # members, so hashing the tuple on every lookup would cost O(2^n).
         self._hash = hash((n, self._values))
@@ -259,7 +263,9 @@ def check_prefix_free(programs: Iterable[BitString], namespace: str) -> None:
 
 def kraft_sum(programs: Iterable[BitString]) -> Fraction:
     """Exact sum of 2**-|p| over the given programs."""
-    return sum((pow2(-len(p)) for p in programs), start=Fraction(0))
+    lengths = [len(p) for p in programs]
+    top = max(lengths, default=0)
+    return Fraction(sum(1 << (top - l) for l in lengths), 1 << top)
 
 
 class Codebook:
@@ -768,8 +774,12 @@ def _require_args(name: str, args: dict[str, int], *wanted: str) -> list[int]:
     return [args[w] for w in wanted]
 
 
-def _weight_slice(n: int, k: int) -> list[int]:
-    return [v for v in range(1 << n) if bin(v).count("1") == k]
+def _weight_slices(n: int) -> list[list[int]]:
+    """The values of ``[0, 2^n)`` grouped by weight, each group ascending."""
+    slices: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in range(1 << n):
+        slices[v.bit_count()].append(v)
+    return slices
 
 
 def expand_family(
@@ -799,7 +809,7 @@ def expand_family(
     Parameter codes that follow a variable-length family parameter are
     self-delimiting; fixed-width fields (singleton literals, bernoulli
     ranks) are self-delimiting in context because their width is determined
-    by what was already parsed.
+    by what was already parsed.  Expansion is linear in what it writes.
     """
     entries: list[tuple[str, BitString, BitString | FiniteSet]] = []
     if kind == "set":
@@ -814,42 +824,28 @@ def expand_family(
                 )
         elif name == "cylinders":
             (n,) = _require_args(name, args, "n")
-            prefixes = [BitString("")] + [
-                BitString.from_value(l, v) for l in range(1, n + 1) for v in range(1 << l)
-            ]
-            for p in prefixes:
-                shift = n - len(p)
-                base = p.value << shift
-                members = range(base, base + (1 << shift))
-                entries.append(("set", tag + encode_sd(p), FiniteSet(n, members)))
+            for l in range(n + 1):
+                for v in range(1 << l):
+                    members = range(v << (n - l), (v + 1) << (n - l))
+                    code = encode_sd(BitString.from_value(l, v))
+                    entries.append(("set", tag + code, FiniteSet(n, members)))
         elif name == "hamming":
             (n,) = _require_args(name, args, "n")
-            for k in range(n + 1):
+            for k, members in enumerate(_weight_slices(n)):
                 entries.append(
-                    (
-                        "set",
-                        tag + encode_sd(string_of_integer(k)),
-                        FiniteSet(n, _weight_slice(n, k)),
-                    )
+                    ("set", tag + encode_sd(string_of_integer(k)), FiniteSet(n, members))
                 )
         elif name == "patches":
             n, m = _require_args(name, args, "n", "m")
             if m < 1 or n % m != 0:
                 raise DescriptorError("patches family needs m >= 1 dividing n")
-            l = n // m
-            mask = (1 << m) - 1
-            for vector in iter_product(range(m + 1), repeat=l):
-                program = tag
+            slices = _weight_slices(m)
+            for vector in iter_product(range(m + 1), repeat=n // m):
+                program, members = tag, [0]
+                # most significant patch outermost, so members come out sorted
                 for k in vector:
                     program = program + encode_sd(string_of_integer(k))
-                members = [
-                    v
-                    for v in range(1 << n)
-                    if all(
-                        bin((v >> (m * (l - 1 - i))) & mask).count("1") == vector[i]
-                        for i in range(l)
-                    )
-                ]
+                    members = [(u << m) | w for u in members for w in slices[k]]
                 entries.append(("set", program, FiniteSet(n, members)))
         else:
             raise DescriptorError(f"unknown set family {name!r}")
@@ -861,8 +857,7 @@ def expand_family(
                 entries.append(("data", tag + b, b))
         elif name == "bernoulli":
             (n,) = _require_args(name, args, "n")
-            for k in range(n + 1):
-                slice_vals = _weight_slice(n, k)
+            for k, slice_vals in enumerate(_weight_slices(n)):
                 width = (len(slice_vals) - 1).bit_length()
                 head = tag + encode_sd(string_of_integer(k))
                 for rank, v in enumerate(slice_vals):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .codec import EMPTY, BitString
 from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2, unit_fraction
+from .rational import log2_display, pow2, read_fraction, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -585,7 +585,7 @@ def parse_pmf(text: str, n: "int | None" = None) -> ProbModel:
             raise FixtureError(f"line {lineno}: malformed string {token!r}")
         b = BitString(token)
         try:
-            q = Fraction(parts[1])
+            q = read_fraction(parts[1])
         except (ValueError, ZeroDivisionError):
             raise FixtureError(
                 f"line {lineno}: malformed probability {parts[1]!r}"

@@ -42,7 +42,7 @@ from .artifacts import number
 from .codec import EMPTY, BitString
 from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2, unit_fraction
+from .rational import log2_display, pow2, read_fraction, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -420,7 +420,7 @@ def parse_strategy(text: str, n: "int | None" = None) -> PredictionStrategy:
         else:
             raise FixtureError(f"line {lineno}: malformed prefix {token!r}")
         try:
-            p = Fraction(parts[1])
+            p = read_fraction(parts[1])
         except (ValueError, ZeroDivisionError):
             raise FixtureError(f"line {lineno}: malformed belief {parts[1]!r}") from None
         if prefix in table:
@@ -465,7 +465,7 @@ def parse_codebook(text: str) -> StrategyCodebook:
                 f"line {lineno}: repeated prefix {prefix_token!r} for program {prog_token!r}"
             )
         try:
-            sub[prefix] = Fraction(p_token)
+            sub[prefix] = read_fraction(p_token)
         except (ValueError, ZeroDivisionError):
             raise FixtureError(f"line {lineno}: malformed belief {p_token!r}") from None
     if not grouped:

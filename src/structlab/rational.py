@@ -10,8 +10,8 @@ helpers here keep that discipline in one place:
   integer;
 * ``log2_display`` converts exact keys to floats for reports, mapping
   ``None`` to ``math.inf`` (the conventional encoding of an empty minimum);
-* ``unit_fraction`` reads a belief or probability as an exact value in
-  [0, 1], refusing anything else with a ``StructLabError``.
+* ``read_fraction`` reads a rational token; ``unit_fraction`` reads a
+  belief or probability as an exact value in [0, 1], refusing anything else.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from fractions import Fraction
 
 from .errors import StructLabError
 
-__all__ = ["pow2", "ceil_log2", "log2_display", "unit_fraction"]
+__all__ = ["pow2", "ceil_log2", "log2_display", "read_fraction", "unit_fraction"]
+
+MAX_DIGITS = 4300  # Python's default bound on the digits of an int read or shown as text
 
 
 def pow2(e: int) -> Fraction:
@@ -60,6 +62,16 @@ def log2_display(key: "int | Fraction | None") -> float:
     return math.log2(key)
 
 
+def read_fraction(value) -> Fraction:
+    """``Fraction(value)``, refusing (``ValueError``) a token whose length plus
+    decimal exponent passes ``MAX_DIGITS``, before ``10**exponent`` is built."""
+    if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        if len(value) + (abs(int(exponent)) if e else 0) > MAX_DIGITS:
+            raise ValueError("token too long to read exactly")
+    return Fraction(value)
+
+
 def unit_fraction(value, noun: str) -> Fraction:
     """``value`` as an exact Fraction in [0, 1].
 
@@ -68,7 +80,7 @@ def unit_fraction(value, noun: str) -> Fraction:
     message names the value and calls it a ``noun`` value.
     """
     try:
-        q = Fraction(value)
+        q = read_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise StructLabError(f"malformed {noun} value {value!r}") from None
     if not 0 <= q <= 1:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
-from structlab.codec import BitString
+from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import DescriptionSystem, FiniteSet
 from structlab.experiments import AdditivityRecord, AdditivityReport
 from structlab.predict import PredictionStrategy
@@ -124,6 +125,68 @@ def oracle_additivity_report(sys: DescriptionSystem) -> AdditivityReport:
 
 def oracle_kraft(programs) -> Fraction:
     return sum((Fraction(1, 1 << len(p)) for p in programs), start=Fraction(0))
+
+
+def oracle_weight_slice(n: int, k: int) -> list[int]:
+    return [v for v in range(1 << n) if bin(v).count("1") == k]
+
+
+def oracle_patch_members(n: int, m: int, vector) -> list[int]:
+    """Strings whose i-th m-bit patch (most significant first) has weight vector[i]."""
+    l, mask = n // m, (1 << m) - 1
+    return [
+        v
+        for v in range(1 << n)
+        if all(
+            bin((v >> (m * (l - 1 - i))) & mask).count("1") == vector[i] for i in range(l)
+        )
+    ]
+
+
+def oracle_family_entries(kind: str, tag: BitString, name: str, args: dict) -> list:
+    """``descsys.expand_family`` with every member list found by a universe scan.
+
+    Returns ``(kind, program, payload)`` triples like the library, with set
+    payloads as plain member lists in increasing order.
+    """
+    n = args["n"]
+    universe = range(1 << n)
+
+    def sd(k: int) -> BitString:
+        return encode_sd(string_of_integer(k))
+
+    if name == "cube":
+        return [("set", tag, list(universe))]
+    if name == "singletons":
+        return [("set", tag + BitString.from_value(n, v), [v]) for v in universe]
+    if name == "cylinders":
+        prefixes = [BitString.from_value(l, v) for l in range(n + 1) for v in range(1 << l)]
+        return [
+            ("set", tag + encode_sd(p), [v for v in universe if BitString.from_value(n, v).startswith(p)])
+            for p in prefixes
+        ]
+    if name == "hamming":
+        return [("set", tag + sd(k), oracle_weight_slice(n, k)) for k in range(n + 1)]
+    if name == "patches":
+        m = args["m"]
+        entries = []
+        for vector in product(range(m + 1), repeat=n // m):
+            program = tag
+            for k in vector:
+                program = program + sd(k)
+            entries.append(("set", program, oracle_patch_members(n, m, vector)))
+        return entries
+    if name == "literal":
+        return [("data", tag + BitString.from_value(n, v), BitString.from_value(n, v)) for v in universe]
+    assert name == "bernoulli", name
+    entries = []
+    for k in range(n + 1):
+        members = oracle_weight_slice(n, k)
+        width = (len(members) - 1).bit_length()
+        for rank, v in enumerate(members):
+            program = tag + sd(k) + BitString.from_value(width, rank)
+            entries.append(("data", program, BitString.from_value(n, v)))
+    return entries
 
 
 def oracle_profile_arrays(sys: DescriptionSystem, x, alpha_max: int):

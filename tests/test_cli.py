@@ -294,6 +294,30 @@ def test_convert_missing_input_is_domain_error(tmp_path, capsys):
     assert "--pmf" in record["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\t1e-5000\n1\t1\n", "malformed probability '1e-5000'"),
+        ("0\t1e-1000000\n1\t1\n", "malformed probability '1e-1000000'"),
+        ("0\t1e4300\n1\t1\n", "malformed probability '1e4300'"),
+        ("0\t1e-4293\n1\t1\n", "sum to 1 exactly"),
+    ],
+)
+def test_convert_refuses_too_long_probabilities_quickly(text, message, tmp_path, capsys):
+    path = tmp_path / "model.pmf"
+    path.write_text(text)
+    start = time.perf_counter()
+    rc = run(
+        "convert", "--mode", "restrict-pmf", "--pmf", str(path), "--x", "0",
+        "--out", str(tmp_path / "out"),
+    )
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "convert"
+    assert message in record["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from structlab.descsys import (
     build_system,
     enumerate_models,
     enumeration_stream,
+    expand_family,
     kraft_sum,
 )
 from structlab.errors import DescriptorError, StructLabError
@@ -29,6 +31,7 @@ from .oracles import (
     oracle_K_set,
     oracle_c_sub,
     oracle_distinct_sets,
+    oracle_family_entries,
     oracle_kraft,
 )
 
@@ -68,6 +71,29 @@ def test_finite_set_rejects_mismatched_width():
         FiniteSet(3, ["01"])
     with pytest.raises(DescriptorError):
         FiniteSet(2, [4])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, -1], r"element value -1 outside universe of width 3\Z"),
+        ([0, 2**3], r"element value 8 outside universe of width 3\Z"),
+        ([99, 3, -5], r"element value (-5|99) outside universe of width 3\Z"),
+        ([1, "01", 2], r"element '01' is not 3 bits long\Z"),
+        ([B("0110"), 2], r"element BitString\('0110'\) is not 3 bits long\Z"),
+    ],
+)
+def test_finite_set_refuses_members_outside_the_universe(values, message):
+    with pytest.raises(DescriptorError, match=message):
+        FiniteSet(3, values)
+
+
+def test_finite_set_reads_bools_and_empty_iterables_as_values():
+    assert FiniteSet(2, [True, False, 3]) == FiniteSet(2, [0, 1, 3])
+    empty = FiniteSet(3, iter(()))
+    assert empty.values == () and empty.cardinality == 0
+    with pytest.raises(DescriptorError, match="ceil_log_card of the empty set"):
+        empty.ceil_log_card
 
 
 def test_ceil_log_card_values():
@@ -287,6 +313,58 @@ def test_family_argument_validation():
         build_system("set\t0\t@family:patches(n=4,m=3)\ndata\t1\t@family:literal(n=4)")
     with pytest.raises(DescriptorError, match="unknown set family"):
         build_system("set\t0\t@family:mystery(n=3)\ndata\t1\t@family:literal(n=3)")
+
+
+def _family_cases():
+    for n in range(1, 9):
+        for name in ("cube", "singletons", "cylinders", "hamming", "literal", "bernoulli"):
+            yield name, {"n": n}
+        yield from (("patches", {"n": n, "m": m}) for m in range(1, n + 1) if n % m == 0)
+    yield "patches", {"n": 12, "m": 4}
+    yield "bernoulli", {"n": 12}
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    list(_family_cases()),
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{a}" for k, a in v.items()),
+)
+def test_expand_family_matches_the_scan_oracle(name, args):
+    kind = "data" if name in ("literal", "bernoulli") else "set"
+    got = expand_family(kind, B("10"), name, args)
+    want = oracle_family_entries(kind, B("10"), name, args)
+    assert [(k, p) for k, p, _ in got] == [(k, p) for k, p, _ in want]
+    for (_, _, out), (_, _, expected) in zip(got, want):
+        if kind == "set":
+            assert out.values == tuple(expected)
+            assert out == FiniteSet(args["n"], expected)
+        else:
+            assert out == expected
+
+
+def test_width_bound_families_build_quickly():
+    text = (
+        "data\t.\t@family:bernoulli(n=16)\n"
+        "set\t00\t@family:patches(n=16,m=4)\n"
+        "set\t01\t@family:patches(n=16,m=8)\n"
+        "set\t10\t@family:hamming(n=16)\n"
+        "set\t11\t@family:cube(n=16)\n"
+    )
+    start = time.perf_counter()
+    sys = build_system(text)
+    assert time.perf_counter() - start < 30
+    assert len(sys.data_programs) == 1 << 16
+    assert len(sys.set_programs) == 5**4 + 9**2 + 17 + 1
+    # each family partitions or covers the universe once
+    assert sum(len(s) for s in sys.set_programs.values()) == 4 << 16
+
+
+@settings(max_examples=200)
+@given(st.lists(st.text(alphabet="01", max_size=70).map(B)))
+def test_kraft_sum_matches_the_oracle(programs):
+    for case in ([], [B("")], programs):
+        total = kraft_sum(case)
+        assert isinstance(total, Fraction) and total == oracle_kraft(case)
 
 
 @pytest.mark.parametrize(

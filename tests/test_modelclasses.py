@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,21 @@ def test_pmf_validation():
 def test_malformed_probability_is_a_structlab_error(value):
     with pytest.raises(StructLabError, match=f"malformed probability value {value!r}"):
         ProbModel(1, {"0": value, "1": 0})
+
+
+@pytest.mark.parametrize("token", ["1e-5000", "1e-1000000", "1e4300", "1e-4294"])
+def test_too_long_probabilities_are_refused_quickly(token):
+    start = time.perf_counter()
+    with pytest.raises(StructLabError, match=f"malformed probability value {token!r}"):
+        ProbModel(1, {"0": token, "1": 1})
+    with pytest.raises(FixtureError, match=f"line 1: malformed probability {token!r}"):
+        parse_pmf(f"0\t{token}\n1\t1\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_pmf_total_of_the_longest_decimal_is_shown():
+    with pytest.raises(StructLabError, match=f"sum to 1 exactly, got {10**4293 + 1}/{10**4293}"):
+        parse_pmf("0\t1e-4293\n1\t1\n")
 
 
 def test_pmf_drops_explicit_zeros():

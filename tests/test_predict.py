@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from structlab.predict import (
     snooping_curve,
     strategy_to_set,
 )
-from structlab.rational import log2_display
+from structlab.rational import log2_display, unit_fraction
 from structlab.structfn import profile
 
 from .gensys import random_system
@@ -401,6 +403,33 @@ def test_strategy_fixture_round_trip():
 def test_strategy_fixture_errors(text, message):
     with pytest.raises(FixtureError, match=message):
         parse_strategy(text)
+
+
+# every value read has at most MAX_DIGITS digits, so each can be shown
+TOO_LONG = [
+    "1e-1000000", "1e-1_000_000", "1e-99999999", "1E+5000", "1e4300", "1e-4294",
+    "0." + "0" * 4298 + "1",
+]
+
+
+@pytest.mark.parametrize("token", TOO_LONG, ids=lambda t: t[:12])
+def test_too_long_beliefs_are_refused_quickly(token):
+    start = time.perf_counter()
+    with pytest.raises(StructLabError, match=re.escape(f"malformed belief value {token!r}")):
+        unit_fraction(token, "belief")
+    with pytest.raises(FixtureError, match=re.escape(f"line 1: malformed belief {token!r}")):
+        parse_strategy(f".\t{token}\n")
+    with pytest.raises(FixtureError, match=re.escape(f"line 1: malformed belief {token!r}")):
+        parse_codebook(f"0\t.\t{token}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_longest_decimal_beliefs_are_read_exactly():
+    assert unit_fraction("1e-4293", "belief") == Fraction(1, 10**4293)
+    assert unit_fraction("0." + "0" * 4297 + "1", "belief") == Fraction(1, 10**4298)
+    assert unit_fraction("25e-2", "belief") == Fraction(1, 4)
+    with pytest.raises(StructLabError, match="lie in"):
+        unit_fraction("9" * 4300, "belief")
 
 
 def test_strategy_fixture_must_be_total():
