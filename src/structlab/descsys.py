@@ -43,6 +43,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -50,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .codec import BitString, encode_sd, string_of_integer
 from .errors import DescriptorError, StructLabError
-from .rational import ceil_log2, log2_display, pow2
+from .rational import ceil_log2, log2_display
 
 __all__ = [
     "FiniteSet",
@@ -192,12 +193,16 @@ class ModelRecord:
     """A set model together with its exact description-length data.
 
     ``K_cond`` is ``K(x | S)`` for the query string the record was built
-    for (``None`` when the record is query-free).  Exact order keys:
+    for, a member of S (``None`` when the record is query-free).  Exact
+    order keys:
 
     * ``lambda_key  = 2**K_S * |S|``            (two-part total, as 2**Lambda)
-    * ``delta_key   = |S| * 2**-K_cond``        (as 2**delta)
+    * ``delta_order = |S| << (n - K_cond)``     (as 2**n * 2**delta)
 
-    so integer/Fraction comparisons decide every tie that floats would fudge.
+    Both are integers: a member's ``K(x|S) <= ceil(log2 |S|) <= n``.  So
+    integer comparisons decide every tie that floats would fudge.  The
+    exact value ``delta_key = 2**delta`` is a Fraction, built once, when
+    first read.
     """
 
     set: FiniteSet
@@ -227,10 +232,15 @@ class ModelRecord:
         return self.K_S + self.set.log_card
 
     @property
-    def delta_key(self) -> "Fraction | None":
+    def delta_order(self) -> "int | None":
         if self.K_cond is None:
             return None
-        return Fraction(self.set.cardinality, 1) * pow2(-self.K_cond)
+        return self.set.cardinality << (self.set.n - self.K_cond)
+
+    @cached_property
+    def delta_key(self) -> "Fraction | None":
+        order = self.delta_order
+        return None if order is None else Fraction(order, 1 << self.set.n)
 
     @property
     def deficiency(self) -> float:
@@ -250,15 +260,20 @@ class ModelRecord:
 
 def check_prefix_free(programs: Iterable[BitString], namespace: str) -> None:
     """Raise DescriptorError when one program is a proper prefix of another."""
-    ordered = sorted(programs, key=lambda p: str(p))
+    programs = list(programs)
+    top = max(map(len, programs), default=0)
+    # Lexicographic order of the bit texts: pad each value to the longest
+    # length, and a prefix sorts before its extensions by its shorter length.
+    ordered = sorted(programs, key=lambda p: (p.value << (top - len(p)), len(p)))
     for a, b in zip(ordered, ordered[1:]):
+        if not b.startswith(a):
+            continue
         if a == b:
             raise DescriptorError(f"duplicate program {str(a)!r} in {namespace} namespace")
-        if b.startswith(a):
-            raise DescriptorError(
-                f"{namespace} namespace not prefix-free: "
-                f"{str(a)!r} is a prefix of {str(b)!r}"
-            )
+        raise DescriptorError(
+            f"{namespace} namespace not prefix-free: "
+            f"{str(a)!r} is a prefix of {str(b)!r}"
+        )
 
 
 def kraft_sum(programs: Iterable[BitString]) -> Fraction:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .codec import EMPTY, BitString
 from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2, read_fraction, unit_fraction
+from .rational import log2_display, pow2, read_fraction, show_fraction, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -95,7 +95,9 @@ class ProbModel:
                 norm[b] = q
         total = sum(norm.values(), Fraction(0))
         if total != 1:
-            raise StructLabError(f"probabilities must sum to 1 exactly, got {total}")
+            raise StructLabError(
+                f"probabilities must sum to 1 exactly, got {show_fraction(total)}"
+            )
         self._n = n
         self._pmf = dict(sorted(norm.items(), key=lambda kv: kv[0].value))
         self._key = (n, tuple((b.value, q) for b, q in self._pmf.items()))
@@ -255,7 +257,9 @@ def probability_level(q) -> int:
     """The unique integer m with ``2**-(m+1) < q <= 2**-m``, exactly."""
     q = Fraction(q)
     if not 0 < q <= 1:
-        raise StructLabError(f"probability level requires a value in (0, 1], got {q}")
+        raise StructLabError(
+            f"probability level requires a value in (0, 1], got {show_fraction(q)}"
+        )
     num, den = q.numerator, q.denominator
     k = den.bit_length() - num.bit_length()
     return k if (num << k) <= den else k - 1

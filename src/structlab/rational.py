@@ -11,7 +11,9 @@ helpers here keep that discipline in one place:
 * ``log2_display`` converts exact keys to floats for reports, mapping
   ``None`` to ``math.inf`` (the conventional encoding of an empty minimum);
 * ``read_fraction`` reads a rational token; ``unit_fraction`` reads a
-  belief or probability as an exact value in [0, 1], refusing anything else.
+  belief or probability as an exact value in [0, 1], refusing anything else;
+* ``show_fraction`` writes an exact value into a message, approximately
+  once it is too long to write out.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from fractions import Fraction
 
 from .errors import StructLabError
 
-__all__ = ["pow2", "ceil_log2", "log2_display", "read_fraction", "unit_fraction"]
+__all__ = [
+    "pow2", "ceil_log2", "log2_display", "read_fraction", "unit_fraction", "show_fraction",
+]
 
 MAX_DIGITS = 4300  # Python's default bound on the digits of an int read or shown as text
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 
 def pow2(e: int) -> Fraction:
@@ -84,5 +89,17 @@ def unit_fraction(value, noun: str) -> Fraction:
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise StructLabError(f"malformed {noun} value {value!r}") from None
     if not 0 <= q <= 1:
-        raise StructLabError(f"{noun} values must lie in [0, 1], got {q}")
+        raise StructLabError(f"{noun} values must lie in [0, 1], got {show_fraction(q)}")
     return q
+
+
+def show_fraction(q: Fraction) -> str:
+    """``str(q)`` when each part has at most ``MAX_DIGITS`` digits (past
+    that, ``str`` raises ``ValueError``); else its float value, marked as
+    approximate."""
+    if abs(q.numerator) < _DIGITS_BOUND and q.denominator < _DIGITS_BOUND:
+        return str(q)
+    try:
+        return f"about {float(q)!r} (exact value over {MAX_DIGITS} digits)"
+    except OverflowError:
+        return f"a value over {MAX_DIGITS} digits long"

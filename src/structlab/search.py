@@ -50,7 +50,7 @@ from fractions import Fraction
 from .codec import BitString
 from .descsys import DescriptionSystem, EnumerationStream, FiniteSet, ModelRecord
 from .errors import StructLabError
-from .rational import log2_display, pow2
+from .rational import log2_display
 
 __all__ = [
     "Declaration",
@@ -116,7 +116,7 @@ def anytime_search(
     xb = BitString.from_value(sys.universe_n, xv)
 
     declarations: list[Declaration] = []
-    best_key: "int | Fraction | None" = None
+    best_key: "int | None" = None
     best_record: "ModelRecord | None" = None
 
     if mode in ("mdl", "ml"):
@@ -126,9 +126,7 @@ def anytime_search(
             s: FiniteSet = ev.output  # type: ignore[assignment]
             if xv not in s:
                 continue
-            key: "int | Fraction" = (
-                (1 << len(ev.program)) * s.cardinality if mode == "mdl" else s.cardinality
-            )
+            key = (1 << len(ev.program)) * s.cardinality if mode == "mdl" else s.cardinality
             if best_key is None or key < best_key:
                 best_key = key
                 best_record = ModelRecord(
@@ -139,47 +137,46 @@ def anytime_search(
                 )
     else:  # direct
         x_known = False
-        # program -> (set, current conditional-complexity estimate)
-        seen: dict[BitString, tuple[FiniteSet, int]] = {}
-        last_sig: "tuple[BitString, int] | None" = None
+        # one record per candidate, K_cond holding the current estimate
+        seen: list[ModelRecord] = []
 
-        def estimate(s: FiniteSet) -> int:
-            return int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
+        def estimate(s: FiniteSet, prog: BitString) -> ModelRecord:
+            est = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
+            return ModelRecord(s, len(prog), prog, est)
 
-        def consider(time: int) -> None:
-            nonlocal best_key, best_record, last_sig
-            winner = None
-            for prog, (s, est) in seen.items():
-                key = Fraction(s.cardinality) * pow2(-est)
-                cand = ((key, len(prog), prog.sort_key()), prog, s, est)
-                if winner is None or cand[0] < winner[0]:
-                    winner = cand
-            if winner is None:
-                return
-            (key, _, _), prog, s, est = winner
-            if (prog, est) != last_sig:
-                last_sig = (prog, est)
-                best_key = key
-                best_record = ModelRecord(s, len(prog), prog, est)
-                declarations.append(
-                    Declaration(time, best_record, key, log2_display(key))
-                )
+        def order(rec: ModelRecord) -> tuple:
+            # the program's sort key puts the shorter program first on ties
+            return (rec.delta_order, rec.witness_program.sort_key())
 
+        def declare(time: int, winner: ModelRecord) -> None:
+            nonlocal best_record
+            # A record equal to the reigning one is the same program with
+            # the same estimate: nothing new to declare.
+            if winner != best_record:
+                best_record = winner
+                key = winner.delta_key
+                declarations.append(Declaration(time, winner, key, log2_display(key)))
+
+        # Estimates change only when x is first printed, so between those
+        # moments the best record is a running minimum.
         for ev in stream.events:
             if ev.kind == "data":
                 if ev.output == xb and not x_known:
                     x_known = True
                     # conditional shortcuts unlock for every set already seen
-                    seen = {p: (s, estimate(s)) for p, (s, _) in seen.items()}
-                    consider(ev.time)
+                    seen = [estimate(r.set, r.witness_program) for r in seen]
+                    if seen:
+                        declare(ev.time, min(seen, key=order))
                 continue
             if len(ev.program) > alpha:
                 continue
             s = ev.output  # type: ignore[assignment]
             if xv not in s:
                 continue
-            seen[ev.program] = (s, estimate(s))
-            consider(ev.time)
+            rec = estimate(s, ev.program)
+            seen.append(rec)
+            if best_record is None or order(rec) < order(best_record):
+                declare(ev.time, rec)
 
     return SearchTrace(
         mode=mode,
@@ -196,18 +193,16 @@ def mdl_guarantee_holds(sys: DescriptionSystem, trace: SearchTrace) -> bool:
 
     For each declared (p_t, L_t):
     ``delta(x|L_t) + K(x) <= |p_t| + ceil(log2|L_t|) + c_sub`` compared as
-    ``|L_t| * 2**(K(x) - K(x|L_t)) <= 2**(|p_t| + ceil + c_sub)`` over
-    exact rationals.
+    ``delta_order(L_t) <= 2**(n + |p_t| + ceil + c_sub - K(x))`` over exact
+    integers, where ``delta_order = 2**n * 2**delta`` is at least 1.
     """
     if trace.mode != "mdl":
         raise StructLabError("the online guarantee is stated for mdl traces")
-    kx = sys.K_data(trace.x)
-    c = sys.c_sub
+    base = sys.universe_n + sys.c_sub - sys.K_data(trace.x)
     for d in trace.declarations:
         rec = d.record
-        lhs = Fraction(rec.cardinality) * pow2(kx - int(rec.K_cond))
-        rhs = pow2(rec.K_S + rec.ceil_log_card + c)
-        if lhs > rhs:
+        exponent = base + rec.K_S + rec.ceil_log_card
+        if exponent < 0 or rec.delta_order > 1 << exponent:
             return False
     return True
 

@@ -10,10 +10,11 @@ representable sets:
   (most typical model),
 
 with the empty-class minimum taken to be infinity.  All three are decided
-by exact order keys — ``|S|`` for h, the integer ``2**K(S) * |S|`` for
-lambda, the rational ``|S| / 2**K(x|S)`` for beta — and ties break by
-smaller ``K(S)``, then lexicographically least witness program.  Floats
-show up only in display accessors.
+by exact integer order keys — ``|S|`` for h, ``2**K(S) * |S|`` for
+lambda, ``|S| << (n - K(x|S))`` (that is ``2**n * 2**delta``) for beta —
+and ties break by smaller ``K(S)``, then lexicographically least witness
+program.  The exact beta value ``2**delta`` is reported as a Fraction.
+Floats show up only in display accessors.
 
 A :class:`StructureProfile` bundles the per-alpha optima with their
 witnesses, the critical budgets (where the two-part optimum strictly
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
 from .errors import StructLabError
-from .rational import log2_display, pow2
+from .rational import log2_display
 
 K = TypeVar("K")
 
@@ -79,9 +80,10 @@ def deficiency_key(sys: DescriptionSystem, x, s: FiniteSet) -> "Fraction | None"
     """Exact 2**delta(x|S) as a Fraction; None encodes an infinite deficiency."""
     if not sys.is_representable(s):
         raise StructLabError("deficiency requires a representable set")
-    if sys._value(x) not in s:
+    v = sys._value(x)
+    if v not in s:
         return None
-    return Fraction(s.cardinality) * pow2(-int(sys.K_cond(x, s)))
+    return ModelRecord(s, sys.K_set(s), sys.set_witness(s), int(sys.K_cond(v, s))).delta_key
 
 
 def deficiency_tail_count(sys: DescriptionSystem, s: FiniteSet, d: int) -> int:
@@ -108,9 +110,12 @@ class ParetoPoint:
     """A Pareto-minimal (K(S), delta, Lambda) triple with its witness model."""
 
     K_S: int
-    delta_key: Fraction
     lambda_key: int
     record: ModelRecord
+
+    @property
+    def delta_key(self) -> Fraction:
+        return self.record.delta_key
 
     @property
     def delta(self) -> float:
@@ -252,7 +257,7 @@ def profile(
 
     h_rows = rows(lambda rec: rec.cardinality)
     lambda_rows = rows(lambda rec: rec.lambda_key)
-    beta_rows = rows(lambda rec: rec.delta_key)
+    beta_rows = rows(lambda rec: rec.delta_order)
 
     critical = tuple(
         alpha
@@ -284,26 +289,25 @@ def profile(
 
 
 def _pareto_frontier(containing: Sequence[ModelRecord]) -> tuple[ParetoPoint, ...]:
-    triples: dict[tuple[int, Fraction, int], ModelRecord] = {}
+    # The records share one n, so delta_order orders them as delta_key does.
+    triples: dict[tuple[int, int, int], ModelRecord] = {}
     for rec in containing:
-        key = (rec.K_S, rec.delta_key, rec.lambda_key)
+        key = (rec.K_S, rec.delta_order, rec.lambda_key)
         prev = triples.get(key)
         if prev is None or rec.witness_program.sort_key() < prev.witness_program.sort_key():
             triples[key] = rec
-    points = []
-    keys = list(triples)
-    for key in keys:
-        dominated = any(
+    keys = sorted(triples)
+    return tuple(
+        ParetoPoint(key[0], key[2], triples[key])
+        for key in keys
+        if not any(
             other != key
             and other[0] <= key[0]
             and other[1] <= key[1]
             and other[2] <= key[2]
             for other in keys
         )
-        if not dominated:
-            points.append(ParetoPoint(key[0], key[1], key[2], triples[key]))
-    points.sort(key=lambda p: (p.K_S, p.delta_key, p.lambda_key))
-    return tuple(points)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from itertools import product
 
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import DescriptionSystem, FiniteSet
+from structlab.errors import DescriptorError
 from structlab.experiments import AdditivityRecord, AdditivityReport
 from structlab.predict import PredictionStrategy
 
@@ -121,6 +122,19 @@ def oracle_additivity_report(sys: DescriptionSystem) -> AdditivityReport:
         min_record=min_rec,
         histogram=histogram,
     )
+
+
+def oracle_check_prefix_free(programs, namespace: str) -> None:
+    """Sort the programs as text; any prefix pair is then adjacent."""
+    ordered = sorted(programs, key=lambda p: str(p))
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise DescriptorError(f"duplicate program {str(a)!r} in {namespace} namespace")
+        if b.startswith(a):
+            raise DescriptorError(
+                f"{namespace} namespace not prefix-free: "
+                f"{str(a)!r} is a prefix of {str(b)!r}"
+            )
 
 
 def oracle_kraft(programs) -> Fraction:
@@ -271,6 +285,30 @@ def oracle_pareto_triples(sys: DescriptionSystem, x):
         if not dominated:
             minimal.append(t)
     return sorted(minimal)
+
+
+def oracle_signature_rows(sys: DescriptionSystem, x, alpha_max: int) -> tuple:
+    """The rows of ``StructureProfile.signature()``, from the naive arrays."""
+
+    def pick(row, key):
+        return (None, None) if row is None else (row[key], row["witness"])
+
+    return tuple(
+        (*pick(h, "card"), *pick(lam, "lambda_key"), *pick(beta, "delta_key"))
+        for h, lam, beta in zip(*oracle_profile_arrays(sys, x, alpha_max))
+    )
+
+
+def oracle_mdl_guarantee(sys: DescriptionSystem, trace) -> bool:
+    """``|L| * 2**(K(x) - K(x|L)) <= 2**(|p| + ceil(log2|L|) + c_sub)`` at every
+    declaration, over Fractions."""
+    kx = oracle_K_data(sys, trace.x)
+    for d in trace.declarations:
+        s = d.record.set
+        lhs = Fraction(s.cardinality) * Fraction(2) ** (kx - oracle_K_cond(sys, trace.x, s))
+        if lhs > Fraction(2) ** (d.record.K_S + s.ceil_log_card + sys.c_sub):
+            return False
+    return True
 
 
 def oracle_loss_product(strategy_table, x: BitString) -> Fraction:

@@ -318,6 +318,24 @@ def test_convert_refuses_too_long_probabilities_quickly(text, message, tmp_path,
     assert message in record["error"]["message"]
 
 
+def test_convert_refuses_a_pmf_whose_total_is_too_long_to_show(tmp_path, capsys):
+    # Each token has about 4,000 digits; their sum has more than MAX_DIGITS.
+    path = tmp_path / "big.pmf"
+    path.write_text(f"0\t1/{3**8300}\n1\t1/{7**4700}\n")
+    assert path.stat().st_size == 7943
+    rc = run(
+        "convert", "--mode", "restrict-pmf", "--pmf", str(path), "--x", "0",
+        "--out", str(tmp_path / "out"),
+    )
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "convert"
+    assert record["error"]["type"] == "StructLabError"
+    message = record["error"]["message"]
+    assert "sum to 1 exactly, got about" in message
+    assert len(message) < 200
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from structlab.descsys import (
     FiniteSet,
     apply_permutation,
     build_system,
+    check_prefix_free,
     enumerate_models,
     enumeration_stream,
     expand_family,
@@ -24,12 +25,13 @@ from structlab.descsys import (
 )
 from structlab.errors import DescriptorError, StructLabError
 
-from .gensys import random_system
+from .gensys import random_prefix_code, random_system
 from .oracles import (
     oracle_K_cond,
     oracle_K_data,
     oracle_K_set,
     oracle_c_sub,
+    oracle_check_prefix_free,
     oracle_distinct_sets,
     oracle_family_entries,
     oracle_kraft,
@@ -365,6 +367,58 @@ def test_kraft_sum_matches_the_oracle(programs):
     for case in ([], [B("")], programs):
         total = kraft_sum(case)
         assert isinstance(total, Fraction) and total == oracle_kraft(case)
+
+
+@st.composite
+def program_lists(draw):
+    """Mixed-length programs, some made prefix pairs or duplicates of others
+    (a cut at 0 adds the empty program), or a random prefix-free code."""
+    if draw(st.booleans()):
+        code = random_prefix_code(draw(st.randoms()), draw(st.integers(1, 40)))
+        return draw(st.permutations(code))
+    texts = draw(st.lists(st.text(alphabet="01", max_size=12), max_size=12))
+    extra = []
+    if texts:
+        for t in draw(st.lists(st.sampled_from(texts), max_size=4)):
+            extra.append(t[: draw(st.integers(0, len(t)))])
+    return [B(t) for t in draw(st.permutations(texts + extra))]
+
+
+def prefix_outcome(check, programs):
+    try:
+        check(programs, "set")
+    except DescriptorError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=300)
+@given(program_lists())
+def test_check_prefix_free_matches_the_text_sort_oracle(programs):
+    assert prefix_outcome(check_prefix_free, iter(programs)) == prefix_outcome(
+        oracle_check_prefix_free, programs
+    )
+
+
+@pytest.mark.parametrize(
+    "texts, message",
+    [
+        ([], None),
+        ([""], None),
+        (["", ""], "duplicate program '' in set namespace"),
+        (["1", ""], "'' is a prefix of '1'"),
+        (["10", "0", "11"], None),
+        (["011", "1", "01", "00"], "'01' is a prefix of '011'"),
+        (["0100", "01"], "'01' is a prefix of '0100'"),
+    ],
+)
+def test_check_prefix_free_edge_cases(texts, message):
+    programs = [B(t) for t in texts]
+    outcome = prefix_outcome(check_prefix_free, programs)
+    assert outcome == prefix_outcome(oracle_check_prefix_free, programs)
+    assert (outcome is None) == (message is None)
+    if message is not None:
+        assert message in outcome
 
 
 @pytest.mark.parametrize(

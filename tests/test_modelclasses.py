@@ -29,7 +29,7 @@ from structlab.modelclasses import (
     probability_level,
     restrict_to_set,
 )
-from structlab.rational import log2_display, pow2
+from structlab.rational import MAX_DIGITS, log2_display, pow2, show_fraction
 from structlab.structfn import profile
 
 from .gensys import random_system
@@ -95,6 +95,39 @@ def test_too_long_probabilities_are_refused_quickly(token):
 def test_pmf_total_of_the_longest_decimal_is_shown():
     with pytest.raises(StructLabError, match=f"sum to 1 exactly, got {10**4293 + 1}/{10**4293}"):
         parse_pmf("0\t1e-4293\n1\t1\n")
+
+
+def test_pmf_total_too_long_to_show_is_approximated():
+    total = Fraction(1, 3**8300) + Fraction(1, 7**4700)
+    with pytest.raises(StructLabError) as info:
+        ProbModel(1, {"0": Fraction(1, 3**8300), "1": Fraction(1, 7**4700)})
+    assert str(info.value) == (
+        f"probabilities must sum to 1 exactly, got about {float(total)!r} "
+        f"(exact value over {MAX_DIGITS} digits)"
+    )
+
+
+@pytest.mark.parametrize(
+    "q, shown",
+    [
+        (Fraction(10**4299), str(10**4299)),
+        (Fraction(1, 10**4299), f"1/{10**4299}"),
+        (Fraction(-(10**4299), 7), f"-{10**4299}/7"),
+        (Fraction(10**4300 - 1), "9" * 4300),
+        (Fraction(10**4300), f"a value over {MAX_DIGITS} digits long"),
+        (Fraction(1, 10**4300), f"about 0.0 (exact value over {MAX_DIGITS} digits)"),
+    ],
+    ids=["long-int", "long-denominator", "negative", "longest", "overflow", "tiny"],
+)
+def test_show_fraction_stays_within_the_digit_limit(q, shown):
+    assert show_fraction(q) == shown
+
+
+def test_out_of_range_values_too_long_to_show_are_structlab_errors():
+    with pytest.raises(StructLabError, match="lie in .0, 1., got a value over 4300 digits"):
+        ProbModel(1, {"0": Fraction(10**4400), "1": 0})
+    with pytest.raises(StructLabError, match="in .0, 1., got a value over 4300 digits"):
+        probability_level(Fraction(10**4400))
 
 
 def test_pmf_drops_explicit_zeros():

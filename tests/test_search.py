@@ -14,11 +14,14 @@ from structlab.descsys import (
     DescriptionSystem,
     EnumerationStream,
     FiniteSet,
+    ModelRecord,
     build_system,
     enumeration_stream,
 )
 from structlab.errors import StructLabError
 from structlab.search import (
+    Declaration,
+    SearchTrace,
     anytime_search,
     improvement_audit,
     mdl_guarantee_holds,
@@ -27,6 +30,7 @@ from structlab.search import (
 from structlab.structfn import profile
 
 from .gensys import random_system
+from .oracles import oracle_mdl_guarantee
 
 B = BitString
 
@@ -266,6 +270,49 @@ def test_mdl_trace_invariants(seed):
     times = [d.time for d in trace.declarations]
     assert all(b > a for a, b in zip(times, times[1:]))
     assert mdl_guarantee_holds(sys, trace)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.data())
+def test_guarantee_matches_the_fraction_oracle(seed, data):
+    # Declared program lengths are drawn freely, so the bound both holds and fails.
+    sys = random_system(seed)
+    x = data.draw(st.integers(0, sys.universe_size() - 1), label="x")
+    containing = sys.entries_containing(x)
+    if not containing:
+        return
+    decls = tuple(
+        Declaration(
+            t,
+            ModelRecord(r.set, data.draw(st.integers(0, 12)), r.witness_program, r.K_cond),
+            0,
+            0.0,
+        )
+        for t, r in enumerate(data.draw(st.lists(st.sampled_from(containing), min_size=1)))
+    )
+    xb = B.from_value(sys.universe_n, x)
+    trace = SearchTrace("mdl", xb, 12, decls, decls[-1].record, False)
+    assert mdl_guarantee_holds(sys, trace) == oracle_mdl_guarantee(sys, trace)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.data())
+def test_direct_search_ends_on_the_beta_key(seed, data):
+    sys = random_system(seed, cheap_singletons=data.draw(st.booleans(), label="singletons"))
+    x = data.draw(st.integers(0, sys.universe_size() - 1), label="x")
+    alpha = data.draw(st.integers(0, sys.max_set_program_length()), label="alpha")
+    want = profile(sys, x, alpha_max=alpha).beta_key(alpha)
+    for stream_seed in (3, 11):
+        trace = anytime_search(sys, x, alpha, enumeration_stream(sys, stream_seed), "direct")
+        if want is None:
+            assert trace.flagged_empty
+            continue
+        final = trace.declarations[-1]
+        assert type(final.objective_key) is Fraction and final.objective_key == want
+        assert final.record.delta_key == want and final.record is trace.final
+        # a declaration names a new program or a corrected estimate
+        sigs = [(d.record.witness_program, d.record.K_cond) for d in trace.declarations]
+        assert all(a != b for a, b in zip(sigs, sigs[1:]))
 
 
 def test_guarantee_requires_mdl_trace(fixa):

@@ -29,10 +29,12 @@ from structlab.structfn import (
 
 from .gensys import random_system
 from .oracles import (
+    oracle_K_data,
     oracle_critical_alphas,
     oracle_mss,
     oracle_pareto_triples,
     oracle_profile_arrays,
+    oracle_signature_rows,
 )
 
 INF = math.inf
@@ -239,6 +241,39 @@ def _assert_matches_oracle(sys, x, alpha_max):
     assert [(pt.K_S, pt.delta_key, pt.lambda_key) for pt in p.pareto] == (
         oracle_pareto_triples(sys, x)
     )
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_delta_order_is_an_exact_integer_key(seed):
+    # random systems carry conditional shortcuts below the index code
+    sys = random_system(seed)
+    n = sys.universe_n
+    for v in range(sys.universe_size()):
+        records = sys.entries_containing(v)
+        for rec in records:
+            assert 0 <= rec.K_cond <= n
+            assert rec.delta_order == rec.delta_key * (1 << n)
+            assert type(rec.delta_key) is Fraction
+            assert rec.delta_key == deficiency_key(sys, v, rec.set)
+        assert sorted(records, key=lambda r: r.delta_order) == sorted(
+            records, key=lambda r: r.delta_key
+        )
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_signature_matches_the_oracle_arrays(seed):
+    sys = random_system(seed, max_sets=16)
+    alpha_max = sys.max_set_program_length() + 1
+    for v in range(0, sys.universe_size(), max(1, sys.universe_size() // 8)):
+        k_x, rows, critical, _, pareto, _ = profile(sys, v, alpha_max=alpha_max).signature()
+        assert k_x == oracle_K_data(sys, v)
+        assert rows == oracle_signature_rows(sys, v, alpha_max)
+        assert all(type(row[4]) is Fraction for row in rows if row[4] is not None)
+        lam_rows = oracle_profile_arrays(sys, v, alpha_max)[1]
+        assert list(critical) == oracle_critical_alphas(lam_rows)
+        assert list(pareto) == oracle_pareto_triples(sys, v)
 
 
 @settings(max_examples=30)
