@@ -51,7 +51,7 @@ from .search import (
     mdl_guarantee_holds,
     trace_jsonl_lines,
 )
-from .structfn import profile
+from .structfn import profile, profile_universe
 from .synth import cover_family, parse_synth_stream, synthesize
 from .unistat import (
     build_Sli,
@@ -186,8 +186,11 @@ def _full_cube(n: int) -> FiniteSet:
 def _cmd_profile(args):
     sys = load_system(args.system)
     _check_budget(sys, "--alpha-max", args.alpha_max)
-    xs = [BitString(args.x)] if args.x is not None else list(sys.universe_strings())
-    profiles = ((x, profile(sys, x, alpha_max=args.alpha_max)) for x in xs)
+    if args.x is None:
+        profiles = profile_universe(sys, alpha_max=args.alpha_max)
+    else:
+        x = BitString(args.x)
+        profiles = [(x, profile(sys, x, alpha_max=args.alpha_max))]
     if args.format == "csv":
         lines = ["x,alpha,h,lambda,beta"]
         for x, prof in profiles:

@@ -86,6 +86,11 @@ class BitString:
             raise CodecError("negative length")
         if not 0 <= value < (1 << length):
             raise CodecError(f"value {value} does not fit in {length} bits")
+        return cls._trusted(length, value)
+
+    @classmethod
+    def _trusted(cls, length: int, value: int) -> "BitString":
+        """:meth:`from_value` without its checks, for results that fit by construction."""
         self = cls.__new__(cls)
         self._length = length
         self._value = value
@@ -136,14 +141,14 @@ class BitString:
             raise CodecError(f"bad substring bounds [{start}:{stop}] of length {self._length}")
         width = stop - start
         chunk = (self._value >> (self._length - stop)) & ((1 << width) - 1)
-        return BitString.from_value(width, chunk)
+        return BitString._trusted(width, chunk)
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString.from_value(
+        return BitString._trusted(
             self._length + other._length,
             (self._value << other._length) | other._value,
         )
@@ -196,7 +201,7 @@ def string_of_integer(m: int) -> BitString:
     if m < 0:
         raise CodecError("string_of_integer expects a nonnegative integer")
     length = (m + 1).bit_length() - 1
-    return BitString.from_value(length, (m + 1) - (1 << length))
+    return BitString._trusted(length, (m + 1) - (1 << length))
 
 
 def integer_of_string(x: BitString) -> int:
@@ -213,7 +218,7 @@ def encode_sd(x: BitString) -> BitString:
     """Naive self-delimiting code ``1^|x| 0 x`` (length ``2|x| + 1``)."""
     n = len(x)
     value = (((1 << n) - 1) << (n + 1)) | x.value
-    return BitString.from_value(2 * n + 1, value)
+    return BitString._trusted(2 * n + 1, value)
 
 
 def sd_code_length(n: int) -> int:

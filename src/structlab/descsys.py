@@ -106,21 +106,30 @@ class FiniteSet:
         # members, so hashing the tuple on every lookup would cost O(2^n).
         self._hash = hash((n, self._values))
 
+    @classmethod
+    def _trusted(cls, n: int, values: Iterable[int]) -> "FiniteSet":
+        """A set from values already ascending, distinct and inside ``[0, 2^n)``."""
+        self = cls.__new__(cls)
+        self._n = n
+        self._values = tuple(values)
+        self._members = frozenset(self._values)
+        self._hash = hash((n, self._values))
+        return self
+
     @staticmethod
     def _coerce(n: int, v: "int | str | BitString") -> int:
-        if isinstance(v, BitString):
-            if len(v) != n:
-                raise DescriptorError(f"element {v!r} is not {n} bits long")
-            return v.value
-        if isinstance(v, str):
+        if type(v) is int:
+            if not 0 <= v < (1 << n):
+                raise DescriptorError(f"element value {v} outside universe of width {n}")
+            return v
+        if isinstance(v, (str, BitString)):
             b = BitString(v)
             if len(b) != n:
                 raise DescriptorError(f"element {v!r} is not {n} bits long")
             return b.value
-        v = int(v)
-        if not 0 <= v < (1 << n):
-            raise DescriptorError(f"element value {v} outside universe of width {n}")
-        return v
+        raise DescriptorError(
+            f"element {v!r} is a {type(v).__name__}, not an int, str or BitString"
+        )
 
     @property
     def n(self) -> int:
@@ -149,7 +158,7 @@ class FiniteSet:
         return tuple(BitString.from_value(self._n, v) for v in self._values)
 
     def __contains__(self, x: object) -> bool:
-        if isinstance(x, int):
+        if type(x) is int:
             return x in self._members
         if isinstance(x, (str, BitString)):
             try:
@@ -555,15 +564,14 @@ class DescriptionSystem:
             "cond": cond,
         }
 
-    def _chain_rule_defects(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(rank, v, K(x) - K(S) - K(x|S))`` for every representable pair.
+    def _member_conds(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(rank, v, K(x|S))`` for every representable pair.
 
         Set-major: one pass over ``set_entries()`` (``rank`` indexes it) and
         each set's members in value order, O(sum of |S|).  Each set's
         shortcut table is read once per entry, keeping only the shortcuts
         that beat the index code.
         """
-        k_data = self._k_data
         for rank, entry in enumerate(self._set_entries):
             s = entry.set
             index_code = s.ceil_log_card
@@ -572,9 +580,38 @@ class DescriptionSystem:
                 for v, q in self._shortcut_min.get(s, {}).items()
                 if q < index_code
             }
-            k_s = entry.K_S
             for v in s.values:
-                yield rank, v, k_data[v] - k_s - cheaper.get(v, index_code)
+                yield rank, v, cheaper.get(v, index_code)
+
+    def _chain_rule_defects(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(rank, v, K(x) - K(S) - K(x|S))`` for every representable pair,
+        in the order of :meth:`_member_conds`."""
+        k_data, entries = self._k_data, self._set_entries
+        for rank, v, k_cond in self._member_conds():
+            yield rank, v, k_data[v] - entries[rank].K_S - k_cond
+
+    def cache_all_containing(self) -> None:
+        """Fill the :meth:`entries_containing` cache for every string at once.
+
+        One set-major pass over the (set, member) pairs, O(2^n + sum of |S|),
+        where answering each string on its own scans every set entry.  The
+        records, their order and their K(x|S) are those the scan gives; a
+        string in no set gets ``()``.  Members sharing one K(x|S) share one
+        record.  A second call does nothing.
+        """
+        size = 1 << self.universe_n
+        if len(self._containing_cache) == size:
+            return
+        found: list[list[ModelRecord]] = [[] for _ in range(size)]
+        shared: dict[tuple[int, int], ModelRecord] = {}
+        for rank, v, k_cond in self._member_conds():
+            rec = shared.get((rank, k_cond))
+            if rec is None:
+                e = self._set_entries[rank]
+                rec = ModelRecord(e.set, e.K_S, e.witness_program, k_cond)
+                shared[rank, k_cond] = rec
+            found[v].append(rec)
+        self._containing_cache = dict(enumerate(map(tuple, found)))
 
     @property
     def c_sub(self) -> int:
@@ -827,28 +864,29 @@ def expand_family(
     by what was already parsed.  Expansion is linear in what it writes.
     """
     entries: list[tuple[str, BitString, BitString | FiniteSet]] = []
+    # Every value below is built in range and every member list ascending,
+    # so the strings and sets skip the checks outside callers get.
+    bits, members_of = BitString._trusted, FiniteSet._trusted
     if kind == "set":
         if name == "cube":
             (n,) = _require_args(name, args, "n")
-            entries.append(("set", tag, FiniteSet(n, range(1 << n))))
+            entries.append(("set", tag, members_of(n, range(1 << n))))
         elif name == "singletons":
             (n,) = _require_args(name, args, "n")
             for v in range(1 << n):
-                entries.append(
-                    ("set", tag + BitString.from_value(n, v), FiniteSet(n, [v]))
-                )
+                entries.append(("set", tag + bits(n, v), members_of(n, (v,))))
         elif name == "cylinders":
             (n,) = _require_args(name, args, "n")
             for l in range(n + 1):
                 for v in range(1 << l):
                     members = range(v << (n - l), (v + 1) << (n - l))
-                    code = encode_sd(BitString.from_value(l, v))
-                    entries.append(("set", tag + code, FiniteSet(n, members)))
+                    code = encode_sd(bits(l, v))
+                    entries.append(("set", tag + code, members_of(n, members)))
         elif name == "hamming":
             (n,) = _require_args(name, args, "n")
             for k, members in enumerate(_weight_slices(n)):
                 entries.append(
-                    ("set", tag + encode_sd(string_of_integer(k)), FiniteSet(n, members))
+                    ("set", tag + encode_sd(string_of_integer(k)), members_of(n, members))
                 )
         elif name == "patches":
             n, m = _require_args(name, args, "n", "m")
@@ -861,14 +899,14 @@ def expand_family(
                 for k in vector:
                     program = program + encode_sd(string_of_integer(k))
                     members = [(u << m) | w for u in members for w in slices[k]]
-                entries.append(("set", program, FiniteSet(n, members)))
+                entries.append(("set", program, members_of(n, members)))
         else:
             raise DescriptorError(f"unknown set family {name!r}")
     elif kind == "data":
         if name == "literal":
             (n,) = _require_args(name, args, "n")
             for v in range(1 << n):
-                b = BitString.from_value(n, v)
+                b = bits(n, v)
                 entries.append(("data", tag + b, b))
         elif name == "bernoulli":
             (n,) = _require_args(name, args, "n")
@@ -876,13 +914,7 @@ def expand_family(
                 width = (len(slice_vals) - 1).bit_length()
                 head = tag + encode_sd(string_of_integer(k))
                 for rank, v in enumerate(slice_vals):
-                    entries.append(
-                        (
-                            "data",
-                            head + BitString.from_value(width, rank),
-                            BitString.from_value(n, v),
-                        )
-                    )
+                    entries.append(("data", head + bits(width, rank), bits(n, v)))
         else:
             raise DescriptorError(f"unknown data family {name!r}")
     else:

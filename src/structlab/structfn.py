@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
@@ -50,6 +50,7 @@ __all__ = [
     "ClosenessSpec",
     "CurveViolation",
     "profile",
+    "profile_universe",
     "staircase",
     "deficiency",
     "deficiency_key",
@@ -243,34 +244,45 @@ def profile(
     k_x = sys.K_data(xb)
 
     containing = sys.entries_containing(xb)
+    # Each record's keys, read once: K(S), then the h, lambda and beta
+    # objectives, then the witness program's sort key.
+    facts = [
+        (
+            rec.K_S,
+            rec.cardinality,
+            rec.lambda_key,
+            rec.delta_order,
+            rec.witness_program.sort_key(),
+        )
+        for rec in containing
+    ]
 
-    def rows(objective) -> tuple["ModelRecord | None", ...]:
+    def stairs(objective: int) -> list:
         # Ties break by smaller K(S), then by the witness program.
-        keys = (
-            (rec.K_S, (objective(rec), rec.K_S, rec.witness_program.sort_key(), i))
-            for i, rec in enumerate(containing)
-        )
-        return tuple(
-            None if key is None else containing[key[-1]]
-            for key in staircase(keys, alpha_max)
+        return staircase(
+            ((f[0], (f[objective], f[0], f[4], i)) for i, f in enumerate(facts)),
+            alpha_max,
         )
 
-    h_rows = rows(lambda rec: rec.cardinality)
-    lambda_rows = rows(lambda rec: rec.lambda_key)
-    beta_rows = rows(lambda rec: rec.delta_order)
+    def rows(keys) -> tuple["ModelRecord | None", ...]:
+        return tuple(None if key is None else containing[key[-1]] for key in keys)
+
+    lambda_stairs = stairs(2)
+    lambda_rows = rows(lambda_stairs)
+    lambdas = [None if key is None else key[0] for key in lambda_stairs]
 
     critical = tuple(
         alpha
-        for alpha, (prev, row) in enumerate(pairwise((None, *lambda_rows)))
-        if row is not None and (prev is None or row.lambda_key < prev.lambda_key)
+        for alpha, (prev, lam) in enumerate(pairwise((None, *lambdas)))
+        if lam is not None and (prev is None or lam < prev)
     )
 
     sufficiency: "SufficiencyRecord | None" = None
     bound_exp = k_x + slack
     if bound_exp >= 0:
-        for alpha, row in enumerate(lambda_rows):
-            if row is not None and row.lambda_key <= (1 << bound_exp):
-                sufficiency = SufficiencyRecord(alpha, slack, row)
+        for alpha, lam in enumerate(lambdas):
+            if lam is not None and lam <= (1 << bound_exp):
+                sufficiency = SufficiencyRecord(alpha, slack, lambda_rows[alpha])
                 break
 
     return StructureProfile(
@@ -278,36 +290,50 @@ def profile(
         K_x=k_x,
         alpha_max=alpha_max,
         c_sub=sys.c_sub,
-        h_rows=h_rows,
+        h_rows=rows(stairs(1)),
         lambda_rows=lambda_rows,
-        beta_rows=beta_rows,
+        beta_rows=rows(stairs(3)),
         critical_alphas=critical,
         sufficiency=sufficiency,
-        pareto=_pareto_frontier(containing),
-        flagged=all(r is None for r in lambda_rows),
+        pareto=_pareto_frontier(containing, facts),
+        flagged=lambdas[-1] is None,
     )
 
 
-def _pareto_frontier(containing: Sequence[ModelRecord]) -> tuple[ParetoPoint, ...]:
+def profile_universe(
+    sys: DescriptionSystem, alpha_max: "int | None" = None
+) -> Iterator[tuple[BitString, StructureProfile]]:
+    """Yield ``(x, profile(sys, x))`` for every string of the universe, in value order.
+
+    Fills the containing-set table for every string in one set-major pass
+    first (:meth:`DescriptionSystem.cache_all_containing`), so what is left
+    per string is the fold.  For a single string, :func:`profile` alone is
+    cheaper: its scan of the set entries costs far less than the table.
+    """
+    sys.cache_all_containing()
+    for v in sys.universe_values():
+        prof = profile(sys, v, alpha_max=alpha_max)
+        yield prof.x, prof
+
+
+def _pareto_frontier(
+    containing: Sequence[ModelRecord], facts: Sequence[tuple]
+) -> tuple[ParetoPoint, ...]:
     # The records share one n, so delta_order orders them as delta_key does.
-    triples: dict[tuple[int, int, int], ModelRecord] = {}
-    for rec in containing:
-        key = (rec.K_S, rec.delta_order, rec.lambda_key)
-        prev = triples.get(key)
-        if prev is None or rec.witness_program.sort_key() < prev.witness_program.sort_key():
-            triples[key] = rec
-    keys = sorted(triples)
-    return tuple(
-        ParetoPoint(key[0], key[2], triples[key])
-        for key in keys
-        if not any(
-            other != key
-            and other[0] <= key[0]
-            and other[1] <= key[1]
-            and other[2] <= key[2]
-            for other in keys
-        )
-    )
+    witness: dict[tuple[int, int, int], int] = {}
+    for i, (k_s, _, lam, order, program) in enumerate(facts):
+        key = (k_s, order, lam)
+        prev = witness.get(key)
+        if prev is None or program < facts[prev][4]:
+            witness[key] = i
+    # A dominator sorts before what it dominates, and domination is
+    # transitive, so each triple need only face the front kept so far, all
+    # of whose K(S) are already <= its own.
+    front: list[tuple[int, int, int]] = []
+    for key in sorted(witness):
+        if not any(f[1] <= key[1] and f[2] <= key[2] for f in front):
+            front.append(key)
+    return tuple(ParetoPoint(key[0], key[2], containing[witness[key]]) for key in front)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end runs of the batch front door."""
 
+import functools
 import json
 import shutil
 import time
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from structlab import cli
 from structlab.cli import RunManifest, main
-from structlab.descsys import MAX_UNIVERSE_BITS, load_system
+from structlab.descsys import MAX_UNIVERSE_BITS, FiniteSet, load_system
 from structlab.errors import StructLabError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,6 +104,59 @@ def test_profile_reruns_are_byte_identical(fixa_path, tmp_path):
     }
     assert first == second
     assert set(first) == {"profile.csv", "manifest.json"}
+
+
+#: Family systems at n = 8 with a shortcut below the cube's index code.
+FAMILY_8 = """\
+data  0    @family:bernoulli(n=8)
+set   00   @family:cube(n=8)
+set   01   @family:hamming(n=8)
+set   100  @family:cylinders(n=8)
+set   101  @family:patches(n=8,m=4)
+set   110  @family:singletons(n=8)
+cond  0    00000110@00
+"""
+
+
+@pytest.fixture
+def family_8(tmp_path):
+    path = tmp_path / "family8.tsv"
+    path.write_text(FAMILY_8, encoding="utf-8")
+    return str(path)
+
+
+def test_whole_universe_csv_is_the_per_string_rows(family_8, tmp_path, monkeypatch):
+    assert run("profile", "--system", family_8, "--out", str(tmp_path / "all")) == 0
+    header, *rows = (tmp_path / "all" / "profile.csv").read_text().splitlines()
+    # One parse serves the per-string runs; each x still takes the scan path.
+    monkeypatch.setattr(cli, "load_system", functools.cache(load_system))
+    per_string = []
+    for v in range(1 << 8):
+        out = tmp_path / f"x{v}"
+        x = format(v, "08b")
+        assert run("profile", "--system", family_8, "--x", x, "--out", str(out)) == 0
+        head, *lines = (out / "profile.csv").read_text().splitlines()
+        assert head == header
+        per_string += lines
+    assert rows == per_string
+
+
+def test_whole_universe_profile_never_tests_set_membership(family_8, tmp_path, monkeypatch):
+    calls = []
+    contains = FiniteSet.__contains__
+
+    def counted(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(FiniteSet, "__contains__", counted)
+    for fmt in ("csv", "json"):
+        args = ("profile", "--system", family_8, "--format", fmt)
+        assert run(*args, "--out", str(tmp_path / fmt)) == 0
+    assert calls == []
+    # the per-string path scans the set entries, so the counter does count
+    assert run(*args, "--x", "00000110", "--out", str(tmp_path / "x")) == 0
+    assert calls
 
 
 # ---------------------------------------------------------------------------

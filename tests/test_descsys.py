@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from structlab.descsys import (
     kraft_sum,
 )
 from structlab.errors import DescriptorError, StructLabError
+from structlab.structfn import profile
 
 from .gensys import random_prefix_code, random_system
 from .oracles import (
@@ -90,12 +92,24 @@ def test_finite_set_refuses_members_outside_the_universe(values, message):
         FiniteSet(3, values)
 
 
-def test_finite_set_reads_bools_and_empty_iterables_as_values():
-    assert FiniteSet(2, [True, False, 3]) == FiniteSet(2, [0, 1, 3])
+def test_finite_set_reads_empty_iterables_as_the_empty_set():
     empty = FiniteSet(3, iter(()))
     assert empty.values == () and empty.cardinality == 0
     with pytest.raises(DescriptorError, match="ceil_log_card of the empty set"):
         empty.ceil_log_card
+
+
+@pytest.mark.parametrize("value", [2.7, 3.99, True, False, None, b"01", Fraction(1)])
+def test_values_that_are_not_int_str_or_bitstring_are_refused(fixa, value):
+    name = type(value).__name__
+    message = rf"is a {name}, not an int, str or BitString\Z"
+    with pytest.raises(DescriptorError, match=message):
+        FiniteSet(2, [0, value])
+    with pytest.raises(DescriptorError, match=message):
+        fixa.K_data(value)
+    with pytest.raises(DescriptorError, match=message):
+        profile(fixa, value)
+    assert value not in FiniteSet(2, range(4))
 
 
 def test_ceil_log_card_values():
@@ -342,6 +356,26 @@ def test_expand_family_matches_the_scan_oracle(name, args):
             assert out == FiniteSet(args["n"], expected)
         else:
             assert out == expected
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [case for case in _family_cases() if case[1]["n"] <= 8],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{a}" for k, a in v.items()),
+)
+def test_expand_family_entries_equal_a_checked_rebuild(name, args):
+    kind = "data" if name in ("literal", "bernoulli") else "set"
+    n = args["n"]
+    for _, program, out in expand_family(kind, B("10"), name, args):
+        assert program == B.from_value(len(program), program.value)
+        if kind == "data":
+            assert out == B.from_value(n, out.value)
+            continue
+        rebuilt = FiniteSet(n, out.values)
+        assert out == rebuilt and hash(out) == hash(rebuilt)
+        assert out.values == rebuilt.values
+        assert out.subset_of(rebuilt) and rebuilt.subset_of(out)
+        assert all(v in out for v in rebuilt.values)
 
 
 def test_width_bound_families_build_quickly():
@@ -602,3 +636,47 @@ def test_cheap_singleton_systems_valid(seed):
     assert kraft_sum(sys.set_programs) <= 1
     for v in range(sys.universe_size()):
         assert sys.K_set(FiniteSet(sys.universe_n, [v])) != math.inf
+
+
+def _table_against_scan(seed: int, **shape) -> Counter:
+    """Check the one-pass containing table against the per-string scan on one
+    generated system, and count the cases the system holds."""
+    scanned = random_system(seed, **shape)
+    tabled = random_system(seed, **shape)
+    tabled.cache_all_containing()
+    table = tabled._containing_cache
+    assert sorted(table) == list(scanned.universe_values())
+    met: Counter = Counter()
+    for v in scanned.universe_values():
+        want = scanned.entries_containing(v)
+        assert table[v] == want
+        assert [r.K_cond for r in table[v]] == [oracle_K_cond(scanned, v, r.set) for r in want]
+        met["string in no set"] += not want
+    tabled.cache_all_containing()
+    assert tabled._containing_cache is table
+    for s, shortcuts in scanned.cond_shortcuts.items():
+        for q, out in shortcuts.items():
+            if out.value not in s:
+                met["non-member shortcut"] += 1
+            elif len(q) < s.ceil_log_card:
+                met["shortcut below the index code"] += 1
+            else:
+                met["shortcut at or above the index code"] += 1
+    met["set printed twice"] += len(set(scanned.set_programs.values())) < len(
+        scanned.set_programs
+    )
+    return met
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([{}, {"cheap_singletons": True}, {"n": 6, "max_sets": 40}]),
+)
+def test_containing_table_equals_the_per_string_scan(seed, shape):
+    _table_against_scan(seed, **shape)
+
+
+def test_containing_table_battery_meets_every_case():
+    met = sum((_table_against_scan(seed) for seed in range(40)), Counter())
+    assert len(met) == 5 and min(met.values()) >= 5, met

@@ -24,6 +24,7 @@ from structlab.structfn import (
     deficiency_key,
     deficiency_tail_count,
     profile,
+    profile_universe,
     staircase,
 )
 
@@ -286,6 +287,33 @@ def test_profile_matches_oracle_on_random_systems(seed):
     alpha_max = sys.max_set_program_length() + 1
     for v in range(0, sys.universe_size(), max(1, sys.universe_size() // 8)):
         _assert_matches_oracle(sys, v, alpha_max)
+
+
+def test_pareto_front_matches_the_oracle_on_long_fronts():
+    long_fronts = 0
+    for seed in range(16):
+        sys = random_system(seed, n=6, max_sets=40)
+        for v in sys.universe_values():
+            front = [(p.K_S, p.delta_key, p.lambda_key) for p in profile(sys, v).pareto]
+            assert front == oracle_pareto_triples(sys, v)
+            long_fronts += len(front) > 3
+    assert long_fronts >= 20
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([{}, {"cheap_singletons": True}, {"n": 6, "max_sets": 40}]),
+)
+def test_profile_universe_is_profile_of_each_string(seed, shape):
+    alone = random_system(seed, **shape)
+    swept = random_system(seed, **shape)
+    alpha_max = alone.max_set_program_length() + 1
+    got = list(profile_universe(swept, alpha_max=alpha_max))
+    assert [x for x, _ in got] == list(alone.universe_strings())
+    for v, (x, prof) in enumerate(got):
+        assert prof.x == x
+        assert prof.signature() == profile(alone, v, alpha_max=alpha_max).signature()
 
 
 ### Exact definitional inequalities (spot checks; the acceptance suite scales up)
