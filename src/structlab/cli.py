@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import number, write_json, write_text
-from .codec import BitString
+from .codec import BitString, read_int, text_lines
 from .descsys import (
     MAX_UNIVERSE_BITS,
     DescriptionSystem,
@@ -29,7 +29,7 @@ from .descsys import (
     enumeration_stream,
     load_system,
 )
-from .errors import RefusalError, StructLabError
+from .errors import FixtureError, RefusalError, StructLabError
 from .experiments import (
     additivity_defect_report,
     make_nonstoch_system,
@@ -108,42 +108,24 @@ def _object_str(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_members(text: str, n: "int | None" = None) -> FiniteSet:
-    """A comma-separated list of equal-width bit strings as a set."""
-    parts = [p for p in text.split(",") if p]
-    if not parts:
-        raise StructLabError("the member list is empty")
-    bits = [BitString(p) for p in parts]
-    width = n if n is not None else len(bits[0])
-    return FiniteSet(width, bits)
-
-
 def _parse_cover_records(text: str):
-    """Parse claimed-model records, one ``record K K_COND MEMBERS`` line each.
-
-    Same lexical conventions as descriptor files: whitespace-separated
-    fields, ``#`` comments, blank lines ignored.
-    """
+    """Parse claimed-model records, one ``record K K_COND MEMBERS`` line each."""
     records = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 4 or fields[0] != "record":
-            raise StructLabError(f"line {lineno}: expected 'record K K_COND MEMBERS'")
-        try:
-            k = int(fields[1])
-            k_cond = int(fields[2])
-        except ValueError as exc:
-            raise StructLabError(f"line {lineno}: bad integer field") from exc
-        members = _parse_members(fields[3], width)
-        if width is None:
-            width = members.n
-        records.append((members, k, k_cond))
+    for where, (_, k, k_cond, members) in text_lines(
+        text, "record K K_COND MEMBERS", keyword="record"
+    ):
+        k, k_cond = read_int(k, "K", where), read_int(k_cond, "K_COND", where)
+        if k < 0 or k_cond < 0:
+            raise FixtureError(
+                f"{where}: claimed complexities must be nonnegative, "
+                f"got K={k}, K_COND={k_cond}"
+            )
+        s = FiniteSet.read(members, where, width)
+        width = s.n
+        records.append((s, k, k_cond))
     if not records:
-        raise StructLabError("a record file names no records")
+        raise FixtureError("a record file names no records")
     return records
 
 
@@ -326,7 +308,7 @@ def _cmd_convert(args):
     if mode in ("expand-pmf", "expand-fn"):
         if args.members is None:
             raise StructLabError(f"{mode} needs --members")
-        s = _parse_members(args.members, args.n)
+        s = FiniteSet.read(args.members, "--members", args.n)
         if mode == "expand-pmf":
             model = expand_set(s, "pmf")
             yield "model.pmf", format_pmf(model)

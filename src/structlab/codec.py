@@ -31,13 +31,21 @@ whatever remains.
 
 All decoders reject malformed input with :class:`~structlab.errors.CodecError`
 instead of guessing.
+
+Every text input (descriptors, streams, records and fixtures) is read
+through one lexer, :func:`text_lines`, and its fields through one reader
+per token kind: :func:`read_bits` (with :func:`show_bits` its inverse),
+:func:`read_int` and :func:`read_rational`.  Their refusals all read
+``line N: ...``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
-from .errors import CodecError
+from .errors import CodecError, FixtureError
+from .rational import read_fraction
 
 __all__ = [
     "BitString",
@@ -52,6 +60,11 @@ __all__ = [
     "std_code_length",
     "encode_pair",
     "decode_pair",
+    "text_lines",
+    "read_bits",
+    "show_bits",
+    "read_int",
+    "read_rational",
 ]
 
 
@@ -275,3 +288,60 @@ def encode_pair(x: BitString, y: BitString) -> BitString:
 def decode_pair(z: BitString) -> tuple[BitString, BitString]:
     """Inverse of :func:`encode_pair`: the unique (x, y) with z = x-block + y."""
     return decode_sd(z)
+
+
+# ---------------------------------------------------------------------------
+# Text inputs
+# ---------------------------------------------------------------------------
+
+
+def text_lines(
+    text: str, shape: str, error: type = FixtureError, keyword: "str | None" = None
+) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(where, fields)`` for each entry line of a text input.
+
+    The one lexical rule of every structlab input: ``#`` starts a comment
+    anywhere on a line, blank lines are skipped, and an entry line holds one
+    whitespace-separated field per word of ``shape`` (such as ``"string
+    probability"``), the first being ``keyword`` when one is given.
+    ``where`` is ``"line N"``, counting every line from 1, for messages.
+    """
+    width = len(shape.split())
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != width or (keyword is not None and fields[0] != keyword):
+            raise error(f"line {lineno}: expected '{shape}' ({width} fields), got {line!r}")
+        yield f"line {lineno}", fields
+
+
+def read_bits(token: str, what: str, where: str, error: type = FixtureError) -> BitString:
+    """A bit-string field; ``.`` stands for the empty string."""
+    if token == ".":
+        return EMPTY
+    if token.strip("01"):
+        raise error(f"{where}: malformed {what} {token!r}")
+    return BitString(token)
+
+
+def show_bits(b: BitString) -> str:
+    """The field :func:`read_bits` reads back as ``b``."""
+    return str(b) if len(b) else "."
+
+
+def read_int(token: str, what: str, where: str) -> int:
+    """An integer field."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FixtureError(f"{where}: malformed {what} {token!r}") from None
+
+
+def read_rational(token: str, what: str, where: str) -> Fraction:
+    """A rational field such as ``1/3``, ``0.25`` or ``1``, read exactly."""
+    try:
+        return read_fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise FixtureError(f"{where}: malformed {what} {token!r}") from None

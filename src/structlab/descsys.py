@@ -49,8 +49,8 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .codec import BitString, encode_sd, string_of_integer
-from .errors import DescriptorError, StructLabError
+from .codec import BitString, encode_sd, read_bits, show_bits, string_of_integer, text_lines
+from .errors import DescriptorError, FixtureError, StructLabError
 from .rational import ceil_log2, log2_display
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "EnumerationEvent",
     "EnumerationStream",
     "build_system",
-    "build_system_from_entries",
     "load_system",
     "enumerate_models",
     "enumeration_stream",
@@ -115,6 +114,28 @@ class FiniteSet:
         self._members = frozenset(self._values)
         self._hash = hash((n, self._values))
         return self
+
+    @classmethod
+    def read(
+        cls, field: str, where: str, width: "int | None" = None, error: type = FixtureError
+    ) -> "FiniteSet":
+        """A comma-separated member list such as ``00,01`` (empty items skipped).
+
+        The members share one width, ``width`` when it is given; refusals
+        raise ``error`` and start with ``where``.
+        """
+        members = [read_bits(t, "member", where, error) for t in field.split(",") if t]
+        if not members:
+            raise error(f"{where}: member list has no members")
+        widths = {len(b) for b in members}
+        if len(widths) != 1:
+            raise error(f"{where}: mixed member widths in {field!r}")
+        (w,) = widths
+        if not 1 <= w <= MAX_UNIVERSE_BITS:
+            raise error(f"{where}: member width {w} is outside [1, {MAX_UNIVERSE_BITS}]")
+        if width is not None and w != width:
+            raise error(f"{where}: member width {w} != expected {width}")
+        return cls(w, [b.value for b in members])
 
     @staticmethod
     def _coerce(n: int, v: "int | str | BitString") -> int:
@@ -630,16 +651,12 @@ class DescriptionSystem:
 
     def to_descriptor_text(self) -> str:
         """Serialize as an explicit descriptor (families already expanded)."""
-
-        def prog(p: BitString) -> str:
-            return str(p) if len(p) else "."
-
         lines = [f"# universe width {self.universe_n}"]
         for p in sorted(self.data_programs, key=BitString.sort_key):
-            lines.append(f"data\t{prog(p)}\t{self.data_programs[p]}")
+            lines.append(f"data\t{show_bits(p)}\t{self.data_programs[p]}")
         for p in sorted(self.set_programs, key=BitString.sort_key):
             members = ",".join(str(b) for b in self.set_programs[p].bitstrings())
-            lines.append(f"set\t{prog(p)}\t{members}")
+            lines.append(f"set\t{show_bits(p)}\t{members}")
         for s, table in sorted(
             self.cond_shortcuts.items(), key=lambda kv: (self.K_set(kv[0]), kv[0].values)
         ):
@@ -647,7 +664,7 @@ class DescriptionSystem:
             if anchor is None:  # pragma: no cover - ruled out by validation
                 raise DescriptorError("cannot serialize shortcuts of an unprintable set")
             for q in sorted(table, key=BitString.sort_key):
-                lines.append(f"cond\t{prog(q)}\t{table[q]}@{prog(anchor)}")
+                lines.append(f"cond\t{show_bits(q)}\t{table[q]}@{show_bits(anchor)}")
         return "\n".join(lines) + "\n"
 
 
@@ -784,15 +801,6 @@ def apply_permutation(
 _FAMILY_RE = re.compile(r"@family:([a-z_]+)\((.*)\)\Z")
 
 
-def _parse_program(token: str) -> BitString:
-    if token == ".":
-        return BitString("")
-    try:
-        return BitString(token)
-    except Exception as exc:
-        raise DescriptorError(f"bad program field {token!r}") from exc
-
-
 def _parse_family_args(text: str) -> dict[str, int]:
     args: dict[str, int] = {}
     if not text.strip():
@@ -922,9 +930,6 @@ def expand_family(
     return entries
 
 
-RawEntry = tuple[str, "str | BitString", str]
-
-
 def _infer_universe(widths: set[int]) -> int:
     if not widths:
         raise DescriptorError("cannot infer the universe width: no sized payloads")
@@ -933,115 +938,82 @@ def _infer_universe(widths: set[int]) -> int:
     return widths.pop()
 
 
-def build_system_from_entries(entries: Iterable[RawEntry]) -> DescriptionSystem:
-    """Build a system from raw (kind, program, payload) descriptor entries.
+def build_system(text: str) -> DescriptionSystem:
+    """Parse a descriptor from text.
 
+    Grammar: one ``kind program payload`` entry per line, in the lexical
+    form of every structlab input (see :func:`~structlab.codec.text_lines`:
+    ``#`` comments, blank lines skipped); ``.`` denotes the empty program.
     Payload syntax per kind:
 
     * ``data``: an n-bit string, or ``@family:...``;
     * ``set``: comma-separated n-bit strings, or ``@family:...``;
     * ``cond``: ``X@P`` where X is the printed n-bit string and P is the
-      set program (``.`` for the empty program) whose printed set the
-      shortcut is conditioned on.
+      set program whose printed set the shortcut is conditioned on.
 
     The universe width is inferred from the payloads and family arguments
-    and must be consistent.
+    and must be consistent.  See :func:`expand_family` for the family
+    grammars.  Refusals of one entry name its line.
     """
-    expanded: list[tuple[str, BitString, object]] = []
-    cond_raw: list[tuple[BitString, str, str]] = []
+    tables: dict[str, dict] = {"data": {}, "set": {}}
+    conds: list[tuple[str, BitString, BitString, BitString]] = []
     widths: set[int] = set()
 
-    for lineno, (kind, program_token, payload) in enumerate(entries, start=1):
-        kind = kind.strip()
-        program = (
-            program_token
-            if isinstance(program_token, BitString)
-            else _parse_program(str(program_token).strip())
-        )
-        payload = payload.strip()
+    for where, (kind, token, payload) in text_lines(
+        text, "kind program payload", DescriptorError
+    ):
         if kind not in ("data", "set", "cond"):
-            raise DescriptorError(f"entry {lineno}: unknown kind {kind!r}")
+            raise DescriptorError(f"{where}: unknown kind {kind!r}")
+        program = read_bits(token, "program", where, DescriptorError)
         fam = _FAMILY_RE.match(payload)
         if fam:
-            name, argtext = fam.group(1), fam.group(2)
-            args = _parse_family_args(argtext)
+            try:
+                args = _parse_family_args(fam.group(2))
+                entries = expand_family(kind, program, fam.group(1), args)
+            except DescriptorError as exc:
+                raise DescriptorError(f"{where}: {exc}") from None
             if "n" in args:
                 widths.add(args["n"])
-            expanded.extend(expand_family(kind, program, name, args))
-            continue
-        if kind == "data":
-            out = BitString(payload)
+        elif kind == "data":
+            out = read_bits(payload, "data output", where, DescriptorError)
             widths.add(len(out))
-            expanded.append(("data", program, out))
+            entries = [(kind, program, out)]
         elif kind == "set":
-            members = [tok for tok in payload.split(",") if tok]
-            if not members:
-                raise DescriptorError(f"entry {lineno}: set payload has no members")
-            for tok in members:
-                widths.add(len(tok))
-            expanded.append(("set", program, tuple(members)))
-        else:  # cond
-            if "@" not in payload:
-                raise DescriptorError(
-                    f"entry {lineno}: cond payload must look like X@SETPROGRAM"
-                )
-            xtok, _, anchor = payload.partition("@")
-            widths.add(len(xtok))
-            cond_raw.append((program, xtok, anchor.strip()))
+            members = FiniteSet.read(payload, where, error=DescriptorError)
+            widths.add(members.n)
+            entries = [(kind, program, members)]
+        else:
+            xtok, at, anchor = payload.partition("@")
+            if not at:
+                raise DescriptorError(f"{where}: cond payload must look like X@SETPROGRAM")
+            x = read_bits(xtok, "cond output", where, DescriptorError)
+            anchor = read_bits(anchor, "set program", where, DescriptorError)
+            widths.add(len(x))
+            conds.append((where, program, x, anchor))
+            continue
+        table = tables[kind]
+        for _, prog, value in entries:
+            if prog in table:
+                raise DescriptorError(f"{where}: duplicate {kind} program {str(prog)!r}")
+            table[prog] = value
 
     n = _infer_universe(widths)
-
-    data_programs: dict[BitString, BitString] = {}
-    set_programs: dict[BitString, FiniteSet] = {}
-    for kind, program, payload in expanded:
-        if kind == "data":
-            out = payload if isinstance(payload, BitString) else BitString(payload)
-            if program in data_programs:
-                raise DescriptorError(f"duplicate data program {str(program)!r}")
-            data_programs[program] = out
-        else:
-            s = payload if isinstance(payload, FiniteSet) else FiniteSet(n, payload)
-            if program in set_programs:
-                raise DescriptorError(f"duplicate set program {str(program)!r}")
-            set_programs[program] = s
-
+    set_programs = tables["set"]
     cond_shortcuts: dict[FiniteSet, dict[BitString, BitString]] = {}
-    for program, xtok, anchor_tok in cond_raw:
-        anchor = _parse_program(anchor_tok)
+    for where, program, x, anchor in conds:
         target = set_programs.get(anchor)
         if target is None:
             raise DescriptorError(
-                f"cond entry references unknown set program {anchor_tok!r}"
+                f"{where}: cond entry references unknown set program {show_bits(anchor)!r}"
             )
         table = cond_shortcuts.setdefault(target, {})
         if program in table:
             raise DescriptorError(
-                f"duplicate conditional program {str(program)!r} for one set"
+                f"{where}: duplicate conditional program {str(program)!r} for one set"
             )
-        table[program] = BitString(xtok)
+        table[program] = x
 
-    return DescriptionSystem(n, data_programs, set_programs, cond_shortcuts)
-
-
-def build_system(text: str) -> DescriptionSystem:
-    """Parse a descriptor from text.
-
-    Grammar: one entry per line, ``kind  program  payload`` separated by
-    whitespace (canonically tabs); ``#`` starts a comment; blank lines are
-    ignored; ``.`` denotes the empty program.  See
-    :func:`build_system_from_entries` for payload syntax and
-    :func:`expand_family` for the family grammars.
-    """
-    entries: list[RawEntry] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise DescriptorError(f"descriptor line needs 3 fields: {raw!r}")
-        entries.append((fields[0], fields[1], fields[2]))
-    return build_system_from_entries(entries)
+    return DescriptionSystem(n, tables["data"], set_programs, cond_shortcuts)
 
 
 def load_system(path: "str | Path") -> DescriptionSystem:

@@ -27,7 +27,11 @@ class DescriptorError(StructLabError):
 
 
 class FixtureError(StructLabError):
-    """A fixture file (stream, strategy, pmf, fn table, enumeration) is malformed."""
+    """An input file other than a descriptor is malformed.
+
+    Synth streams, cover records and the pmf, fn table, strategy, codebook
+    and enumeration fixtures.
+    """
 
 
 class RefusalError(StructLabError):

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import EMPTY, BitString
+from .codec import BitString, read_bits, read_rational, show_bits, text_lines
 from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2, read_fraction, show_fraction, unit_fraction
+from .rational import log2_display, pow2, show_fraction, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -58,13 +58,6 @@ MAX_SUPPORT_LENGTH = 16
 MAX_ARG_LENGTH = 16
 
 
-def _coerce_bits(x) -> BitString:
-    b = BitString(x) if isinstance(x, str) else x
-    if not isinstance(b, BitString):
-        raise StructLabError(f"expected a bit string, got {x!r}")
-    return b
-
-
 class ProbModel:
     """A finitely-supported rational pmf on strings of one fixed length.
 
@@ -83,7 +76,7 @@ class ProbModel:
             )
         norm: dict[BitString, Fraction] = {}
         for x, p in dict(pmf).items():
-            b = _coerce_bits(x)
+            b = BitString(x)
             if len(b) != n:
                 raise StructLabError(
                     f"support string {b!r} does not have length {n}"
@@ -108,7 +101,7 @@ class ProbModel:
 
     def probability(self, x: "str | BitString") -> Fraction:
         """P(x); zero for any string outside the support."""
-        return self._pmf.get(_coerce_bits(x), Fraction(0))
+        return self._pmf.get(BitString(x), Fraction(0))
 
     def support(self) -> tuple[BitString, ...]:
         """The positive-probability strings, in value order."""
@@ -150,7 +143,7 @@ class TotalFnModel:
             )
         norm: dict[BitString, BitString] = {}
         for d, v in dict(table).items():
-            a = _coerce_bits(d)
+            a = BitString(d)
             if len(a) > arg_len:
                 raise StructLabError(
                     f"table argument {a!r} is longer than the declared "
@@ -158,7 +151,7 @@ class TotalFnModel:
                 )
             if a in norm:
                 raise StructLabError(f"repeated table argument {a!r}")
-            norm[a] = _coerce_bits(v)
+            norm[a] = BitString(v)
         if not norm:
             raise StructLabError("a function model must cover at least one argument length")
         by_length: dict[int, int] = {}
@@ -191,7 +184,7 @@ class TotalFnModel:
         return self._lengths
 
     def value(self, d: "str | BitString") -> BitString:
-        a = _coerce_bits(d)
+        a = BitString(d)
         try:
             return self._table[a]
         except KeyError:
@@ -210,7 +203,7 @@ class TotalFnModel:
 
     def data_length(self, x: "str | BitString") -> "int | None":
         """Shortest covered argument length printing ``x``; None if none does."""
-        xb = _coerce_bits(x)
+        xb = BitString(x)
         for length in self._lengths:
             if any(v == xb for a, v in self._table.items() if len(a) == length):
                 return length
@@ -352,7 +345,7 @@ class FnRestriction:
 
 
 def _restrict_pmf(model: ProbModel, x: "str | BitString") -> PmfRestriction:
-    xb = _coerce_bits(x)
+    xb = BitString(x)
     if len(xb) != model.n:
         raise StructLabError(
             f"string length {len(xb)} does not match the support length {model.n}"
@@ -373,7 +366,7 @@ def _restrict_pmf(model: ProbModel, x: "str | BitString") -> PmfRestriction:
 
 
 def _restrict_fn(model: TotalFnModel, x: "str | BitString") -> FnRestriction:
-    xb = _coerce_bits(x)
+    xb = BitString(x)
     length = model.data_length(xb)
     if length is None:
         raise StructLabError(
@@ -421,7 +414,7 @@ def _shortcut_length(shortcuts, xb: BitString) -> "int | None":
         return None
     norm = {}
     for obj, prog in dict(shortcuts).items():
-        norm[_coerce_bits(obj)] = _coerce_bits(prog)
+        norm[BitString(obj)] = BitString(prog)
     check_prefix_free(norm.values(), "conditional")
     prog = norm.get(xb)
     return None if prog is None else len(prog)
@@ -437,7 +430,7 @@ def pmf_deficiency_key(
     under ``P``; an optional prefix-free shortcut table may undercut it,
     raising the deficiency, exactly as conditional shortcuts do for sets.
     """
-    xb = _coerce_bits(x)
+    xb = BitString(x)
     p = model.probability(xb)
     short = _shortcut_length(shortcuts, xb)
     if p == 0:
@@ -459,7 +452,7 @@ def fn_deficiency(model: TotalFnModel, x: "str | BitString", shortcuts=None) -> 
     The default conditional cost is the argument that prints ``x``, so the
     deficiency is 0 unless a shortcut names ``x`` more cheaply.
     """
-    xb = _coerce_bits(x)
+    xb = BitString(x)
     length = model.data_length(xb)
     short = _shortcut_length(shortcuts, xb)
     if length is None:
@@ -524,7 +517,7 @@ def likelihood_curve(
     maximum-likelihood analog of the set profile's size curve and is
     non-increasing in the budget.
     """
-    xb = _coerce_bits(x)
+    xb = BitString(x)
     if len(xb) != codebook.n:
         raise StructLabError(
             f"string length {len(xb)} does not match the support length {codebook.n}"
@@ -564,10 +557,6 @@ def pmf_codebook_from_sets(sys: DescriptionSystem) -> PmfCodebook:
 # ---------------------------------------------------------------------------
 
 
-def _format_token(b: BitString) -> str:
-    return str(b) if len(b) else "."
-
-
 def parse_pmf(text: str, n: "int | None" = None) -> ProbModel:
     """Parse a pmf fixture: one ``string<TAB>probability`` line per string.
 
@@ -575,27 +564,13 @@ def parse_pmf(text: str, n: "int | None" = None) -> ProbModel:
     support length defaults to the length of the first string named.
     """
     entries: dict[BitString, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FixtureError(
-                f"line {lineno}: expected 'string probability', got {line!r}"
-            )
-        token = parts[0]
-        if not token or not all(c in "01" for c in token):
-            raise FixtureError(f"line {lineno}: malformed string {token!r}")
-        b = BitString(token)
-        try:
-            q = read_fraction(parts[1])
-        except (ValueError, ZeroDivisionError):
-            raise FixtureError(
-                f"line {lineno}: malformed probability {parts[1]!r}"
-            ) from None
+    for where, (token, p_token) in text_lines(text, "string probability"):
+        b = read_bits(token, "string", where)
+        if not b:
+            raise FixtureError(f"{where}: malformed string {token!r}")
+        q = read_rational(p_token, "probability", where)
         if b in entries:
-            raise FixtureError(f"line {lineno}: repeated string {token!r}")
+            raise FixtureError(f"{where}: repeated string {token!r}")
         entries[b] = q
     if not entries:
         raise FixtureError("a probability fixture names no strings")
@@ -617,24 +592,12 @@ def parse_fn(text: str, arg_len: "int | None" = None) -> TotalFnModel:
     named.
     """
     entries: dict[BitString, BitString] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FixtureError(
-                f"line {lineno}: expected 'argument value', got {line!r}"
-            )
-        arg_token, value_token = parts
-        if arg_token != "." and not all(c in "01" for c in arg_token):
-            raise FixtureError(f"line {lineno}: malformed argument {arg_token!r}")
-        if value_token != "." and not all(c in "01" for c in value_token):
-            raise FixtureError(f"line {lineno}: malformed value {value_token!r}")
-        arg = EMPTY if arg_token == "." else BitString(arg_token)
+    for where, (arg_token, value_token) in text_lines(text, "argument value"):
+        arg = read_bits(arg_token, "argument", where)
+        value = read_bits(value_token, "value", where)
         if arg in entries:
-            raise FixtureError(f"line {lineno}: repeated argument {arg_token!r}")
-        entries[arg] = EMPTY if value_token == "." else BitString(value_token)
+            raise FixtureError(f"{where}: repeated argument {arg_token!r}")
+        entries[arg] = value
     if not entries:
         raise FixtureError("a function fixture names no entries")
     if arg_len is None:
@@ -643,5 +606,5 @@ def parse_fn(text: str, arg_len: "int | None" = None) -> TotalFnModel:
 
 
 def format_fn(model: TotalFnModel) -> str:
-    lines = [f"{_format_token(a)}\t{_format_token(v)}" for a, v in model.items()]
+    lines = [f"{show_bits(a)}\t{show_bits(v)}" for a, v in model.items()]
     return "\n".join(lines) + "\n"

@@ -39,10 +39,10 @@ from fractions import Fraction
 from itertools import chain
 
 from .artifacts import number
-from .codec import EMPTY, BitString
+from .codec import BitString, read_bits, read_rational, show_bits, text_lines
 from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
-from .rational import log2_display, pow2, read_fraction, unit_fraction
+from .rational import log2_display, pow2, unit_fraction
 from .structfn import staircase
 
 __all__ = [
@@ -109,9 +109,7 @@ class PredictionStrategy:
         slots: list = [None] * _slot_count(n)
         given = 0
         for prefix, p in dict(table).items():
-            b = BitString(prefix) if isinstance(prefix, str) else prefix
-            if not isinstance(b, BitString):
-                raise StructLabError(f"malformed prefix {prefix!r}")
+            b = BitString(prefix)
             if len(b) >= n:
                 raise StructLabError(
                     f"prefix {b!r} is not shorter than the horizon {n}"
@@ -150,8 +148,8 @@ class PredictionStrategy:
         return self._n
 
     def p(self, prefix: "str | BitString") -> Fraction:
-        b = BitString(prefix) if isinstance(prefix, str) else prefix
-        if not isinstance(b, BitString) or len(b) >= self._n:
+        b = BitString(prefix)
+        if len(b) >= self._n:
             raise StructLabError(f"prefix {b!r} is outside the horizon")
         return self._beliefs[b.to_integer()]
 
@@ -207,7 +205,7 @@ def evaluate_loss(strategy: PredictionStrategy, x: "str | BitString") -> LossRec
     Each step contributes the belief put on the bit that actually came:
     ``p`` when the next bit is 1, ``1 - p`` when it is 0.
     """
-    xb = BitString(x) if isinstance(x, str) else x
+    xb = BitString(x)
     if len(xb) != strategy.n:
         raise StructLabError(
             f"string length {len(xb)} does not match the horizon {strategy.n}"
@@ -348,7 +346,7 @@ def snooping_curve(
     realized product on ``x`` (ties to the smallest program); losses are
     therefore non-increasing in the budget.
     """
-    xb = BitString(x) if isinstance(x, str) else x
+    xb = BitString(x)
     if len(xb) != codebook.n:
         raise StructLabError(
             f"string length {len(xb)} does not match the horizon {codebook.n}"
@@ -393,10 +391,6 @@ def codebook_from_sets(sys: DescriptionSystem) -> StrategyCodebook:
 # ---------------------------------------------------------------------------
 
 
-def _format_prefix(b: BitString) -> str:
-    return str(b) if len(b) else "."
-
-
 def parse_strategy(text: str, n: "int | None" = None) -> PredictionStrategy:
     """Parse a strategy fixture: one ``prefix<TAB>belief`` line per prefix.
 
@@ -405,26 +399,11 @@ def parse_strategy(text: str, n: "int | None" = None) -> PredictionStrategy:
     more than the longest prefix.
     """
     table: dict[BitString, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FixtureError(f"line {lineno}: expected 'prefix belief', got {line!r}")
-        token = parts[0]
-        if token == ".":
-            prefix = EMPTY
-        elif all(c in "01" for c in token):
-            prefix = BitString(token)
-        else:
-            raise FixtureError(f"line {lineno}: malformed prefix {token!r}")
-        try:
-            p = read_fraction(parts[1])
-        except (ValueError, ZeroDivisionError):
-            raise FixtureError(f"line {lineno}: malformed belief {parts[1]!r}") from None
+    for where, (token, p_token) in text_lines(text, "prefix belief"):
+        prefix = read_bits(token, "prefix", where)
+        p = read_rational(p_token, "belief", where)
         if prefix in table:
-            raise FixtureError(f"line {lineno}: repeated prefix {token!r}")
+            raise FixtureError(f"{where}: repeated prefix {token!r}")
         table[prefix] = p
     if not table:
         raise FixtureError("strategy fixture names no prefixes")
@@ -434,40 +413,23 @@ def parse_strategy(text: str, n: "int | None" = None) -> PredictionStrategy:
 
 
 def format_strategy(strategy: PredictionStrategy) -> str:
-    lines = [f"{_format_prefix(b)}\t{p}" for b, p in strategy.items()]
+    lines = [f"{show_bits(b)}\t{p}" for b, p in strategy.items()]
     return "\n".join(lines) + "\n"
 
 
 def parse_codebook(text: str) -> StrategyCodebook:
     """Parse a codebook fixture: ``program<TAB>prefix<TAB>belief`` lines."""
     grouped: dict[BitString, dict[BitString, Fraction]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FixtureError(
-                f"line {lineno}: expected 'program prefix belief', got {line!r}"
-            )
-        prog_token, prefix_token, p_token = parts
-        if prog_token != "." and not all(c in "01" for c in prog_token):
-            raise FixtureError(f"line {lineno}: malformed program {prog_token!r}")
-        if prefix_token != "." and not all(c in "01" for c in prefix_token):
-            raise FixtureError(f"line {lineno}: malformed prefix {prefix_token!r}")
-        prog = EMPTY if prog_token == "." else BitString(prog_token)
-        sub = grouped.get(prog)
-        if sub is None:
-            sub = grouped[prog] = {}
-        prefix = EMPTY if prefix_token == "." else BitString(prefix_token)
+    for where, (prog_token, prefix_token, p_token) in text_lines(
+        text, "program prefix belief"
+    ):
+        sub = grouped.setdefault(read_bits(prog_token, "program", where), {})
+        prefix = read_bits(prefix_token, "prefix", where)
         if prefix in sub:
             raise FixtureError(
-                f"line {lineno}: repeated prefix {prefix_token!r} for program {prog_token!r}"
+                f"{where}: repeated prefix {prefix_token!r} for program {prog_token!r}"
             )
-        try:
-            sub[prefix] = read_fraction(p_token)
-        except (ValueError, ZeroDivisionError):
-            raise FixtureError(f"line {lineno}: malformed belief {p_token!r}") from None
+        sub[prefix] = read_rational(p_token, "belief", where)
     if not grouped:
         raise FixtureError("codebook fixture names no programs")
     horizon = max((len(b) for sub in grouped.values() for b in sub), default=0) + 1
@@ -477,9 +439,9 @@ def parse_codebook(text: str) -> StrategyCodebook:
 
 
 def format_codebook(codebook: StrategyCodebook) -> str:
-    lines = []
-    for prog, strat in codebook.programs.items():
-        prog_text = str(prog) if len(prog) else "."
-        for prefix, p in strat.items():
-            lines.append(f"{prog_text}\t{_format_prefix(prefix)}\t{p}")
+    lines = [
+        f"{show_bits(prog)}\t{show_bits(prefix)}\t{p}"
+        for prog, strat in codebook.programs.items()
+        for prefix, p in strat.items()
+    ]
     return "\n".join(lines) + "\n"

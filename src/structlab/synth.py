@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import BitString
+from .codec import BitString, read_int, text_lines
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
 from .errors import StructLabError
 from .rational import ceil_log2, log2_display, pow2
@@ -149,38 +149,15 @@ class SynthesisRun:
 def parse_synth_stream(text: str, width: "int | None" = None) -> tuple[SynthEvent, ...]:
     """Parse adversary events, one ``step LEVEL MEMBERS`` line each.
 
-    Same lexical conventions as descriptor files: whitespace-separated
-    fields, ``#`` comments, blank lines ignored.  MEMBERS is a
-    comma-separated list of equal-width bit strings; the width must match
-    ``width`` when given and be consistent across lines.
+    MEMBERS is a comma-separated list of equal-width bit strings; the width
+    must match ``width`` when given and be consistent across lines.
     """
     events: list[SynthEvent] = []
-    seen_width = width
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3 or fields[0] != "step":
-            raise StructLabError(f"line {lineno}: expected 'step LEVEL MEMBERS'")
-        try:
-            level = int(fields[1])
-        except ValueError as exc:
-            raise StructLabError(f"line {lineno}: bad level {fields[1]!r}") from exc
-        members = [m for m in fields[2].split(",") if m]
-        if not members:
-            raise StructLabError(f"line {lineno}: event removes no elements")
-        widths = {len(m) for m in members}
-        if len(widths) != 1:
-            raise StructLabError(f"line {lineno}: mixed member widths")
-        w = widths.pop()
-        if seen_width is None:
-            seen_width = w
-        elif w != seen_width:
-            raise StructLabError(
-                f"line {lineno}: member width {w} != expected {seen_width}"
-            )
-        events.append(SynthEvent(len(events), level, FiniteSet(w, members)))
+    for where, (_, level, members) in text_lines(text, "step LEVEL MEMBERS", keyword="step"):
+        level = read_int(level, "level", where)
+        block = FiniteSet.read(members, where, width)
+        width = block.n
+        events.append(SynthEvent(len(events), level, block))
     return tuple(events)
 
 
@@ -403,11 +380,15 @@ class CoverReport:
 def _coerce_records(records: Iterable) -> list[CoverRecord]:
     out: list[CoverRecord] = []
     for item in records:
-        if isinstance(item, CoverRecord):
-            out.append(item)
-        else:
+        if not isinstance(item, CoverRecord):
             s, k, cond = item
-            out.append(CoverRecord(s, int(k), int(cond)))
+            item = CoverRecord(s, int(k), int(cond))
+        if item.claimed_k < 0 or item.claimed_cond < 0:
+            raise StructLabError(
+                f"cover record {len(out)}: claimed complexities must be nonnegative, "
+                f"got K={item.claimed_k}, K_COND={item.claimed_cond}"
+            )
+        out.append(item)
     if not out:
         raise StructLabError("no cover records supplied")
     return out

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from operator import itemgetter
 
-from .codec import BitString
+from .codec import BitString, read_bits, read_int, show_bits, text_lines
 from .descsys import DescriptionSystem, FiniteSet
 from .errors import FixtureError, RefusalError, StructLabError
 from .rational import log2_display
@@ -373,10 +373,7 @@ def muchnik_lambda(d_k: EnumeratedD, x, k: int, alpha0: int) -> MuchnikCurve:
     two-part cost at ``alpha0``, and it matches the exact curve on budgets
     up to min(alpha0, K(x)) when ``d_k`` is induced from the system.
     """
-    if isinstance(x, str):
-        x = BitString(x)
-    if not isinstance(x, BitString):
-        raise StructLabError("the reconstruction target must be a bit string")
+    x = BitString(x)
     if k < 0:
         raise StructLabError(f"complexity budget must be nonnegative, got {k}")
     if not 0 <= alpha0 <= k:
@@ -656,54 +653,30 @@ def universal_family_report(
 
 def _format_object(obj) -> str:
     if isinstance(obj, BitString):
-        return str(obj) if len(obj) else "."
+        return show_bits(obj)
     if isinstance(obj, FiniteSet):
         return "{" + ",".join(str(b) for b in obj.bitstrings()) + "}"
     raise StructLabError(f"cannot format enumeration object {obj!r}")
 
 
-def _parse_object(token: str) -> "BitString | FiniteSet":
-    if token == ".":
-        return BitString("")
-    if token.startswith("{"):
-        if not token.endswith("}"):
-            raise FixtureError(f"unterminated set literal {token!r}")
-        body = token[1:-1]
-        members = [m for m in body.split(",") if m]
-        if not members:
-            raise FixtureError("set literals must name at least one member")
-        widths = {len(m) for m in members}
-        if len(widths) != 1:
-            raise FixtureError(f"set literal {token!r} mixes member widths")
-        n = widths.pop()
-        return FiniteSet(n, members)
-    if not all(c in "01" for c in token):
-        raise FixtureError(f"malformed enumeration object {token!r}")
-    return BitString(token)
+def _read_object(token: str, where: str) -> "BitString | FiniteSet":
+    if not token.startswith("{"):
+        return read_bits(token, "enumeration object", where)
+    if not token.endswith("}"):
+        raise FixtureError(f"{where}: unterminated set literal {token!r}")
+    return FiniteSet.read(token[1:-1], where)
 
 
 def parse_enumerated(text: str, l: "int | None" = None) -> EnumeratedD:
     """Parse an enumeration fixture: one ``object<TAB>level`` line per pair.
 
     Objects are bare bit strings (``.`` for the empty string) or braced set
-    literals like ``{00,01}``.  Blank lines and ``#`` comments are skipped.
+    literals like ``{00,01}``.
     """
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FixtureError(
-                f"line {lineno}: expected 'object level', got {line!r}"
-            )
-        obj = _parse_object(parts[0])
-        try:
-            level = int(parts[1])
-        except ValueError:
-            raise FixtureError(f"line {lineno}: malformed level {parts[1]!r}") from None
-        pairs.append((obj, level))
+    pairs = [
+        (_read_object(obj, where), read_int(level, "level", where))
+        for where, (obj, level) in text_lines(text, "object level")
+    ]
     return EnumeratedD(pairs, l=l)
 
 

@@ -495,6 +495,61 @@ def test_too_wide_universe_exits_one(argv, tmp_path, capsys):
     assert "universe width" in record["error"]["message"]
 
 
+#: One bad input per file format; each file opens with a comment line and a
+#: blank line, so its bad line is line 3 of the file.
+BAD_LINE_3 = {
+    "descriptor": (
+        ["profile", "--system", "{}"], "blob\t0\t00\ndata\t0\t0\n",
+        "DescriptorError", "line 3: unknown kind 'blob'",
+    ),
+    "synth-stream": (
+        ["synth", "--target", "3,2,2", "--stream", "{}"], "step one 000\n",
+        "FixtureError", "line 3: malformed level 'one'",
+    ),
+    "cover-records": (
+        ["cover", "--records", "{}", "--x", "00"], "record 2 1 00,0x\n",
+        "FixtureError", "line 3: malformed member '0x'",
+    ),
+    "pmf": (
+        ["convert", "--mode", "restrict-pmf", "--pmf", "{}", "--x", "00"], "00\t1/0\n",
+        "FixtureError", "line 3: malformed probability '1/0'",
+    ),
+    "fn": (
+        ["convert", "--mode", "restrict-fn", "--fn", "{}", "--x", "0"], ".\t0\t1\n",
+        "FixtureError", "line 3: expected 'argument value' (2 fields)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LINE_3)
+def test_bad_input_line_is_named_by_its_file_line(case, tmp_path, capsys):
+    argv, body, error, message = BAD_LINE_3[case]
+    path = tmp_path / "input.txt"
+    path.write_text(f"# {case}\n\n{body}")
+    rc = run(*[a.format(path) for a in argv], "--out", str(tmp_path / "out"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["command"] == argv[0]
+    assert record["error"]["type"] == error
+    assert record["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize("claims", ["-5 -9", "-1 1", "2 -1"])
+def test_cover_refuses_negative_claimed_complexities(claims, tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text(f"record 2 1 00,01\nrecord {claims} 00,10\n")
+    rc = run("cover", "--records", str(path), "--x", "00", "--out", str(tmp_path / "out"))
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "FixtureError"
+    assert record["error"]["message"].startswith(
+        "line 2: claimed complexities must be nonnegative"
+    )
+    assert not (tmp_path / "out" / "cover.json").exists()
+
+
 def test_unreadable_input_exits_two(tmp_path, capsys):
     rc = run(
         "profile", "--system", str(tmp_path / "missing.tsv"),

@@ -42,6 +42,15 @@ def test_heterogeneous_conditional_rejected():
         cover_family(records, "00")
 
 
+@pytest.mark.parametrize("k, cond", [(-5, -9), (-1, 2), (3, -1)])
+def test_negative_claimed_complexities_rejected(k, cond):
+    message = r"cover record 1: claimed complexities must be nonnegative"
+    with pytest.raises(StructLabError, match=message):
+        cover_family([rec(2, [0, 1]), rec(2, [0, 2], k=k, cond=cond)], "00")
+    with pytest.raises(StructLabError, match=message):
+        cover_family([rec(2, [0, 1]), (FiniteSet(2, [0, 2]), k, cond)], "00")
+
+
 def test_x_in_no_record_rejected():
     with pytest.raises(StructLabError, match="no record contains"):
         cover_family([rec(2, [0, 1])], "11")

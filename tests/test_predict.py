@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
-from structlab.errors import FixtureError, StructLabError
+from structlab.errors import CodecError, FixtureError, StructLabError
+from structlab.modelclasses import likelihood_curve, pmf_codebook_from_sets
 from structlab.predict import (
     PredictionStrategy,
     StrategyCodebook,
@@ -28,6 +29,7 @@ from structlab.predict import (
 )
 from structlab.rational import log2_display, unit_fraction
 from structlab.structfn import profile
+from structlab.unistat import induced_Dk, muchnik_lambda
 
 from .gensys import random_system
 from .oracles import oracle_loss_product, oracle_set_to_strategy
@@ -98,6 +100,20 @@ def test_p_refuses_prefixes_past_the_horizon(n):
     for length in (n, n + 3):
         with pytest.raises(StructLabError, match="outside the horizon"):
             strat.p(B.zeros(length))
+
+
+@pytest.mark.parametrize("value", [3, 2.5, None])
+def test_targets_that_are_not_bit_strings_are_domain_errors(fixa, value):
+    calls = [
+        lambda: evaluate_loss(PredictionStrategy.uniform(2), value),
+        lambda: snooping_curve(codebook_from_sets(fixa), value),
+        lambda: likelihood_curve(pmf_codebook_from_sets(fixa), value),
+        lambda: muchnik_lambda(induced_Dk(fixa, 3), value, 3, 3),
+    ]
+    message = rf"BitString expects a str of 0/1, got {type(value).__name__}\Z"
+    for call in calls:
+        with pytest.raises(CodecError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -164,9 +164,9 @@ def test_parse_stream_round_trip():
 def test_parse_stream_errors():
     with pytest.raises(StructLabError, match="expected 'step"):
         parse_synth_stream("event 1 000")
-    with pytest.raises(StructLabError, match="bad level"):
+    with pytest.raises(StructLabError, match="malformed level"):
         parse_synth_stream("step one 000")
-    with pytest.raises(StructLabError, match="no elements"):
+    with pytest.raises(StructLabError, match="no members"):
         parse_synth_stream("step 1 ,")
     with pytest.raises(StructLabError, match="mixed member widths"):
         parse_synth_stream("step 1 000,01")

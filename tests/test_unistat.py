@@ -455,8 +455,8 @@ def test_fixture_grammar():
         ("00", "expected"),
         ("00\tx", "malformed level"),
         ("{00\t1", "unterminated"),
-        ("{}\t1", "at least one member"),
-        ("{0,00}\t1", "mixes member widths"),
+        ("{}\t1", "no members"),
+        ("{0,00}\t1", "mixed member widths"),
         ("0x\t1", "malformed enumeration object"),
     ],
 )
