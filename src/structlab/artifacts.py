@@ -5,31 +5,42 @@ rule for turning exact values into text lives here:
 
 * the number rule: an infinite float is ``"inf"`` (``"-inf"`` below zero),
   an integral float is an int, and NaN is refused;
-* the value walk: bit strings become their digits, finite sets the list of
+* the value rules: bit strings become their digits, finite sets the list of
   their members, fractions an int when integral and ``"p/q"`` otherwise,
-  dict keys strings, tuples lists; an object with ``to_json_dict`` is
-  walked through that dict and any other dataclass through its fields;
-* the writers: UTF-8 with ``\\n`` newlines, JSON indented by 2 with
-  sorted keys, so identical inputs give byte-identical files.
+  dict keys strings (sorted), tuples lists; an object with ``to_json_dict``
+  is encoded through that dict and any other dataclass through its fields;
+* the encoder: one walk from the value to its text, JSON indented by 2 with
+  sorted keys, byte for byte what ``json.dumps(..., indent=2,
+  sort_keys=True)`` prints for the same plain value.  A value that is an
+  iterator rather than a list is encoded one item at a time, and each item
+  is written before the next is drawn, so a whole-universe payload is never
+  held at once;
+* the writers: UTF-8 with ``\\n`` newlines, written to a sibling temporary
+  file that is renamed over the target on success and deleted on failure.
+  Identical inputs give byte-identical files, and a refused run never
+  leaves a half-written one.
 
 CLI artifacts apply the number rule to every float.  The gap archive keeps
-finite floats as they are (``"mean": 0.0``, ``"c": 1.0``), so the walk
+finite floats as they are (``"mean": 0.0``, ``"c": 1.0``), so the encoder
 takes that one choice as the ``int_floats`` keyword.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import os
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .codec import BitString
 from .descsys import FiniteSet
 from .errors import StructLabError
 
-__all__ = ["number", "jsonable", "write_text", "write_json"]
+__all__ = ["number", "encode", "write_text", "write_json"]
 
 
 def number(v):
@@ -47,46 +58,207 @@ def number(v):
     return v
 
 
-def jsonable(value, *, int_floats: bool):
-    """Walk ``value`` into plain JSON types without losing exactness.
+# ---------------------------------------------------------------------------
+# The walk.  Each encoder appends the text of ``value`` to ``out``; ``newline``
+# is the line break and indentation of the value's own depth, and ``table``
+# maps a type to its encoder and holds the float rule (one table per
+# ``int_floats`` choice).
+# ---------------------------------------------------------------------------
 
-    With ``int_floats`` false, finite floats are kept as they are.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return number(value) if int_floats or not math.isfinite(value) else value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return value.numerator
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, BitString):
-        return str(value)
-    if isinstance(value, FiniteSet):
-        return [str(b) for b in value.bitstrings()]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v, int_floats=int_floats) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v, int_floats=int_floats) for v in value]
+
+class _Sink(list):
+    """Text chunks of one artifact; :meth:`drain` hands them to the file."""
+
+    __slots__ = ("file",)
+
+    def __init__(self, file=None):
+        super().__init__()
+        self.file = file
+
+    def drain(self) -> None:
+        if self.file is not None:
+            self.file.write("".join(self))
+            self.clear()
+
+
+def _null(value, out, newline, table):
+    out.append("null")
+
+
+def _bool(value, out, newline, table):
+    out.append("true" if value else "false")
+
+
+def _int(value, out, newline, table):
+    out.append(int.__repr__(value))
+
+
+def _str(value, out, newline, table):
+    out.append(_quote(value))
+
+
+def _kept_float_text(value) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _quote(number(value))
+
+
+def _int_float_text(value) -> str:
+    return int.__repr__(int(value)) if value.is_integer() else _kept_float_text(value)
+
+
+def _float(value, out, newline, table):
+    out.append(table.float_text(value))
+
+
+def _fraction(value, out, newline, table):
+    if value.denominator == 1:
+        out.append(int.__repr__(value.numerator))
+    else:
+        out.append(_quote(f"{value.numerator}/{value.denominator}"))
+
+
+def _bitstring(value, out, newline, table):
+    out.append(_quote(str(value)))
+
+
+def _finite_set(value, out, newline, table):
+    _array([str(b) for b in value.bitstrings()], out, newline, table)
+
+
+def _dict(value, out, newline, table):
+    items = {str(k): v for k, v in value.items()}
+    if len(items) < len(value):
+        # Keys equal after str keep the last value, as a dict built from
+        # them would; the values dropped are still checked.
+        for k, v in value.items():
+            if items[str(k)] is not v:
+                table[type(v)](v, _Sink(), newline, table)
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    sep = "{" + inner
+    for key in sorted(items):
+        v = items[key]
+        out.append(f"{sep}{_quote(key)}: ")
+        table[type(v)](v, out, inner, table)
+        sep = "," + inner
+    out.append(newline + "}")
+
+
+def _array(value, out, newline, table):
+    streamed = not isinstance(value, (list, tuple))
+    inner = newline + "  "
+    sep = "[" + inner
+    last = text = None  # the last float item and its text
+    for v in value:
+        out.append(sep)
+        if type(v) is float:
+            # A curve repeats one float object along each step of its staircase.
+            if v is not last:
+                last, text = v, table.float_text(v)
+            out.append(text)
+        else:
+            table[type(v)](v, out, inner, table)
+        if streamed:
+            out.drain()
+        sep = "," + inner
+    out.append("[]" if sep[0] == "[" else newline + "]")
+
+
+#: Base types a subclass is encoded as, in the order they are tried.
+_BASES = (int, str, float, Fraction, BitString, FiniteSet, dict, list, tuple)
+
+
+def _other(value, out, newline, table):
+    for base in _BASES:
+        if isinstance(value, base):
+            return table[base](value, out, newline, table)
     if hasattr(value, "to_json_dict"):
-        return jsonable(value.to_json_dict(), int_floats=int_floats)
-    if is_dataclass(value):
-        return {
-            f.name: jsonable(getattr(value, f.name), int_floats=int_floats)
-            for f in fields(value)
-        }
-    raise TypeError(f"no artifact form for {type(value).__name__}")
+        value = value.to_json_dict()
+    elif is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    elif isinstance(value, Iterator):
+        return _array(value, out, newline, table)
+    else:
+        raise TypeError(f"no artifact form for {type(value).__name__}")
+    table[type(value)](value, out, newline, table)
 
 
-def write_text(path: "str | Path", text: str) -> None:
-    """Write ``text`` as UTF-8 with ``\\n`` newlines, creating the directory."""
+class _Dispatch(dict):
+    """Encoders by exact type, and the text of a float under one float rule."""
+
+    def __init__(self, float_text):
+        super().__init__({
+            type(None): _null,
+            bool: _bool,
+            int: _int,
+            str: _str,
+            float: _float,
+            Fraction: _fraction,
+            BitString: _bitstring,
+            FiniteSet: _finite_set,
+            dict: _dict,
+            list: _array,
+            tuple: _array,
+        })
+        self.float_text = float_text
+
+    def __missing__(self, kind):
+        return _other
+
+
+_TABLES = {True: _Dispatch(_int_float_text), False: _Dispatch(_kept_float_text)}
+
+
+def _encode_into(value, out: _Sink, int_floats: bool) -> None:
+    table = _TABLES[bool(int_floats)]
+    table[type(value)](value, out, "\n", table)
+
+
+def encode(value, *, int_floats: bool) -> str:
+    """The artifact text of ``value``, without a final newline.
+
+    With ``int_floats`` false, finite floats are kept as they are.  NaN
+    raises ``StructLabError``; a value with no artifact form ``TypeError``.
+    """
+    out = _Sink()
+    _encode_into(value, out, int_floats)
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _replacing(path: "str | Path"):
+    """A text file that becomes ``path`` only once the block succeeds."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: "str | Path", text: "str | Iterable[str]") -> None:
+    """Write ``text``, or each of its chunks in turn, as UTF-8 with ``\\n`` newlines."""
+    with _replacing(path) as f:
+        if isinstance(text, str):
+            f.write(text)
+        else:
+            f.writelines(text)
 
 
 def write_json(path: "str | Path", value, *, int_floats: bool) -> None:
-    """Write ``value`` through :func:`jsonable` as indented, key-sorted JSON."""
-    payload = jsonable(value, int_floats=int_floats)
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write the :func:`encode` text of ``value`` and a final newline."""
+    with _replacing(path) as f:
+        out = _Sink(f)
+        _encode_into(value, out, int_floats)
+        out.append("\n")
+        out.drain()

@@ -161,28 +161,25 @@ def _full_cube(n: int) -> FiniteSet:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 #
-# Each body yields its artifacts as (file name, payload) pairs: a str is
-# written as text, anything else as JSON through the artifact encoder.
+# Each body yields its artifacts as (file name, payload) pairs: a ``.json``
+# name is written through the artifact encoder, any other as text (a str, or
+# an iterable of str chunks written in turn).
 
 
 def _cmd_profile(args):
     sys = load_system(args.system)
     _check_budget(sys, "--alpha-max", args.alpha_max)
     if args.x is None:
+        # Drawn lazily: each profile is written before the next is computed.
         profiles = profile_universe(sys, alpha_max=args.alpha_max)
     else:
         x = BitString(args.x)
         profiles = [(x, profile(sys, x, alpha_max=args.alpha_max))]
     if args.format == "csv":
-        lines = ["x,alpha,h,lambda,beta"]
-        for x, prof in profiles:
-            curves = zip(prof.h_values(), prof.lambda_values(), prof.beta_values())
-            for a, (h, lam, beta) in enumerate(curves):
-                lines.append(f"{x},{a},{number(h)},{number(lam)},{number(beta)}")
-        yield "profile.csv", "\n".join(lines) + "\n"
+        yield "profile.csv", _profile_csv(profiles)
         return
     yield "profile.json", {
-        "profiles": [
+        "profiles": (
             {
                 "x": x,
                 "K_x": prof.K_x,
@@ -195,8 +192,22 @@ def _cmd_profile(args):
                 "mss_alpha": None if prof.sufficiency is None else prof.sufficiency.alpha,
             }
             for x, prof in profiles
-        ]
+        )
     }
+
+
+def _profile_csv(profiles):
+    """The CSV text in chunks: the header, then one chunk per string."""
+    yield "x,alpha,h,lambda,beta\n"
+    for x, prof in profiles:
+        curves = prof.h_values(), prof.lambda_values(), prof.beta_values()
+        # A curve takes few distinct values, so each is shown once.
+        shown = {v: number(v) for v in set().union(*curves)}
+        x = str(x)
+        yield "".join(
+            f"{x},{a},{shown[h]},{shown[lam]},{shown[beta]}\n"
+            for a, (h, lam, beta) in enumerate(zip(*curves))
+        )
 
 
 def _cmd_search(args):
@@ -483,10 +494,10 @@ def main(argv=None) -> int:
     try:
         for name, payload in _artifacts(args):
             path = Path(args.out) / name
-            if isinstance(payload, str):
-                write_text(path, payload)
-            else:
+            if path.suffix == ".json":
                 write_json(path, payload, int_floats=True)
+            else:
+                write_text(path, payload)
     except StructLabError as exc:
         print(_error_record(command, exc), file=_sys.stderr)
         return 1

@@ -930,14 +930,6 @@ def expand_family(
     return entries
 
 
-def _infer_universe(widths: set[int]) -> int:
-    if not widths:
-        raise DescriptorError("cannot infer the universe width: no sized payloads")
-    if len(widths) > 1:
-        raise DescriptorError(f"inconsistent universe widths {sorted(widths)}")
-    return widths.pop()
-
-
 def build_system(text: str) -> DescriptionSystem:
     """Parse a descriptor from text.
 
@@ -952,12 +944,24 @@ def build_system(text: str) -> DescriptionSystem:
       set program whose printed set the shortcut is conditioned on.
 
     The universe width is inferred from the payloads and family arguments
-    and must be consistent.  See :func:`expand_family` for the family
-    grammars.  Refusals of one entry name its line.
+    and must be consistent: a width that disagrees with the first one is
+    refused on its own line, before its family is expanded.  See
+    :func:`expand_family` for the family grammars.  Refusals of one entry
+    name its line.
     """
     tables: dict[str, dict] = {"data": {}, "set": {}}
     conds: list[tuple[str, BitString, BitString, BitString]] = []
-    widths: set[int] = set()
+    first: "tuple[int, str] | None" = None  # the first width, and its line
+
+    def width(n: int, where: str) -> None:
+        nonlocal first
+        if first is None:
+            first = (n, where)
+        elif n != first[0]:
+            raise DescriptorError(
+                f"{where}: inconsistent universe widths: width {n} disagrees "
+                f"with width {first[0]} from {first[1]}"
+            )
 
     for where, (kind, token, payload) in text_lines(
         text, "kind program payload", DescriptorError
@@ -969,18 +973,21 @@ def build_system(text: str) -> DescriptionSystem:
         if fam:
             try:
                 args = _parse_family_args(fam.group(2))
-                entries = expand_family(kind, program, fam.group(1), args)
             except DescriptorError as exc:
                 raise DescriptorError(f"{where}: {exc}") from None
             if "n" in args:
-                widths.add(args["n"])
+                width(args["n"], where)
+            try:
+                entries = expand_family(kind, program, fam.group(1), args)
+            except DescriptorError as exc:
+                raise DescriptorError(f"{where}: {exc}") from None
         elif kind == "data":
             out = read_bits(payload, "data output", where, DescriptorError)
-            widths.add(len(out))
+            width(len(out), where)
             entries = [(kind, program, out)]
         elif kind == "set":
             members = FiniteSet.read(payload, where, error=DescriptorError)
-            widths.add(members.n)
+            width(members.n, where)
             entries = [(kind, program, members)]
         else:
             xtok, at, anchor = payload.partition("@")
@@ -988,7 +995,7 @@ def build_system(text: str) -> DescriptionSystem:
                 raise DescriptorError(f"{where}: cond payload must look like X@SETPROGRAM")
             x = read_bits(xtok, "cond output", where, DescriptorError)
             anchor = read_bits(anchor, "set program", where, DescriptorError)
-            widths.add(len(x))
+            width(len(x), where)
             conds.append((where, program, x, anchor))
             continue
         table = tables[kind]
@@ -997,7 +1004,9 @@ def build_system(text: str) -> DescriptionSystem:
                 raise DescriptorError(f"{where}: duplicate {kind} program {str(prog)!r}")
             table[prog] = value
 
-    n = _infer_universe(widths)
+    if first is None:
+        raise DescriptorError("cannot infer the universe width: no sized payloads")
+    n = first[0]
     set_programs = tables["set"]
     cond_shortcuts: dict[FiniteSet, dict[BitString, BitString]] = {}
     for where, program, x, anchor in conds:

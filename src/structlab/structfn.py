@@ -169,13 +169,13 @@ class StructureProfile:
     # -- display values ----------------------------------------------------
 
     def h_values(self) -> list[float]:
-        return [log2_display(self.h_key(a)) for a in range(self.alpha_max + 1)]
+        return _display(self.h_rows, "cardinality")
 
     def lambda_values(self) -> list[float]:
-        return [log2_display(self.lambda_key(a)) for a in range(self.alpha_max + 1)]
+        return _display(self.lambda_rows, "lambda_key")
 
     def beta_values(self) -> list[float]:
-        return [log2_display(self.beta_key(a)) for a in range(self.alpha_max + 1)]
+        return _display(self.beta_rows, "delta_key")
 
     # -- comparison --------------------------------------------------------
 
@@ -199,6 +199,22 @@ class StructureProfile:
         )
         pareto = tuple((p.K_S, p.delta_key, p.lambda_key) for p in self.pareto)
         return (self.K_x, rows, self.critical_alphas, suff, pareto, self.flagged)
+
+
+def _display(rows: Sequence["ModelRecord | None"], key: str) -> list[float]:
+    """``log2_display`` of each row's exact ``key``, once per run of one row.
+
+    A curve is a staircase of a few records over many budgets, so each
+    step's value is computed once and repeated.
+    """
+    values: list[float] = []
+    last, value = object(), math.inf
+    for row in rows:
+        if row is not last:
+            last = row
+            value = log2_display(None if row is None else getattr(row, key))
+        values.append(value)
+    return values
 
 
 def staircase(candidates: Iterable[tuple[int, K]], alpha_max: int) -> list["K | None"]:

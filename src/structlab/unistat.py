@@ -671,12 +671,17 @@ def parse_enumerated(text: str, l: "int | None" = None) -> EnumeratedD:
     """Parse an enumeration fixture: one ``object<TAB>level`` line per pair.
 
     Objects are bare bit strings (``.`` for the empty string) or braced set
-    literals like ``{00,01}``.
+    literals like ``{00,01}``.  A negative level or a repeated pair is
+    refused on its own line.
     """
-    pairs = [
-        (_read_object(obj, where), read_int(level, "level", where))
-        for where, (obj, level) in text_lines(text, "object level")
-    ]
+    pairs: dict[tuple, None] = {}
+    for where, (obj, level) in text_lines(text, "object level"):
+        pair = (_read_object(obj, where), read_int(level, "level", where))
+        if pair[1] < 0:
+            raise FixtureError(f"{where}: pair level must be nonnegative, got {pair[1]}")
+        if pair in pairs:
+            raise FixtureError(f"{where}: repeated enumeration pair {obj} {level}")
+        pairs[pair] = None
     return EnumeratedD(pairs, l=l)
 
 

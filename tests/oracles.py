@@ -9,15 +9,19 @@ small enough) before the corresponding library code was written.
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 
+from structlab.artifacts import number
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import DescriptionSystem, FiniteSet
 from structlab.errors import DescriptorError
 from structlab.experiments import AdditivityRecord, AdditivityReport
 from structlab.predict import PredictionStrategy
+from structlab.rational import log2_display
 
 INF = math.inf
 
@@ -387,3 +391,72 @@ def oracle_half_block(order, i: int):
         if lo <= pos <= hi:
             members.append(o)
     return lo, hi, tuple(members)
+
+
+def oracle_jsonable(value, *, int_floats: bool):
+    """Walk ``value`` into plain JSON types by the artifact rules, eagerly."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return number(value) if int_floats or not math.isfinite(value) else value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, BitString):
+        return str(value)
+    if isinstance(value, FiniteSet):
+        return [str(b) for b in value.bitstrings()]
+    if isinstance(value, dict):
+        return {str(k): oracle_jsonable(v, int_floats=int_floats) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_jsonable(v, int_floats=int_floats) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return oracle_jsonable(value.to_json_dict(), int_floats=int_floats)
+    if is_dataclass(value):
+        return {
+            f.name: oracle_jsonable(getattr(value, f.name), int_floats=int_floats)
+            for f in fields(value)
+        }
+    raise TypeError(f"no artifact form for {type(value).__name__}")
+
+
+def oracle_artifact_text(value, *, int_floats: bool) -> str:
+    """The artifact text the encoder must match: the walk, then ``json.dumps``."""
+    return json.dumps(oracle_jsonable(value, int_floats=int_floats), indent=2, sort_keys=True)
+
+
+def oracle_profile_artifact(sys: DescriptionSystem, fmt: str) -> str:
+    """Whole-universe ``profile.csv`` or ``profile.json`` text, from the naive arrays.
+
+    Budgets run to the longest set program; every display value is the
+    float log2 of its exact key, taken budget by budget.
+    """
+    alpha_max = max(len(p) for p in sys.set_programs)
+    c_sub = oracle_c_sub(sys)
+    lines = ["x,alpha,h,lambda,beta"]
+    profiles = []
+    for v in range(1 << sys.universe_n):
+        x = BitString.from_value(sys.universe_n, v)
+        h_rows, lam_rows, beta_rows = oracle_profile_arrays(sys, x, alpha_max)
+
+        def show(rows, key):
+            return [log2_display(None if row is None else row[key]) for row in rows]
+
+        h, lam, beta = show(h_rows, "card"), show(lam_rows, "lambda_key"), show(beta_rows, "delta_key")
+        for a in range(alpha_max + 1):
+            lines.append(f"{x},{a},{number(h[a])},{number(lam[a])},{number(beta[a])}")
+        profiles.append({
+            "x": x,
+            "K_x": oracle_K_data(sys, x),
+            "alpha_max": alpha_max,
+            "c_sub": c_sub,
+            "h": h,
+            "lambda": lam,
+            "beta": beta,
+            "critical_alphas": oracle_critical_alphas(lam_rows),
+            "mss_alpha": oracle_mss(sys, x, lam_rows, c_sub),
+        })
+    if fmt == "csv":
+        return "\n".join(lines) + "\n"
+    return oracle_artifact_text({"profiles": profiles}, int_floats=True) + "\n"

@@ -4,14 +4,18 @@ import functools
 import json
 import shutil
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from structlab import cli
+from structlab import cli, structfn
 from structlab.cli import RunManifest, main
 from structlab.descsys import MAX_UNIVERSE_BITS, FiniteSet, load_system
 from structlab.errors import StructLabError
+
+from .gensys import random_system
+from .oracles import oracle_profile_artifact
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -157,6 +161,38 @@ def test_whole_universe_profile_never_tests_set_membership(family_8, tmp_path, m
     # the per-string path scans the set entries, so the counter does count
     assert run(*args, "--x", "00000110", "--out", str(tmp_path / "x")) == 0
     assert calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_whole_universe_profile_is_the_oracle_bytes(seed, tmp_path):
+    sys = random_system(seed, cheap_singletons=seed % 2 == 0)
+    path = tmp_path / "system.tsv"
+    path.write_text(sys.to_descriptor_text(), encoding="utf-8")
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run("profile", "--system", str(path), "--format", fmt, "--out", str(out)) == 0
+        text = (out / f"profile.{fmt}").read_text(encoding="utf-8")
+        assert text == oracle_profile_artifact(sys, fmt)
+
+
+def test_whole_universe_profile_keeps_one_profile_at_a_time(family_8, tmp_path, monkeypatch):
+    refs, live = [], []
+    compute = structfn.profile
+
+    def counted(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        prof = compute(*args, **kwargs)
+        refs.append(weakref.ref(prof))
+        return prof
+
+    monkeypatch.setattr(structfn, "profile", counted)
+    for fmt in ("csv", "json"):
+        refs.clear()
+        live.clear()
+        args = ("profile", "--system", family_8, "--format", fmt)
+        assert run(*args, "--out", str(tmp_path / fmt)) == 0
+        # the previous profile is still being written when the next is drawn
+        assert len(live) == 256 and max(live) == 1
 
 
 # ---------------------------------------------------------------------------

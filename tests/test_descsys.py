@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structlab import descsys
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import (
     DescriptionSystem,
@@ -226,6 +227,32 @@ def test_empty_set_output_rejected():
 def test_wrong_width_entry_rejected():
     with pytest.raises(DescriptorError, match="widths"):
         build_system("data\t0\t00\ndata\t1\t01\nset\t0\t000")
+
+
+def test_width_refusal_names_both_lines():
+    with pytest.raises(DescriptorError) as exc:
+        build_system("data\t0\t00\ndata\t1\t01\nset\t0\t000")
+    assert str(exc.value) == (
+        "line 3: inconsistent universe widths: width 3 disagrees with width 2 from line 1"
+    )
+
+
+def test_family_width_refusal_names_its_line_before_expanding(monkeypatch):
+    expanded = []
+    expand = descsys.expand_family
+
+    def counted(kind, program, name, args):
+        expanded.append(name)
+        return expand(kind, program, name, args)
+
+    monkeypatch.setattr(descsys, "expand_family", counted)
+    text = "# widths\ndata\t0\t@family:bernoulli(n=2)\n\nset\t0\t@family:cube(n=3)\n"
+    with pytest.raises(DescriptorError) as exc:
+        build_system(text)
+    assert str(exc.value) == (
+        "line 4: inconsistent universe widths: width 3 disagrees with width 2 from line 2"
+    )
+    assert expanded == ["bernoulli"]
 
 
 def test_cond_must_reference_existing_set():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from structlab.artifacts import jsonable
+from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import MAX_UNIVERSE_BITS, build_system
 from structlab.errors import StructLabError
@@ -115,7 +115,7 @@ def test_additivity_report_on_fixture(fixa):
     assert report.max_record.x == B("10")
     assert report.max_record.set_program == B("0")
     assert report.min_record.x == B("00")
-    d = jsonable(report, int_floats=False)
+    d = json.loads(encode(report, int_floats=False))
     assert d["histogram"] == {"-2": 3, "-1": 2, "0": 2}
     assert d["max_record"]["K_cond"] == 2
 
@@ -237,7 +237,7 @@ def test_improvement_slack_report_weight_family():
     assert report.improved_count <= report.qualifying_pairs
     assert report.slack.count == report.qualifying_pairs
     assert report.deficiency_drop.count == report.qualifying_pairs
-    d = jsonable(report, int_floats=False)
+    d = json.loads(encode(report, int_floats=False))
     assert d["searches"] == 48
     assert set(d["slack"]["max_witness"]) == {"x", "seed", "from", "to"}
 

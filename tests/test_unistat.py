@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from structlab.artifacts import jsonable
+from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, RefusalError, StructLabError
@@ -426,10 +426,8 @@ def test_universal_family_reference(fixa):
 
 
 def test_universal_family_rows_are_json_ready(fixa):
-    import json
-
     report = universal_family_report(fixa, "11")
-    blob = json.dumps(jsonable(report, int_floats=False), sort_keys=True)
+    blob = encode(report, int_floats=False)
     assert '"alpha": 0' in blob
 
 
@@ -463,3 +461,20 @@ def test_fixture_grammar():
 def test_fixture_errors(text, message):
     with pytest.raises(FixtureError, match=message):
         parse_enumerated(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\t1\n0\t1\n", "line 2: repeated enumeration pair 0 1"),
+        ("# head\n{00,01}\t1\n\n{01,00}\t1\n", "line 4: repeated enumeration pair {01,00} 1"),
+        ("0\t-1\n", "line 1: pair level must be nonnegative, got -1"),
+    ],
+)
+def test_fixture_pair_errors_name_their_line(text, message):
+    with pytest.raises(FixtureError) as exc:
+        parse_enumerated(text)
+    assert str(exc.value) == message
+    # the library check stays for callers that build an enumeration directly
+    with pytest.raises(StructLabError):
+        EnumeratedD([(B("0"), 1), (B("0"), 1)])
