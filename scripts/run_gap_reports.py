@@ -7,19 +7,17 @@ the planted-staircase verification — and writes deterministic JSON (no
 timestamps, sorted keys), so a rerun on an unchanged tree is byte-identical.
 
 Usage:
-    python3 scripts/run_gap_reports.py [--out DIR]
-        [--reverse-strings N] [--universal-strings N]
-        [--improvement-strings N] [--full]
+    python3 scripts/run_gap_reports.py [--out DIR] [--full]
 
-The induced enumeration is built once per system and each search stream
-once per seed (and checked only then), half-blocks answer size and
+The sections sample the number of strings fixed in ``structlab.experiments``
+(``SAMPLE_SIZES``); ``--full`` sweeps every string of every universe
+instead.  The induced enumeration is built once per system and each search
+stream once per seed (and checked only then), half-blocks answer size and
 membership from their index range, and the additivity census walks each
 (set, member) pair once, so the per-string cost is the profile and
-search work.  On a 2-core host with Python 3.11 the default run took
-about 0.75 s and ``--full`` about 22 s, nearly all of it on the 12-bit
-system.
-
-``--full`` disables string sampling everywhere (exhaustive sweeps).
+search work.  On a 2-core host with Python 3.11 the default run's
+sections took about 0.7 s and ``--full``'s 38-43 s, nearly all of it on
+the 12-bit system.
 """
 
 import argparse
@@ -38,9 +36,6 @@ def main() -> int:
         default=str(Path(__file__).resolve().parent.parent / "reports"),
         help="output directory (default: reports/ at the repository root)",
     )
-    parser.add_argument("--reverse-strings", type=int, default=192)
-    parser.add_argument("--universal-strings", type=int, default=32)
-    parser.add_argument("--improvement-strings", type=int, default=16)
     parser.add_argument(
         "--full",
         action="store_true",
@@ -48,12 +43,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    result = generate_gap_reports(
-        args.out,
-        reverse_strings=None if args.full else args.reverse_strings,
-        universal_strings=None if args.full else args.universal_strings,
-        improvement_strings=None if args.full else args.improvement_strings,
-    )
+    result = generate_gap_reports(args.out, full=args.full)
     for name in result["files"]:
         print(f"wrote {Path(result['out_dir']) / name}")
     for section, secs in sorted(result["seconds"].items()):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import number, write_json, write_text
-from .codec import BitString, read_int, text_lines
+from .codec import BitString, read_int, read_text, text_lines
 from .descsys import (
     MAX_UNIVERSE_BITS,
     DescriptionSystem,
@@ -240,12 +240,12 @@ def _cmd_synth(args):
     target = _target_curve(args.target)
     n = args.n if args.n is not None else (target[0] if target else 0)
     universe = _full_cube(n)
-    events = parse_synth_stream(Path(args.stream).read_text(encoding="utf-8"), width=n)
+    events = parse_synth_stream(read_text(args.stream), width=n)
     yield "synth.json", synthesize(target, universe, events, n=n)
 
 
 def _cmd_cover(args):
-    records = _parse_cover_records(Path(args.records).read_text(encoding="utf-8"))
+    records = _parse_cover_records(read_text(args.records))
     yield "cover.json", cover_family(records, args.x, delta=args.delta)
 
 
@@ -335,11 +335,11 @@ def _cmd_convert(args):
     if mode == "restrict-pmf":
         if args.pmf is None:
             raise StructLabError("restrict-pmf needs --pmf")
-        model = parse_pmf(Path(args.pmf).read_text(encoding="utf-8"), n=args.n)
+        model = parse_pmf(read_text(args.pmf), n=args.n)
     elif mode == "restrict-fn":
         if args.fn is None:
             raise StructLabError("restrict-fn needs --fn")
-        model = parse_fn(Path(args.fn).read_text(encoding="utf-8"), arg_len=args.n)
+        model = parse_fn(read_text(args.fn), arg_len=args.n)
     else:  # pragma: no cover - argparse restricts choices
         raise StructLabError(f"unknown conversion {mode!r}")
     restriction = restrict_to_set(model, args.x)

@@ -33,7 +33,8 @@ All decoders reject malformed input with :class:`~structlab.errors.CodecError`
 instead of guessing.
 
 Every text input (descriptors, streams, records and fixtures) is read
-through one lexer, :func:`text_lines`, and its fields through one reader
+from disk by :func:`read_text`, which refuses bytes that are not UTF-8,
+then through one lexer, :func:`text_lines`, and its fields through one reader
 per token kind: :func:`read_bits` (with :func:`show_bits` its inverse),
 :func:`read_int` and :func:`read_rational`.  Their refusals all read
 ``line N: ...``.
@@ -42,6 +43,7 @@ per token kind: :func:`read_bits` (with :func:`show_bits` its inverse),
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator
 
 from .errors import CodecError, FixtureError
@@ -60,6 +62,7 @@ __all__ = [
     "std_code_length",
     "encode_pair",
     "decode_pair",
+    "read_text",
     "text_lines",
     "read_bits",
     "show_bits",
@@ -293,6 +296,15 @@ def decode_pair(z: BitString) -> tuple[BitString, BitString]:
 # ---------------------------------------------------------------------------
 # Text inputs
 # ---------------------------------------------------------------------------
+
+
+def read_text(path: "str | Path", error: type = FixtureError) -> str:
+    """A text input file's contents; bytes that are not UTF-8 raise ``error``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 def text_lines(

@@ -49,7 +49,15 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .codec import BitString, encode_sd, read_bits, show_bits, string_of_integer, text_lines
+from .codec import (
+    BitString,
+    encode_sd,
+    read_bits,
+    read_text,
+    show_bits,
+    string_of_integer,
+    text_lines,
+)
 from .errors import DescriptorError, FixtureError, StructLabError
 from .rational import ceil_log2, log2_display
 
@@ -1027,4 +1035,4 @@ def build_system(text: str) -> DescriptionSystem:
 
 def load_system(path: "str | Path") -> DescriptionSystem:
     """Read and parse a descriptor file."""
-    return build_system(Path(path).read_text(encoding="utf-8"))
+    return build_system(read_text(path, DescriptorError))

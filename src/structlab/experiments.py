@@ -68,19 +68,28 @@ __all__ = [
 ]
 
 
+#: The archived battery: extra budgets, search seeds, the ``c`` of the
+#: drop-by-``c*log2(n)`` relation, and the strings sampled per system by
+#: the reverse-fit, half-block and improvement sections.
+EPSILONS = (0, 1, 2)
+IMPROVEMENT_SEEDS = (0, 1)
+C = 1.0
+SAMPLE_SIZES = {"reverse_strings": 192, "universal_strings": 32, "improvement_strings": 16}
+
+
 def _sample_strings(
-    sys: DescriptionSystem, max_strings: "int | None", seed: int
+    sys: DescriptionSystem, size: "int | None", seed: int
 ) -> list[BitString]:
     universe = list(sys.universe_strings())
-    if max_strings is None or max_strings >= len(universe):
+    if size is None or size >= len(universe):
         return universe
     rng = random.Random(seed)
-    picked = rng.sample(universe, max_strings)
+    picked = rng.sample(universe, size)
     return sorted(picked, key=BitString.sort_key)
 
 
 def _stratified_sample(
-    sys: DescriptionSystem, max_strings: "int | None", seed: int
+    sys: DescriptionSystem, size: "int | None", seed: int
 ) -> list[BitString]:
     """A seeded sample spread across weight classes.
 
@@ -90,7 +99,7 @@ def _stratified_sample(
     where large improvements actually occur -- in the probe.
     """
     universe = list(sys.universe_strings())
-    if max_strings is None or max_strings >= len(universe):
+    if size is None or size >= len(universe):
         return universe
     rng = random.Random(seed)
     classes: dict[int, list[BitString]] = {}
@@ -98,9 +107,9 @@ def _stratified_sample(
         classes.setdefault(bin(b.value).count("1"), []).append(b)
     pools = [rng.sample(v, len(v)) for _, v in sorted(classes.items())]
     picked: list[BitString] = []
-    while len(picked) < max_strings and any(pools):
+    while len(picked) < size and any(pools):
         for pool in pools:
-            if pool and len(picked) < max_strings:
+            if pool and len(picked) < size:
                 picked.append(pool.pop())
     return sorted(picked, key=BitString.sort_key)
 
@@ -361,12 +370,10 @@ class ReverseFitGapReport:
 
 
 def reverse_fit_gap_report(
-    sys: DescriptionSystem,
-    epsilons: tuple = (0, 1, 2),
-    max_strings: "int | None" = None,
-    seed: int = 0,
+    sys: DescriptionSystem, xs: "list[BitString]", epsilons: tuple = EPSILONS
 ) -> ReverseFitGapReport:
-    xs = _sample_strings(sys, max_strings, seed)
+    if any(eps < 0 for eps in epsilons):
+        raise StructLabError(f"extra budgets must be nonnegative, got {epsilons}")
     samples: dict[int, list] = {eps: [] for eps in epsilons}
     for x in xs:
         prof = profile(sys, x)
@@ -406,9 +413,8 @@ class UniversalGapReport:
 
 
 def universal_gap_report(
-    sys: DescriptionSystem, max_strings: "int | None" = None, seed: int = 0
+    sys: DescriptionSystem, xs: "list[BitString]"
 ) -> UniversalGapReport:
-    xs = _sample_strings(sys, max_strings, seed)
     lambda_gaps: list = []
     h_gaps: list = []
     beta_gaps: list = []
@@ -473,12 +479,10 @@ class ImprovementSlackReport:
 
 def improvement_slack_report(
     sys: DescriptionSystem,
-    c: float = 1.0,
-    seeds: tuple = (0, 1),
-    max_strings: "int | None" = 24,
-    seed: int = 0,
+    xs: "list[BitString]",
+    c: float = C,
+    seeds: tuple = IMPROVEMENT_SEEDS,
 ) -> ImprovementSlackReport:
-    xs = _stratified_sample(sys, max_strings, seed)
     alpha = sys.max_set_program_length()
     searches = 0
     traces_with_pairs = 0
@@ -552,27 +556,22 @@ def build_report_family_systems() -> dict:
 
 
 def generate_gap_reports(
-    out_dir,
-    *,
-    systems: "dict | None" = None,
-    epsilons: tuple = (0, 1, 2),
-    reverse_strings: "int | None" = 192,
-    universal_strings: "int | None" = 32,
-    improvement_strings: "int | None" = 16,
-    improvement_seeds: tuple = (0, 1),
-    c: float = 1.0,
+    out_dir, *, systems: "dict | None" = None, full: bool = False
 ) -> dict:
     """Run the measured-gap battery and archive it as deterministic JSON.
 
     One ``gaps_<system>.json`` per system (reverse fit gaps, half-block
     gaps, additivity defects, improvement slacks), one planted-staircase
-    report, and an ``index.json``.  File contents carry no timestamps and
-    keys are sorted, so identical inputs give byte-identical archives.
-    Returns the written file names and per-section wall-clock seconds.
+    report, and an ``index.json``.  Each section samples the archived
+    number of strings, or with ``full`` every string of the universe.
+    File contents carry no timestamps and keys are sorted, so identical
+    inputs give byte-identical archives.  Returns the written file names
+    and per-section wall-clock seconds.
     """
     out = Path(out_dir)
     if systems is None:
         systems = build_report_family_systems()
+    sizes = {section: None if full else size for section, size in SAMPLE_SIZES.items()}
     payloads: dict = {}
     seconds: dict[str, float] = {}
 
@@ -585,14 +584,14 @@ def generate_gap_reports(
             "data_programs": len(system.data_programs),
             "c_sub": system.c_sub,
             "reverse_fit_gap": reverse_fit_gap_report(
-                system, epsilons=epsilons, max_strings=reverse_strings
+                system, _sample_strings(system, sizes["reverse_strings"], 0)
             ),
             "universal_family_gap": universal_gap_report(
-                system, max_strings=universal_strings
+                system, _sample_strings(system, sizes["universal_strings"], 0)
             ),
             "additivity_defect": additivity_defect_report(system),
             "improvement_slack": improvement_slack_report(
-                system, c=c, seeds=improvement_seeds, max_strings=improvement_strings
+                system, _stratified_sample(system, sizes["improvement_strings"], 0)
             ),
         }
         seconds[name] = time.perf_counter() - start
@@ -605,12 +604,7 @@ def generate_gap_reports(
     payloads["index.json"] = {
         "files": sorted(payloads),
         "parameters": {
-            "epsilons": epsilons,
-            "reverse_strings": reverse_strings,
-            "universal_strings": universal_strings,
-            "improvement_strings": improvement_strings,
-            "improvement_seeds": improvement_seeds,
-            "c": c,
+            "epsilons": EPSILONS, "improvement_seeds": IMPROVEMENT_SEEDS, "c": C, **sizes
         },
     }
     for filename, payload in payloads.items():

@@ -24,8 +24,7 @@ total is within a chosen slack of ``K(x)``), and the Pareto frontier of
 ``x``.  A string contained in no representable set gets an all-infinite
 profile with ``flagged`` set.
 
-The module also houses the conditional-complexity tail bound and the
-windowed curve-closeness test used to compare staircase curves.
+The module also houses the conditional-complexity tail bound.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .codec import BitString
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
@@ -47,15 +46,12 @@ __all__ = [
     "StructureProfile",
     "ParetoPoint",
     "SufficiencyRecord",
-    "ClosenessSpec",
-    "CurveViolation",
     "profile",
     "profile_universe",
     "staircase",
     "deficiency",
     "deficiency_key",
     "deficiency_tail_count",
-    "curves_close",
 ]
 
 
@@ -350,80 +346,3 @@ def _pareto_frontier(
         if not any(f[1] <= key[1] and f[2] <= key[2] for f in front):
             front.append(key)
     return tuple(ParetoPoint(key[0], key[2], containing[witness[key]]) for key in front)
-
-
-# ---------------------------------------------------------------------------
-# Curve closeness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurveViolation:
-    """First place where one curve escapes the other's tolerance window."""
-
-    i: int
-    side: str  # "below" | "above"
-    value: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class ClosenessSpec:
-    """Windowed tolerance for comparing integer staircase curves.
-
-    ``f`` is close to ``g`` when, at every argument i in [start, k],
-    f(i) lies between the min and max of g over the window
-    ``[max(start, i - eps(i)), min(k, i + eps(i))]``, slackened by
-    delta(i) on each side.  Infinities compare as expected (an infinite
-    g-window bound absorbs everything above/below it).
-    """
-
-    k: int
-    epsilon: "Callable[[int], int] | Sequence[int] | int" = 0
-    delta: "Callable[[int], float] | Sequence[float] | float" = 0.0
-    start: int = 0
-
-    def eps_at(self, i: int) -> int:
-        if callable(self.epsilon):
-            return int(self.epsilon(i))
-        if isinstance(self.epsilon, (list, tuple)):
-            return int(self.epsilon[i])
-        return int(self.epsilon)
-
-    def delta_at(self, i: int) -> float:
-        if callable(self.delta):
-            return float(self.delta(i))
-        if isinstance(self.delta, (list, tuple)):
-            return float(self.delta[i])
-        return float(self.delta)
-
-
-def curves_close(
-    f: Sequence[float],
-    g: Sequence[float],
-    spec: ClosenessSpec,
-) -> tuple[bool, "CurveViolation | None"]:
-    """Check the windowed closeness of two curves given on [0, k].
-
-    Returns ``(True, None)`` or ``(False, first violation)``.  Curves are
-    indexed by integer argument; entries may be ``math.inf``.  The window
-    always contains i itself, so identical curves are always close.
-    """
-    k = spec.k
-    if len(f) < k + 1 or len(g) < k + 1:
-        raise StructLabError("curves must cover the full range [0, k]")
-    for i in range(spec.start, k + 1):
-        eps = spec.eps_at(i)
-        lo = max(spec.start, i - eps)
-        hi = min(k, i + eps)
-        window = [g[j] for j in range(lo, hi + 1)]
-        slack = spec.delta_at(i)
-        lower = min(window) - slack
-        upper = max(window) + slack
-        # infinities: min(inf-window) - slack stays inf; f(i)=inf needs an
-        # infinite upper bound, which max() provides when any entry is inf
-        if f[i] < lower:
-            return False, CurveViolation(i, "below", f[i], lower)
-        if f[i] > upper:
-            return False, CurveViolation(i, "above", f[i], upper)
-    return True, None

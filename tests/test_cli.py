@@ -572,6 +572,21 @@ def test_bad_input_line_is_named_by_its_file_line(case, tmp_path, capsys):
     assert record["error"]["message"].startswith(message)
 
 
+@pytest.mark.parametrize("case", BAD_LINE_3)
+def test_input_that_is_not_utf8_is_named_by_its_byte(case, tmp_path, capsys):
+    argv, _, error, _ = BAD_LINE_3[case]
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# ok\ndata\t0\t\xff\xfe\n")
+    rc = run(*[a.format(path) for a in argv], "--out", str(tmp_path / "out"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["command"] == argv[0]
+    assert record["error"]["type"] == error
+    assert record["error"]["message"] == f"{path}: not UTF-8 at byte 12"
+
+
 @pytest.mark.parametrize("claims", ["-5 -9", "-1 1", "2 -1"])
 def test_cover_refuses_negative_claimed_complexities(claims, tmp_path, capsys):
     path = tmp_path / "records.txt"

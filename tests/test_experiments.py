@@ -174,7 +174,7 @@ def test_additivity_walk_matches_oracle_on_random_systems():
 
 
 def test_reverse_fit_gap_reference(fixa):
-    report = reverse_fit_gap_report(fixa)
+    report = reverse_fit_gap_report(fixa, list(fixa.universe_strings()))
     assert report.strings_used == 4
     by_label = {s.label: s for s in report.summaries}
     s0 = by_label["epsilon=0"]
@@ -192,9 +192,22 @@ def test_reverse_fit_gap_reference(fixa):
 
 
 def test_reverse_fit_gap_sampling(fixa):
-    report = reverse_fit_gap_report(fixa, epsilons=(0,), max_strings=2, seed=5)
+    # the report measures exactly the strings it is given
+    report = reverse_fit_gap_report(fixa, [B("01"), B("11")], epsilons=(0,))
     assert report.strings_used == 2
     assert report.summaries[0].count == 6
+    assert report.summaries[0].min_witness["x"] in {"01", "11"}
+    assert report.summaries[0].max_witness["x"] in {"01", "11"}
+
+
+def test_reverse_fit_gap_refuses_negative_epsilon(fixa, monkeypatch):
+    # a negative extra budget would read lambda from the end of the curve
+    def no_profile(*args):
+        raise AssertionError("profiled before the refusal")
+
+    monkeypatch.setattr("structlab.experiments.profile", no_profile)
+    with pytest.raises(StructLabError, match="nonnegative, got \\(0, -3\\)"):
+        reverse_fit_gap_report(fixa, list(fixa.universe_strings()), epsilons=(0, -3))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +216,7 @@ def test_reverse_fit_gap_sampling(fixa):
 
 
 def test_universal_gap_report_on_fixture(fixa):
-    report = universal_gap_report(fixa)
+    report = universal_gap_report(fixa, list(fixa.universe_strings()))
     assert report.strings_used == 4
     by_label = {s.label: s for s in report.summaries}
     for label in ("lambda_gap", "h_gap", "beta_gap", "dominance_slack"):
@@ -228,9 +241,15 @@ set   111  @family:singletons(n=8)
 
 def test_improvement_slack_report_weight_family():
     sys = build_system(WEIGHT_8)
-    report = improvement_slack_report(
-        sys, c=1.0, seeds=(0, 1, 2, 3), max_strings=12
-    )
+    # one or two strings per weight class, the structured corners included
+    xs = [
+        B(t)
+        for t in (
+            "00000000 00000011 00011001 00011010 00100000 00101000 "
+            "01111111 10000000 11010001 11101101 11110100 11111111"
+        ).split()
+    ]
+    report = improvement_slack_report(sys, xs, c=1.0, seeds=(0, 1, 2, 3))
     assert report.searches == 48
     assert report.qualifying_pairs >= 1
     assert report.traces_with_pairs >= 1
@@ -244,7 +263,7 @@ def test_improvement_slack_report_weight_family():
 
 def test_improvement_slack_report_empty_on_fixture(fixa):
     # one-bit universes never see a 2*log2(n) = 2-bit qualifying drop
-    report = improvement_slack_report(fixa, c=1.0, seeds=(0,), max_strings=None)
+    report = improvement_slack_report(fixa, list(fixa.universe_strings()), c=1.0, seeds=(0,))
     assert report.searches == 4
     assert report.qualifying_pairs == 0
     assert report.slack.count == 0
@@ -273,15 +292,8 @@ set   1    @family:cylinders(n=4)
 
 def test_generate_gap_reports_is_deterministic(tmp_path):
     systems = {"cyl-4": build_system(CYL_4)}
-    kwargs = dict(
-        systems=systems,
-        reverse_strings=8,
-        universal_strings=4,
-        improvement_strings=4,
-        improvement_seeds=(0,),
-    )
-    first = generate_gap_reports(tmp_path / "a", **kwargs)
-    second = generate_gap_reports(tmp_path / "b", **kwargs)
+    first = generate_gap_reports(tmp_path / "a", systems=systems)
+    second = generate_gap_reports(tmp_path / "b", systems=systems)
     assert sorted(first["files"]) == sorted(second["files"])
     for name in first["files"]:
         a = (tmp_path / "a" / name).read_bytes()
@@ -303,3 +315,36 @@ def test_generate_gap_reports_is_deterministic(tmp_path):
     assert "gaps_cyl-4.json" in index["files"]
     assert "nonstoch_12.json" in index["files"]
     assert all(name in first["seconds"] for name in ("cyl-4", "nonstoch"))
+
+
+def _battery_on_weight_8(out, full):
+    generate_gap_reports(out, systems={"hamming-8": build_system(WEIGHT_8)}, full=full)
+    gaps = json.loads((out / "gaps_hamming-8.json").read_text())
+    index = json.loads((out / "index.json").read_text())
+    return gaps, index["parameters"]
+
+
+def test_generate_gap_reports_samples_the_archived_sizes(tmp_path):
+    gaps, parameters = _battery_on_weight_8(tmp_path, full=False)
+    assert gaps["reverse_fit_gap"]["strings_used"] == 192
+    assert gaps["universal_family_gap"]["strings_used"] == 32
+    # 16 strings, each searched under both archived seeds
+    assert gaps["improvement_slack"]["searches"] == 32
+    assert parameters == {
+        "c": 1.0,
+        "epsilons": [0, 1, 2],
+        "improvement_seeds": [0, 1],
+        "improvement_strings": 16,
+        "reverse_strings": 192,
+        "universal_strings": 32,
+    }
+
+
+def test_generate_gap_reports_full_reaches_every_string(tmp_path):
+    gaps, parameters = _battery_on_weight_8(tmp_path, full=True)
+    assert gaps["reverse_fit_gap"]["strings_used"] == 256
+    assert gaps["universal_family_gap"]["strings_used"] == 256
+    assert gaps["improvement_slack"]["searches"] == 512
+    assert parameters["reverse_strings"] is None
+    assert parameters["universal_strings"] is None
+    assert parameters["improvement_strings"] is None

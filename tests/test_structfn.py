@@ -18,8 +18,6 @@ from structlab.codec import BitString
 from structlab.descsys import FiniteSet, apply_permutation, build_system
 from structlab.errors import StructLabError
 from structlab.structfn import (
-    ClosenessSpec,
-    curves_close,
     deficiency,
     deficiency_key,
     deficiency_tail_count,
@@ -346,66 +344,6 @@ def test_profile_inequalities_exact(seed):
                 lhs = b * (1 << p.K_x)
                 rhs = Fraction(l) * (Fraction(1 << c) if c >= 0 else Fraction(1, 1 << -c))
                 assert lhs <= rhs
-
-
-### Curve closeness
-
-
-def test_curves_close_identical():
-    f = [INF, 3.0, 3.0, 2.0]
-    ok, violation = curves_close(f, f, ClosenessSpec(k=3))
-    assert ok and violation is None
-
-
-def test_curves_close_shifted_staircase():
-    f = [5.0, 4.0, 3.0, 3.0]
-    g = [5.0, 5.0, 4.0, 3.0]
-    ok, _ = curves_close(f, g, ClosenessSpec(k=3, epsilon=1))
-    assert ok
-    ok, violation = curves_close(f, g, ClosenessSpec(k=3))
-    assert not ok
-    assert violation.i == 1
-    assert violation.side == "below" and violation.value == 4.0 and violation.bound == 5.0
-
-
-def test_curves_close_delta_slack():
-    f = [5.0, 4.0]
-    g = [4.0, 4.0]
-    ok, _ = curves_close(f, g, ClosenessSpec(k=1, delta=1.0))
-    assert ok
-    ok, violation = curves_close(f, g, ClosenessSpec(k=1, delta=0.5))
-    assert not ok and violation.i == 0 and violation.side == "above"
-
-
-def test_curves_close_infinity_handling():
-    assert curves_close([INF, 2.0], [INF, 2.0], ClosenessSpec(k=1))[0]
-    ok, violation = curves_close([2.0, 2.0], [INF, 2.0], ClosenessSpec(k=1))
-    assert not ok and violation.i == 0 and violation.side == "below"
-    ok, _ = curves_close([2.0, 2.0], [INF, 2.0], ClosenessSpec(k=1, epsilon=1))
-    assert ok
-    ok, violation = curves_close([INF, 2.0], [3.0, 2.0], ClosenessSpec(k=1))
-    assert not ok and violation.side == "above"
-
-
-def test_curves_close_start_offset():
-    f = [99.0, 3.0, 2.0]
-    g = [0.0, 3.0, 2.0]
-    ok, _ = curves_close(f, g, ClosenessSpec(k=2, start=1))
-    assert ok
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=16), st.just(INF)),
-        min_size=1,
-        max_size=8,
-    ),
-    st.integers(min_value=0, max_value=3),
-)
-def test_curves_close_reflexive(values, eps):
-    spec = ClosenessSpec(k=len(values) - 1, epsilon=eps)
-    assert curves_close(values, values, spec)[0]
 
 
 ### Recoding invariance
