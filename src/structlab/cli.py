@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import number, write_json, write_text
@@ -62,39 +61,33 @@ from .unistat import (
     reconstruct_from_prefix,
 )
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
 
-#: Subcommands that consume a program-enumeration stream and therefore
-#: require an explicit seed for reproducibility.
-STREAM_COMMANDS = frozenset({"search"})
+#: The flags that name input files; the manifest lists them under ``inputs``.
+INPUT_FLAGS = ("system", "stream", "records", "pmf", "fn")
+
+#: Flags the manifest records at its top level, None when a command has none.
+FIXED_FLAGS = ("command", "x", "seed", "alpha_max", "out", "format")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one run, echoed next to its artifacts."""
+def _manifest(args) -> dict:
+    """Everything needed to reproduce one run: the parsed flags.
 
-    command: str
-    inputs: dict = field(default_factory=dict)
-    x: "str | None" = None
-    seed: "int | None" = None
-    alpha_max: "int | None" = None
-    out: str = "."
-    format: "str | None" = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command in STREAM_COMMANDS and self.seed is None:
-            raise StructLabError(
-                f"the {self.command} command consumes an enumeration stream "
-                "and needs an explicit seed"
-            )
-        if "c" in self.options:
-            check_audit_constant(self.options["c"])
+    Input files go under ``inputs``, and every other flag that was given a
+    value goes under ``options``.
+    """
+    flags = vars(args)
+    rest = {k: v for k, v in flags.items() if k not in FIXED_FLAGS and v is not None}
+    return {
+        **{k: flags.get(k) for k in FIXED_FLAGS},
+        "inputs": {k: v for k, v in rest.items() if k in INPUT_FLAGS},
+        "options": {k: v for k, v in rest.items() if k not in INPUT_FLAGS},
+    }
 
 
 def _object_str(obj) -> str:
@@ -449,29 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _manifest_from_args(args) -> RunManifest:
-    inputs = {}
-    for key in ("system", "stream", "records", "pmf", "fn"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs[key] = str(value)
-    options = {}
-    for key in ("mode", "c", "target", "n", "delta", "i", "k", "alpha0", "beta_level", "members"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    return RunManifest(
-        command=args.command,
-        inputs=inputs,
-        x=getattr(args, "x", None),
-        seed=getattr(args, "seed", None),
-        alpha_max=getattr(args, "alpha_max", None),
-        out=str(args.out),
-        format=getattr(args, "format", None),
-        options=options,
-    )
-
-
 def _error_record(command: str, exc: Exception) -> str:
     return json.dumps(
         {
@@ -484,7 +454,10 @@ def _error_record(command: str, exc: Exception) -> str:
 
 def _artifacts(args):
     """The manifest echo first, so a refused run still archives it."""
-    yield "manifest.json", _manifest_from_args(args)
+    # JSON cannot hold a non-finite --c, so it is refused before the echo.
+    if args.command == "search":
+        check_audit_constant(args.c)
+    yield "manifest.json", _manifest(args)
     yield from _HANDLERS[args.command](args)
 
 

@@ -30,7 +30,7 @@ from .codec import BitString, read_bits, read_rational, show_bits, text_lines
 from .descsys import Codebook, DescriptionSystem, FiniteSet, check_prefix_free
 from .errors import FixtureError, StructLabError
 from .rational import log2_display, pow2, show_fraction, unit_fraction
-from .structfn import staircase
+from .structfn import codebook_curve
 
 __all__ = [
     "ProbModel",
@@ -517,27 +517,14 @@ def likelihood_curve(
     maximum-likelihood analog of the set profile's size curve and is
     non-increasing in the budget.
     """
-    xb = BitString(x)
-    if len(xb) != codebook.n:
-        raise StructLabError(
-            f"string length {len(xb)} does not match the support length {codebook.n}"
-        )
-    if alpha_max is None:
-        alpha_max = codebook.max_program_length()
-    if alpha_max < 0:
-        raise StructLabError("alpha_max must be nonnegative")
-    programs = list(codebook.programs.items())
-    # Largest probability first, ties to the smallest program.
-    best = staircase(
-        ((len(prog), (-model.probability(xb), i)) for i, (prog, model) in enumerate(programs)),
-        alpha_max,
+    xb, alpha_max, best = codebook_curve(
+        codebook, x, alpha_max, lambda model, xb: model.probability(xb)
     )
-    rows = []
-    for alpha, key in enumerate(best):
-        p = None if key is None else -key[0]
-        witness = programs[key[1]][0] if p else None
-        rows.append(LikelihoodRow(alpha=alpha, probability=p, witness=witness))
-    return LikelihoodCurve(x=xb, alpha_max=alpha_max, rows=tuple(rows))
+    rows = tuple(
+        LikelihoodRow(alpha=alpha, probability=p, witness=witness if p else None)
+        for alpha, (p, witness) in enumerate(b or (None, None) for b in best)
+    )
+    return LikelihoodCurve(x=xb, alpha_max=alpha_max, rows=rows)
 
 
 def pmf_codebook_from_sets(sys: DescriptionSystem) -> PmfCodebook:

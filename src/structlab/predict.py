@@ -43,7 +43,7 @@ from .codec import BitString, read_bits, read_rational, show_bits, text_lines
 from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
 from .rational import log2_display, pow2, unit_fraction
-from .structfn import staircase
+from .structfn import codebook_curve
 
 __all__ = [
     "PredictionStrategy",
@@ -346,31 +346,14 @@ def snooping_curve(
     realized product on ``x`` (ties to the smallest program); losses are
     therefore non-increasing in the budget.
     """
-    xb = BitString(x)
-    if len(xb) != codebook.n:
-        raise StructLabError(
-            f"string length {len(xb)} does not match the horizon {codebook.n}"
-        )
-    if alpha_max is None:
-        alpha_max = codebook.max_program_length()
-    if alpha_max < 0:
-        raise StructLabError("alpha_max must be nonnegative")
-    programs = list(codebook.programs.items())
-    # Largest realized product first, ties to the smallest program.
-    best = staircase(
-        (
-            (len(prog), (-evaluate_loss(strat, xb).product, i))
-            for i, (prog, strat) in enumerate(programs)
-        ),
-        alpha_max,
+    xb, alpha_max, best = codebook_curve(
+        codebook, x, alpha_max, lambda strat, xb: evaluate_loss(strat, xb).product
     )
-    rows = [
-        SnoopRow(alpha=alpha, product=None, witness=None)
-        if key is None
-        else SnoopRow(alpha=alpha, product=-key[0], witness=programs[key[1]][0])
-        for alpha, key in enumerate(best)
-    ]
-    return SnoopingCurve(x=xb, alpha_max=alpha_max, rows=tuple(rows))
+    rows = tuple(
+        SnoopRow(alpha=alpha, product=product, witness=witness)
+        for alpha, (product, witness) in enumerate(b or (None, None) for b in best)
+    )
+    return SnoopingCurve(x=xb, alpha_max=alpha_max, rows=rows)
 
 
 def codebook_from_sets(sys: DescriptionSystem) -> StrategyCodebook:

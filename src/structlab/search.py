@@ -63,7 +63,14 @@ __all__ = [
     "improvement_audit",
 ]
 
-MODES = ("mdl", "ml", "direct")
+#: Each mode's declared objective key and its order over candidate records.
+#: A strictly smaller order takes over, so mdl and ml keep the first of
+#: equal keys, while direct's ties go to the shorter program (its sort key).
+RANKS = {
+    "mdl": ("lambda_key", lambda rec: (rec.lambda_key,)),
+    "ml": ("cardinality", lambda rec: (rec.cardinality,)),
+    "direct": ("delta_key", lambda rec: (rec.delta_order, rec.witness_program.sort_key())),
+}
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def anytime_search(
     completeness when it was built; the declared sequence depends on the
     stream order, but the final objective value is stream-independent.
     """
-    if mode not in MODES:
+    if mode not in RANKS:
         raise StructLabError(f"unknown search mode {mode!r}")
     if alpha < 0:
         raise StructLabError("alpha must be nonnegative")
@@ -114,69 +121,46 @@ def anytime_search(
         raise StructLabError("the stream must be an EnumerationStream built for this system")
     xv = sys._value(x)
     xb = BitString.from_value(sys.universe_n, xv)
+    objective, order = RANKS[mode]
 
     declarations: list[Declaration] = []
-    best_key: "int | None" = None
     best_record: "ModelRecord | None" = None
+    # mdl and ml read K(x|S) at once; direct estimates it by the index code
+    # until the stream prints x, keeping its candidates until then.
+    x_known = mode != "direct"
+    seen: list[ModelRecord] = []
 
-    if mode in ("mdl", "ml"):
-        for ev in stream.events:
-            if ev.kind != "set" or len(ev.program) > alpha:
-                continue
-            s: FiniteSet = ev.output  # type: ignore[assignment]
-            if xv not in s:
-                continue
-            key = (1 << len(ev.program)) * s.cardinality if mode == "mdl" else s.cardinality
-            if best_key is None or key < best_key:
-                best_key = key
-                best_record = ModelRecord(
-                    s, len(ev.program), ev.program, int(sys.K_cond(xv, s))
-                )
-                declarations.append(
-                    Declaration(ev.time, best_record, key, log2_display(key))
-                )
-    else:  # direct
-        x_known = False
-        # one record per candidate, K_cond holding the current estimate
-        seen: list[ModelRecord] = []
+    def record(s: FiniteSet, prog: BitString) -> ModelRecord:
+        est = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
+        return ModelRecord(s, len(prog), prog, est)
 
-        def estimate(s: FiniteSet, prog: BitString) -> ModelRecord:
-            est = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
-            return ModelRecord(s, len(prog), prog, est)
+    def declare(time: int, winner: ModelRecord) -> None:
+        nonlocal best_record
+        # A record equal to the reigning one is the same program with the
+        # same estimate: nothing new to declare.
+        if winner != best_record:
+            best_record = winner
+            key = getattr(winner, objective)
+            declarations.append(Declaration(time, winner, key, log2_display(key)))
 
-        def order(rec: ModelRecord) -> tuple:
-            # the program's sort key puts the shorter program first on ties
-            return (rec.delta_order, rec.witness_program.sort_key())
-
-        def declare(time: int, winner: ModelRecord) -> None:
-            nonlocal best_record
-            # A record equal to the reigning one is the same program with
-            # the same estimate: nothing new to declare.
-            if winner != best_record:
-                best_record = winner
-                key = winner.delta_key
-                declarations.append(Declaration(time, winner, key, log2_display(key)))
-
-        # Estimates change only when x is first printed, so between those
-        # moments the best record is a running minimum.
-        for ev in stream.events:
-            if ev.kind == "data":
-                if ev.output == xb and not x_known:
-                    x_known = True
-                    # conditional shortcuts unlock for every set already seen
-                    seen = [estimate(r.set, r.witness_program) for r in seen]
-                    if seen:
-                        declare(ev.time, min(seen, key=order))
-                continue
-            if len(ev.program) > alpha:
-                continue
-            s = ev.output  # type: ignore[assignment]
-            if xv not in s:
-                continue
-            rec = estimate(s, ev.program)
+    # Estimates change only when x is first printed, so between those
+    # moments the best record is a running minimum.
+    for ev in stream.events:
+        if ev.kind == "data":
+            if not x_known and ev.output == xb:
+                x_known = True
+                # conditional shortcuts unlock for every set already seen
+                seen = [record(r.set, r.witness_program) for r in seen]
+                if seen:
+                    declare(ev.time, min(seen, key=order))
+            continue
+        if len(ev.program) > alpha or xv not in ev.output:
+            continue
+        rec = record(ev.output, ev.program)  # type: ignore[arg-type]
+        if not x_known:
             seen.append(rec)
-            if best_record is None or order(rec) < order(best_record):
-                declare(ev.time, rec)
+        if best_record is None or order(rec) < order(best_record):
+            declare(ev.time, rec)
 
     return SearchTrace(
         mode=mode,

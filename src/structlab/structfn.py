@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .codec import BitString
-from .descsys import DescriptionSystem, FiniteSet, ModelRecord
+from .descsys import Codebook, DescriptionSystem, FiniteSet, ModelRecord
 from .errors import StructLabError
 from .rational import log2_display
 
@@ -49,6 +49,7 @@ __all__ = [
     "profile",
     "profile_universe",
     "staircase",
+    "codebook_curve",
     "deficiency",
     "deficiency_key",
     "deficiency_tail_count",
@@ -233,6 +234,37 @@ def staircase(candidates: Iterable[tuple[int, K]], alpha_max: int) -> list["K | 
             run = key
         best[alpha] = run
     return best
+
+
+def codebook_curve(
+    codebook: Codebook,
+    x,
+    alpha_max: "int | None",
+    score: Callable[[object, BitString], K],
+) -> tuple[BitString, int, list["tuple[K, BitString] | None"]]:
+    """The best-scoring affordable model of ``x`` at each budget ``0..alpha_max``.
+
+    A model's budget is the length of its program in ``codebook``; the
+    largest ``score(model, x)`` wins, ties to the smallest program.  Returns
+    ``x`` as a BitString, the budget bound (default: the longest program)
+    and one ``(score, program)`` per budget, None while no program fits.
+    """
+    xb = BitString(x)
+    if len(xb) != codebook.n:
+        raise StructLabError(
+            f"string length {len(xb)} does not match the {codebook.length_noun} {codebook.n}"
+        )
+    if alpha_max is None:
+        alpha_max = codebook.max_program_length()
+    if alpha_max < 0:
+        raise StructLabError("alpha_max must be nonnegative")
+    programs = list(codebook.programs.items())
+    best = staircase(
+        ((len(prog), (-score(model, xb), i)) for i, (prog, model) in enumerate(programs)),
+        alpha_max,
+    )
+    rows = [None if key is None else (-key[0], programs[key[1]][0]) for key in best]
+    return xb, alpha_max, rows
 
 
 def profile(

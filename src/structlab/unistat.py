@@ -142,12 +142,8 @@ class EnumeratedD:
 
     def objects(self) -> tuple:
         """Distinct objects in order of first appearance."""
-        out, seen = [], set()
-        for o, _ in self._order:
-            if o not in seen:
-                seen.add(o)
-                out.append(o)
-        return tuple(out)
+        # A section shares its parent's table, whose later entries lie past it.
+        return tuple(o for o, pos in self._first.items() if pos < self.N_l)
 
     def _first_index(self, obj) -> "int | None":
         """Index of the first pair carrying ``obj``, or None if it never appears."""
@@ -253,6 +249,11 @@ class SliBlock:
         return tuple(o for pos, (o, _) in enumerate(pairs, start=lo) if first[o] == pos)
 
     def __contains__(self, x: object) -> bool:
+        """Membership of an object; a str is read as a BitString."""
+        try:
+            x = _coerce_object(x)
+        except StructLabError:  # never an enumeration object
+            return False
         return self.lo <= self.source._first.get(x, -1) <= self.hi
 
 
@@ -319,20 +320,17 @@ def induced_Dk(sys: DescriptionSystem, k: int) -> EnumeratedD:
     """
     if k < 0:
         raise StructLabError(f"complexity budget must be nonnegative, got {k}")
-    n = sys.universe_n
     set_rows = sorted(
         (e.K_S, e.witness_program.sort_key(), e.set) for e in sys.set_entries()
     )
-    data_rows = sorted(
-        (sys.K_data(v), sys.data_witness(v).sort_key(), BitString.from_value(n, v))
-        for v in sys.universe_values()
-    )
+    # the induced enumeration lists the strings in (K, witness) order already
+    data_rows = induced_data_D(sys).order
     pairs = []
     for i in range(k + 1):
         for cost, _, s in set_rows:
             if cost <= i:
                 pairs.append((s, i))
-        for cost, _, b in data_rows:
+        for b, cost in data_rows:
             if cost <= i:
                 pairs.append((b, i))
     return EnumeratedD(pairs, l=k)
@@ -513,24 +511,7 @@ def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:
         for variant, l in (("exact", cost), ("padded", cost + sys.c_sub)):
             sec = d.section(l)
             idx = build_index(sec, xb)
-            if idx.I is None:
-                records.append(
-                    SliDominanceRecord(
-                        program=entry.witness_program,
-                        K_S=entry.K_S,
-                        cardinality=entry.cardinality,
-                        variant=variant,
-                        l=l,
-                        in_section=False,
-                        i=None,
-                        block_cardinality=None,
-                        block_lambda=None,
-                        slack=None,
-                        contains=None,
-                    )
-                )
-                continue
-            block = build_Sli(sec, idx.m_len)
+            block = None if idx.I is None else build_Sli(sec, idx.m_len)
             records.append(
                 SliDominanceRecord(
                     program=entry.witness_program,
@@ -538,12 +519,12 @@ def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:
                     cardinality=entry.cardinality,
                     variant=variant,
                     l=l,
-                    in_section=True,
+                    in_section=block is not None,
                     i=idx.m_len,
-                    block_cardinality=block.cardinality,
-                    block_lambda=sec.width - 1,
-                    slack=sec.width - 1 - l,
-                    contains=xb in block,
+                    block_cardinality=None if block is None else block.cardinality,
+                    block_lambda=None if block is None else sec.width - 1,
+                    slack=None if block is None else sec.width - 1 - l,
+                    contains=None if block is None else xb in block,
                 )
             )
     return SliDominanceReport(x=xb, c_sub=sys.c_sub, records=tuple(records))

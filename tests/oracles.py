@@ -315,6 +315,48 @@ def oracle_mdl_guarantee(sys: DescriptionSystem, trace) -> bool:
     return True
 
 
+def oracle_search_trace(sys: DescriptionSystem, x, alpha: int, stream, mode: str) -> list:
+    """``(time, program, K(x|S), objective key)`` at each change of the best model.
+
+    After every event, all candidates seen so far (set events with
+    ``|p| <= alpha`` whose set holds x) are ranked from scratch.  mdl ranks by
+    ``2**|p| * |S|`` and ml by ``|S|``, both with the true K(x|S) and the
+    earliest candidate first on ties.  direct ranks by ``|S| / 2**K``, where K
+    is the index code ``ceil(log2|S|)`` until a data event has printed x and
+    the true K(x|S) from then on, the shorter and then smaller program first
+    on ties.  A declaration is made whenever the best (program, K) changes.
+    """
+    v = FiniteSet._coerce(sys.universe_n, x)
+    candidates = []
+    x_printed = False
+    best = None
+    declarations = []
+    for ev in stream.events:
+        if ev.kind == "data":
+            x_printed = x_printed or ev.output.value == v
+        elif len(ev.program) <= alpha and v in ev.output.values:
+            candidates.append((ev.time, ev.program, ev.output))
+        ranked = []
+        for time, p, s in candidates:
+            if mode == "direct" and not x_printed:
+                k = (s.cardinality - 1).bit_length()
+            else:
+                k = oracle_K_cond(sys, v, s)
+            if mode == "mdl":
+                key, tie = 2 ** len(p) * s.cardinality, time
+            elif mode == "ml":
+                key, tie = s.cardinality, time
+            else:
+                key, tie = Fraction(s.cardinality, 2**k), (len(p), str(p))
+            ranked.append((key, tie, p, k))
+        if ranked:
+            key, _, p, k = min(ranked)
+            if best != (p, k):
+                best = (p, k)
+                declarations.append((ev.time, p, k, key))
+    return declarations
+
+
 def oracle_loss_product(strategy_table, x: BitString) -> Fraction:
     """Prediction product: multiply the realized probability of each bit."""
     product = Fraction(1)

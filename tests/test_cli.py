@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from structlab import cli, structfn
-from structlab.cli import RunManifest, main
+from structlab.cli import main
 from structlab.descsys import MAX_UNIVERSE_BITS, FiniteSet, load_system
-from structlab.errors import StructLabError
 
 from .gensys import random_system
 from .oracles import oracle_profile_artifact
@@ -252,11 +251,6 @@ def test_search_requires_seed(fixa_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("search", "--system", fixa_path, "--x", "00", "--out", str(tmp_path))
     assert exc.value.code == 2
-
-
-def test_search_manifest_guard():
-    with pytest.raises(StructLabError, match="needs an explicit seed"):
-        RunManifest(command="search", seed=None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from structlab.search import (
 from structlab.structfn import profile
 
 from .gensys import random_system
-from .oracles import oracle_mdl_guarantee
+from .oracles import oracle_mdl_guarantee, oracle_search_trace
 
 B = BitString
 
@@ -313,6 +313,23 @@ def test_direct_search_ends_on_the_beta_key(seed, data):
         # a declaration names a new program or a corrected estimate
         sigs = [(d.record.witness_program, d.record.K_cond) for d in trace.declarations]
         assert all(a != b for a, b in zip(sigs, sigs[1:]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_declarations_match_the_rescanning_oracle(seed, stream_seed, data):
+    sys = random_system(seed, cheap_singletons=data.draw(st.booleans(), label="singletons"))
+    x = data.draw(st.integers(0, sys.universe_size() - 1), label="x")
+    alpha = data.draw(st.integers(0, sys.max_set_program_length()), label="alpha")
+    stream = enumeration_stream(sys, stream_seed)
+    for mode in ("mdl", "ml", "direct"):
+        trace = anytime_search(sys, x, alpha, stream, mode)
+        got = [
+            (d.time, d.record.witness_program, d.record.K_cond, d.objective_key)
+            for d in trace.declarations
+        ]
+        assert got == oracle_search_trace(sys, x, alpha, stream, mode), mode
+        assert trace.flagged_empty == (not got)
 
 
 def test_guarantee_requires_mdl_trace(fixa):

@@ -145,6 +145,16 @@ def test_half_block_level_out_of_range():
         build_Sli(thirteen_pairs(), -1)
 
 
+def test_half_block_membership_reads_strings(fixa):
+    blk = build_Sli(induced_data_D(fixa), 0)
+    assert "00" in blk and B("00") in blk
+    blk = build_Sli(thirteen_pairs(), 0)
+    assert "0111" in blk and B("0111") in blk
+    # non-members, malformed strings and unhashable objects are all just absent
+    for obj in ("1100", "011", "0x", "", 7, None, [0], B("1100")):
+        assert obj not in blk
+
+
 def test_half_block_cardinality_exact_on_shuffled_enumerations():
     for seed in range(40):
         rng = random.Random(seed)
@@ -218,6 +228,7 @@ def assert_matches_scans(d: EnumeratedD, probes) -> None:
     for l in range(d.l + 2):
         sec = d.section(l)
         assert sec.order == oracle_section(d.order, l)
+        assert sec.objects() == tuple(dict.fromkeys(o for o, _ in sec.order))
         assert sec == EnumeratedD(sec.order, l=l)
         for x in probes:
             rec = build_index(sec, x)
