@@ -233,7 +233,8 @@ def _cmd_synth(args):
     target = _target_curve(args.target)
     n = args.n if args.n is not None else (target[0] if target else 0)
     universe = _full_cube(n)
-    events = parse_synth_stream(read_text(args.stream), width=n)
+    max_level = len(target) - 1 if target else None
+    events = parse_synth_stream(read_text(args.stream), width=n, max_level=max_level)
     yield "synth.json", synthesize(target, universe, events, n=n)
 
 

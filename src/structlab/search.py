@@ -38,6 +38,12 @@ Every mdl declaration obeys the exact online guarantee
 checked by :func:`mdl_guarantee_holds` in exact arithmetic: declaring early
 never costs more than the declared two-part length plus the system's
 subadditivity constant.
+
+:func:`anytime_search` serves one string.  :func:`search_many` gives the
+same mdl or ml traces for many strings from one walk of the stream: a set
+event's key does not depend on x, so it is computed once and offered to
+each member of the set, in O(|stream| + sum of |S|) for any number of
+strings.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ __all__ = [
     "Declaration",
     "SearchTrace",
     "anytime_search",
+    "search_many",
     "mdl_guarantee_holds",
     "trace_jsonl_lines",
     "AuditPair",
@@ -98,6 +105,17 @@ class SearchTrace:
         return [d.objective_key for d in self.declarations]
 
 
+def _check_request(
+    sys: DescriptionSystem, alpha: int, stream: EnumerationStream, mode: str
+) -> None:
+    if mode not in RANKS:
+        raise StructLabError(f"unknown search mode {mode!r}")
+    if alpha < 0:
+        raise StructLabError("alpha must be nonnegative")
+    if not isinstance(stream, EnumerationStream) or stream.system is not sys:
+        raise StructLabError("the stream must be an EnumerationStream built for this system")
+
+
 def anytime_search(
     sys: DescriptionSystem,
     x,
@@ -113,12 +131,7 @@ def anytime_search(
     completeness when it was built; the declared sequence depends on the
     stream order, but the final objective value is stream-independent.
     """
-    if mode not in RANKS:
-        raise StructLabError(f"unknown search mode {mode!r}")
-    if alpha < 0:
-        raise StructLabError("alpha must be nonnegative")
-    if not isinstance(stream, EnumerationStream) or stream.system is not sys:
-        raise StructLabError("the stream must be an EnumerationStream built for this system")
+    _check_request(sys, alpha, stream, mode)
     xv = sys._value(x)
     xb = BitString.from_value(sys.universe_n, xv)
     objective, order = RANKS[mode]
@@ -170,6 +183,62 @@ def anytime_search(
         final=best_record,
         flagged_empty=best_record is None,
     )
+
+
+def search_many(
+    sys: DescriptionSystem,
+    xs,
+    alpha: int,
+    stream: EnumerationStream,
+    mode: str = "mdl",
+) -> list[SearchTrace]:
+    """One :func:`anytime_search` trace per entry of ``xs``, from one walk of the stream.
+
+    Serves mdl and ml, whose key (``2**|p| * |S|`` or ``|S|``) does not
+    depend on x: each affordable set event's key is computed once, and each
+    member of its set that ``xs`` names keeps a running best key, taking the
+    event on strict improvement.  Records are built only for the events
+    kept, with K(x|S) read from the set's shortcuts without a membership
+    test, so the cost is O(|stream| + sum of |S|) however many strings are
+    asked for.  Direct mode, whose estimates change when x is printed,
+    stays with :func:`anytime_search`.
+    """
+    _check_request(sys, alpha, stream, mode)
+    if mode == "direct":
+        raise StructLabError("the stream fold serves mdl and ml; direct needs anytime_search")
+    values = [sys._value(x) for x in xs]
+    best = dict.fromkeys(values, math.inf)
+    kept: dict[int, list] = {v: [] for v in best}
+    by_card = mode == "ml"
+    for ev in stream.events:
+        if ev.kind == "data" or len(ev.program) > alpha:
+            continue
+        s: FiniteSet = ev.output  # type: ignore[assignment]
+        key = s.cardinality if by_card else s.cardinality << len(ev.program)
+        for v in s.values:
+            if key < best.get(v, -1):
+                best[v] = key
+                kept[v].append((ev.time, s, ev.program, key))
+
+    n = sys.universe_n
+    traces: dict[int, SearchTrace] = {}
+    for v, events in kept.items():
+        declarations = tuple(
+            Declaration(
+                t, ModelRecord(s, len(p), p, sys._member_cond(v, s)), key, log2_display(key)
+            )
+            for t, s, p, key in events
+        )
+        final = declarations[-1].record if declarations else None
+        traces[v] = SearchTrace(
+            mode=mode,
+            x=BitString.from_value(n, v),
+            alpha=alpha,
+            declarations=declarations,
+            final=final,
+            flagged_empty=final is None,
+        )
+    return [traces[v] for v in values]
 
 
 def mdl_guarantee_holds(sys: DescriptionSystem, trace: SearchTrace) -> bool:

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .codec import BitString, read_int, text_lines
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
-from .errors import StructLabError
+from .errors import FixtureError, StructLabError
 from .rational import ceil_log2, log2_display, pow2
 from .structfn import profile, staircase
 
@@ -146,15 +146,21 @@ class SynthesisRun:
         }
 
 
-def parse_synth_stream(text: str, width: "int | None" = None) -> tuple[SynthEvent, ...]:
+def parse_synth_stream(
+    text: str, width: "int | None" = None, max_level: "int | None" = None
+) -> tuple[SynthEvent, ...]:
     """Parse adversary events, one ``step LEVEL MEMBERS`` line each.
 
     MEMBERS is a comma-separated list of equal-width bit strings; the width
-    must match ``width`` when given and be consistent across lines.
+    must match ``width`` when given and be consistent across lines.  With
+    ``max_level`` (a target curve's last index) a level outside
+    ``[0, max_level]`` is refused with its line.
     """
     events: list[SynthEvent] = []
     for where, (_, level, members) in text_lines(text, "step LEVEL MEMBERS", keyword="step"):
         level = read_int(level, "level", where)
+        if max_level is not None and not 0 <= level <= max_level:
+            raise FixtureError(f"{where}: event level {level} outside [0, {max_level}]")
         block = FiniteSet.read(members, where, width)
         width = block.n
         events.append(SynthEvent(len(events), level, block))

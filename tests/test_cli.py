@@ -566,6 +566,21 @@ def test_bad_input_line_is_named_by_its_file_line(case, tmp_path, capsys):
     assert record["error"]["message"].startswith(message)
 
 
+def test_synth_level_past_the_target_is_named_by_its_line(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("step 1 0000000001\nstep 7 0000000000\n")
+    rc = run(
+        "synth", "--target", "3,2,2", "--stream", str(stream), "--n", "10",
+        "--out", str(tmp_path / "out"),
+    )
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["command"] == "synth"
+    assert record["error"] == {
+        "type": "FixtureError", "message": "line 2: event level 7 outside [0, 2]",
+    }
+
+
 @pytest.mark.parametrize("case", BAD_LINE_3)
 def test_input_that_is_not_utf8_is_named_by_its_byte(case, tmp_path, capsys):
     argv, _, error, _ = BAD_LINE_3[case]

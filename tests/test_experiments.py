@@ -8,7 +8,7 @@ import pytest
 
 from structlab.artifacts import encode
 from structlab.codec import BitString
-from structlab.descsys import MAX_UNIVERSE_BITS, build_system
+from structlab.descsys import MAX_UNIVERSE_BITS, DescriptionSystem, build_system
 from structlab.errors import StructLabError
 from structlab.experiments import (
     additivity_defect_report,
@@ -322,6 +322,23 @@ def _battery_on_weight_8(out, full):
     gaps = json.loads((out / "gaps_hamming-8.json").read_text())
     index = json.loads((out / "index.json").read_text())
     return gaps, index["parameters"]
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_gap_battery_never_scans_sets_per_string(tmp_path, monkeypatch, full):
+    system = build_system(WEIGHT_8)
+    lookups = {"cached": 0, "scanned": 0}
+    original = DescriptionSystem.entries_containing
+
+    def counted(self, x):
+        if self is system:  # the planted-staircase section profiles one string
+            cached = self._value(x) in self._containing_cache
+            lookups["cached" if cached else "scanned"] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(DescriptionSystem, "entries_containing", counted)
+    generate_gap_reports(tmp_path, systems={"hamming-8": system}, full=full)
+    assert lookups["cached"] >= 256 and lookups["scanned"] == 0
 
 
 def test_generate_gap_reports_samples_the_archived_sizes(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
-from structlab.errors import StructLabError
+from structlab.errors import FixtureError, StructLabError
 from structlab.synth import SynthEvent, analog_curve, parse_synth_stream, synthesize
 
 B = BitString
@@ -172,6 +172,16 @@ def test_parse_stream_errors():
         parse_synth_stream("step 1 000,01")
     with pytest.raises(StructLabError, match="!= expected 4"):
         parse_synth_stream("step 1 000", width=4)
+
+
+def test_parse_stream_refuses_levels_past_the_target_by_line():
+    text = "step 2 000\n# comment\nstep -1 001\n"
+    assert [e.level for e in parse_synth_stream(text)] == [2, -1]
+    with pytest.raises(FixtureError, match=r"^line 3: event level -1 outside \[0, 2\]$"):
+        parse_synth_stream(text, max_level=2)
+    # library callers that pass no bound are still refused by synthesize
+    with pytest.raises(StructLabError, match=r"^event level -1 outside \[0, 2\]$"):
+        synthesize([3, 2, 2], FiniteSet(3, range(8)), parse_synth_stream(text))
 
 
 # ---------------------------------------------------------------------------
