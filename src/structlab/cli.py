@@ -51,7 +51,7 @@ from .search import (
     trace_jsonl_lines,
 )
 from .structfn import profile, profile_universe
-from .synth import cover_family, parse_synth_stream, synthesize
+from .synth import check_target, cover_family, parse_synth_stream, synthesize
 from .unistat import (
     build_Sli,
     build_index,
@@ -230,11 +230,10 @@ def _cmd_search(args):
 
 
 def _cmd_synth(args):
-    target = _target_curve(args.target)
-    n = args.n if args.n is not None else (target[0] if target else 0)
+    target = check_target(_target_curve(args.target))
+    n = args.n if args.n is not None else target[0]
     universe = _full_cube(n)
-    max_level = len(target) - 1 if target else None
-    events = parse_synth_stream(read_text(args.stream), width=n, max_level=max_level)
+    events = parse_synth_stream(read_text(args.stream), width=n, max_level=len(target) - 1)
     yield "synth.json", synthesize(target, universe, events, n=n)
 
 

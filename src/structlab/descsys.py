@@ -554,13 +554,6 @@ class DescriptionSystem:
                 best = q
         return best
 
-    def _member_cond(self, v: int, s: FiniteSet) -> int:
-        """K(x|S) for a value ``v`` already known to be a member of ``s``,
-        read without a membership test."""
-        index_code = s.ceil_log_card
-        q = self._shortcut_min.get(s, {}).get(v)
-        return index_code if q is None or q >= index_code else q
-
     # -- canonical set entries ---------------------------------------------
 
     def set_entries(self) -> tuple[ModelRecord, ...]:

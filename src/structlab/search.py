@@ -40,7 +40,7 @@ never costs more than the declared two-part length plus the system's
 subadditivity constant.
 
 :func:`anytime_search` serves one string.  :func:`search_many` gives the
-same mdl or ml traces for many strings from one walk of the stream: a set
+same mdl traces for many strings from one walk of the stream: a set
 event's key does not depend on x, so it is computed once and offered to
 each member of the set, in O(|stream| + sum of |S|) for any number of
 strings.
@@ -105,11 +105,7 @@ class SearchTrace:
         return [d.objective_key for d in self.declarations]
 
 
-def _check_request(
-    sys: DescriptionSystem, alpha: int, stream: EnumerationStream, mode: str
-) -> None:
-    if mode not in RANKS:
-        raise StructLabError(f"unknown search mode {mode!r}")
+def _check_request(sys: DescriptionSystem, alpha: int, stream: EnumerationStream) -> None:
     if alpha < 0:
         raise StructLabError("alpha must be nonnegative")
     if not isinstance(stream, EnumerationStream) or stream.system is not sys:
@@ -131,7 +127,9 @@ def anytime_search(
     completeness when it was built; the declared sequence depends on the
     stream order, but the final objective value is stream-independent.
     """
-    _check_request(sys, alpha, stream, mode)
+    if mode not in RANKS:
+        raise StructLabError(f"unknown search mode {mode!r}")
+    _check_request(sys, alpha, stream)
     xv = sys._value(x)
     xb = BitString.from_value(sys.universe_n, xv)
     objective, order = RANKS[mode]
@@ -186,35 +184,25 @@ def anytime_search(
 
 
 def search_many(
-    sys: DescriptionSystem,
-    xs,
-    alpha: int,
-    stream: EnumerationStream,
-    mode: str = "mdl",
+    sys: DescriptionSystem, xs, alpha: int, stream: EnumerationStream
 ) -> list[SearchTrace]:
-    """One :func:`anytime_search` trace per entry of ``xs``, from one walk of the stream.
+    """One mdl :func:`anytime_search` trace per entry of ``xs``, from one walk of the stream.
 
-    Serves mdl and ml, whose key (``2**|p| * |S|`` or ``|S|``) does not
-    depend on x: each affordable set event's key is computed once, and each
-    member of its set that ``xs`` names keeps a running best key, taking the
-    event on strict improvement.  Records are built only for the events
-    kept, with K(x|S) read from the set's shortcuts without a membership
-    test, so the cost is O(|stream| + sum of |S|) however many strings are
-    asked for.  Direct mode, whose estimates change when x is printed,
-    stays with :func:`anytime_search`.
+    A set event's key ``2**|p| * |S|`` does not depend on x: each
+    affordable set event's key is computed once, and each member of its set
+    that ``xs`` names keeps a running best key, taking the event on strict
+    improvement.  Records are built only for the events kept, so the cost
+    is O(|stream| + sum of |S|) however many strings are asked for.
     """
-    _check_request(sys, alpha, stream, mode)
-    if mode == "direct":
-        raise StructLabError("the stream fold serves mdl and ml; direct needs anytime_search")
+    _check_request(sys, alpha, stream)
     values = [sys._value(x) for x in xs]
     best = dict.fromkeys(values, math.inf)
     kept: dict[int, list] = {v: [] for v in best}
-    by_card = mode == "ml"
     for ev in stream.events:
         if ev.kind == "data" or len(ev.program) > alpha:
             continue
         s: FiniteSet = ev.output  # type: ignore[assignment]
-        key = s.cardinality if by_card else s.cardinality << len(ev.program)
+        key = s.cardinality << len(ev.program)
         for v in s.values:
             if key < best.get(v, -1):
                 best[v] = key
@@ -225,13 +213,13 @@ def search_many(
     for v, events in kept.items():
         declarations = tuple(
             Declaration(
-                t, ModelRecord(s, len(p), p, sys._member_cond(v, s)), key, log2_display(key)
+                t, ModelRecord(s, len(p), p, int(sys.K_cond(v, s))), key, log2_display(key)
             )
             for t, s, p, key in events
         )
         final = declarations[-1].record if declarations else None
         traces[v] = SearchTrace(
-            mode=mode,
+            mode="mdl",
             x=BitString.from_value(n, v),
             alpha=alpha,
             declarations=declarations,

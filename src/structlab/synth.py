@@ -43,6 +43,7 @@ __all__ = [
     "SynthEvent",
     "SynthesisRun",
     "parse_synth_stream",
+    "check_target",
     "synthesize",
     "analog_curve",
     "CoverRecord",
@@ -181,6 +182,21 @@ def _coerce_events(events: Iterable, width: int) -> tuple[SynthEvent, ...]:
     return tuple(out)
 
 
+def check_target(target: Sequence[int]) -> tuple[int, ...]:
+    """The target curve as a tuple, refused unless it is non-empty,
+    non-increasing and ends at its domain (``target[k] == k``)."""
+    target = tuple(int(v) for v in target)
+    if not target:
+        raise StructLabError("the target curve is empty")
+    k = len(target) - 1
+    if any(b > a for a, b in zip(target, target[1:])):
+        raise StructLabError("the target curve must be non-increasing")
+    if target[k] != k:
+        raise StructLabError(f"the target curve must end at its domain: "
+                             f"target[{k}] = {target[k]} != {k}")
+    return target
+
+
 def synthesize(
     target: Sequence[int],
     universe: FiniteSet,
@@ -202,15 +218,8 @@ def synthesize(
     are counted, the last one may be partial, and a refill finding nothing
     available marks the run exhausted.
     """
-    target = tuple(int(v) for v in target)
-    if not target:
-        raise StructLabError("the target curve is empty")
+    target = check_target(target)
     k = len(target) - 1
-    if any(b > a for a, b in zip(target, target[1:])):
-        raise StructLabError("the target curve must be non-increasing")
-    if target[k] != k:
-        raise StructLabError(f"the target curve must end at its domain: "
-                             f"target[{k}] = {target[k]} != {k}")
     if n is None:
         n = target[0]
     if target[0] > n:

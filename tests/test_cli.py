@@ -581,6 +581,26 @@ def test_synth_level_past_the_target_is_named_by_its_line(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("3,5", "the target curve must be non-increasing"),
+        ("3,2,1", "the target curve must end at its domain: target[2] = 1 != 2"),
+        ("", "the target curve is empty"),
+    ],
+)
+def test_a_bad_target_is_refused_before_the_stream_is_read(target, message, tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("step 7 000\n")
+    rc = run(
+        "synth", "--target", target, "--stream", str(stream), "--n", "3",
+        "--out", str(tmp_path / "out"),
+    )
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == {"type": "StructLabError", "message": message}
+
+
 @pytest.mark.parametrize("case", BAD_LINE_3)
 def test_input_that_is_not_utf8_is_named_by_its_byte(case, tmp_path, capsys):
     argv, _, error, _ = BAD_LINE_3[case]

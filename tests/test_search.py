@@ -341,36 +341,30 @@ def test_stream_fold_matches_the_per_string_search(seed, data):
     alpha = data.draw(st.integers(0, sys.max_set_program_length()), label="alpha")
     for stream_seed in (3, 11):
         stream = enumeration_stream(sys, stream_seed)
-        for mode in ("mdl", "ml"):
-            traces = search_many(sys, xs, alpha, stream, mode)
-            assert len(traces) == len(xs)
-            for x, trace in zip(xs, traces):
-                single = anytime_search(sys, x, alpha, stream, mode)
-                assert trace == single, (mode, x)
-                got = [
-                    (d.time, d.record.witness_program, d.record.K_cond, d.objective_key)
-                    for d in trace.declarations
-                ]
-                assert got == oracle_search_trace(sys, x, alpha, stream, mode), (mode, x)
-                if mode == "mdl":
-                    assert improvement_audit(sys, trace) == improvement_audit(sys, single)
+        traces = search_many(sys, xs, alpha, stream)
+        assert len(traces) == len(xs)
+        for x, trace in zip(xs, traces):
+            single = anytime_search(sys, x, alpha, stream, "mdl")
+            assert trace == single, x
+            got = [
+                (d.time, d.record.witness_program, d.record.K_cond, d.objective_key)
+                for d in trace.declarations
+            ]
+            assert got == oracle_search_trace(sys, x, alpha, stream, "mdl"), x
+            assert improvement_audit(sys, trace) == improvement_audit(sys, single)
 
 
 def test_stream_fold_takes_any_strings_in_order(fixa):
     stream = enumeration_stream(fixa, 4)
     assert search_many(fixa, [], 3, stream) == []
     xs = ["10", B("00"), 2, "00"]
-    traces = search_many(fixa, xs, 3, stream, "ml")
-    assert traces == [anytime_search(fixa, x, 3, stream, "ml") for x in xs]
+    traces = search_many(fixa, xs, 3, stream)
+    assert traces == [anytime_search(fixa, x, 3, stream, "mdl") for x in xs]
     assert traces[1] == traces[3]
 
 
 def test_stream_fold_refusals(fixa):
     stream = enumeration_stream(fixa, 0)
-    with pytest.raises(StructLabError, match="unknown search mode 'fastest'"):
-        search_many(fixa, ["00"], 3, stream, mode="fastest")
-    with pytest.raises(StructLabError, match="direct"):
-        search_many(fixa, ["00"], 3, stream, mode="direct")
     with pytest.raises(StructLabError, match="alpha must be nonnegative"):
         search_many(fixa, ["00"], -1, stream)
     other = build_system(fixa.to_descriptor_text())
@@ -378,7 +372,7 @@ def test_stream_fold_refusals(fixa):
         search_many(other, ["00"], 3, stream)
 
 
-def test_stream_fold_tests_no_membership(monkeypatch):
+def test_stream_fold_tests_membership_at_most_once_per_declaration(monkeypatch):
     sys = random_system(7, n=6, cheap_singletons=True)
     stream = enumeration_stream(sys, 3)
     calls = []
@@ -390,8 +384,9 @@ def test_stream_fold_tests_no_membership(monkeypatch):
 
     monkeypatch.setattr(FiniteSet, "__contains__", counted)
     traces = search_many(sys, range(sys.universe_size()), sys.max_set_program_length(), stream)
-    assert sum(len(t.declarations) for t in traces) > sys.universe_size()
-    assert calls == []
+    declared = sum(len(t.declarations) for t in traces)
+    assert declared > sys.universe_size()
+    assert len(calls) <= declared
 
 
 def test_guarantee_requires_mdl_trace(fixa):
