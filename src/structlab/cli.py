@@ -92,7 +92,7 @@ def _manifest(args) -> dict:
 
 def _object_str(obj) -> str:
     if isinstance(obj, FiniteSet):
-        return ",".join(str(b) for b in obj.bitstrings())
+        return obj.show()
     return str(obj)
 
 

@@ -186,6 +186,10 @@ class FiniteSet:
     def bitstrings(self) -> tuple[BitString, ...]:
         return tuple(BitString.from_value(self._n, v) for v in self._values)
 
+    def show(self) -> str:
+        """The comma-separated member list that :meth:`read` reads back."""
+        return ",".join(str(b) for b in self.bitstrings())
+
     def __contains__(self, x: object) -> bool:
         if type(x) is int:
             return x in self._members
@@ -663,8 +667,7 @@ class DescriptionSystem:
         for p in sorted(self.data_programs, key=BitString.sort_key):
             lines.append(f"data\t{show_bits(p)}\t{self.data_programs[p]}")
         for p in sorted(self.set_programs, key=BitString.sort_key):
-            members = ",".join(str(b) for b in self.set_programs[p].bitstrings())
-            lines.append(f"set\t{show_bits(p)}\t{members}")
+            lines.append(f"set\t{show_bits(p)}\t{self.set_programs[p].show()}")
         for s, table in sorted(
             self.cond_shortcuts.items(), key=lambda kv: (self.K_set(kv[0]), kv[0].values)
         ):

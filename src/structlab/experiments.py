@@ -41,7 +41,6 @@ from .codec import BitString
 from .descsys import (
     MAX_UNIVERSE_BITS,
     DescriptionSystem,
-    FiniteSet,
     build_system,
     enumeration_stream,
 )
@@ -184,7 +183,17 @@ def make_nonstoch_system(
     ``beta_level`` at every budget in ``[1, alpha0)`` and exactly 0 at
     ``alpha0``.  The data namespace stays total (a literal name for every
     string) and all Kraft sums stay within budget, so the system is a
-    legal codebook, not a bookkeeping trick.
+    legal codebook, not a bookkeeping trick.  For ``(12, 5, 6)`` and a
+    seeded x of ``110001010011`` it is the descriptor::
+
+        data  0       110001010011
+        data  1       @family:literal(n=12)
+        set   0       @family:cube(n=12)
+        set   10000   110001010011
+        cond  000000  110001010011@0
+
+    The cond program has ``n - beta_level`` zeros, and is ``.`` when there
+    are none.
     """
     if not 1 <= n <= MAX_UNIVERSE_BITS:
         raise StructLabError(
@@ -196,22 +205,15 @@ def make_nonstoch_system(
         raise StructLabError(
             f"the planted deficiency must be in [1, {n}], got {beta_level}"
         )
-    rng = random.Random(seed)
-    x = BitString.from_value(n, rng.randrange(1 << n))
-
-    data = {BitString("0"): x}
-    for v in range(1 << n):
-        b = BitString.from_value(n, v)
-        data[BitString("1") + b] = b
-
-    cube = FiniteSet(n, range(1 << n))
-    singleton_program = BitString("1" + "0" * (alpha0 - 1))
-    sets = {BitString("0"): cube, singleton_program: FiniteSet(n, [x.value])}
-
-    shortcut = BitString.from_value(n - beta_level, 0)
-    shortcuts = {cube: {shortcut: x}}
-
-    system = DescriptionSystem(n, data, sets, shortcuts)
+    x = BitString.from_value(n, random.Random(seed).randrange(1 << n))
+    shortcut = "0" * (n - beta_level) or "."
+    system = build_system(
+        f"data 0 {x}\n"
+        f"data 1 @family:literal(n={n})\n"
+        f"set 0 @family:cube(n={n})\n"
+        f"set 1{'0' * (alpha0 - 1)} {x}\n"
+        f"cond {shortcut} {x}@0\n"
+    )
     return NonStochPlan(n=n, alpha0=alpha0, beta_level=beta_level, x=x, system=system)
 
 

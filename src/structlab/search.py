@@ -39,11 +39,12 @@ checked by :func:`mdl_guarantee_holds` in exact arithmetic: declaring early
 never costs more than the declared two-part length plus the system's
 subadditivity constant.
 
-:func:`anytime_search` serves one string.  :func:`search_many` gives the
-same mdl traces for many strings from one walk of the stream: a set
-event's key does not depend on x, so it is computed once and offered to
-each member of the set, in O(|stream| + sum of |S|) for any number of
-strings.
+mdl and ml run on :func:`search_many`, for one string or many: a set
+event's key does not depend on x, so one walk of the stream computes it
+once and offers it to each member of the set, in O(|stream| + sum of |S|)
+for any number of strings.  :func:`anytime_search` hands those modes to
+it and keeps its own loop for direct only, because a direct key depends
+on x and changes mid-stream, when the stream first prints x.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ __all__ = [
     "ImprovementAudit",
     "improvement_audit",
 ]
-
-#: Each mode's declared objective key and its order over candidate records.
-#: A strictly smaller order takes over, so mdl and ml keep the first of
-#: equal keys, while direct's ties go to the shorter program (its sort key).
-RANKS = {
-    "mdl": ("lambda_key", lambda rec: (rec.lambda_key,)),
-    "ml": ("cardinality", lambda rec: (rec.cardinality,)),
-    "direct": ("delta_key", lambda rec: (rec.delta_order, rec.witness_program.sort_key())),
-}
-
 
 @dataclass(frozen=True)
 class Declaration:
@@ -126,75 +117,77 @@ def anytime_search(
     :func:`structlab.descsys.enumeration_stream`), which checked its
     completeness when it was built; the declared sequence depends on the
     stream order, but the final objective value is stream-independent.
+    mdl and ml traces come from :func:`search_many`.
     """
-    if mode not in RANKS:
-        raise StructLabError(f"unknown search mode {mode!r}")
+    if mode != "direct":
+        return search_many(sys, [x], alpha, stream, mode)[0]
     _check_request(sys, alpha, stream)
     xv = sys._value(x)
     xb = BitString.from_value(sys.universe_n, xv)
-    objective, order = RANKS[mode]
 
+    def order(rec: ModelRecord) -> tuple:
+        # ties go to the shorter, then smaller, program
+        return rec.delta_order, rec.witness_program.sort_key()
+
+    # Until the stream prints x each candidate is priced by its index code
+    # and kept; at that moment the kept ones are re-priced and re-ranked
+    # once, and from then on the best record is a running minimum.
     declarations: list[Declaration] = []
-    best_record: "ModelRecord | None" = None
-    # mdl and ml read K(x|S) at once; direct estimates it by the index code
-    # until the stream prints x, keeping its candidates until then.
-    x_known = mode != "direct"
+    best: "ModelRecord | None" = None
+    x_known = False
     seen: list[ModelRecord] = []
-
-    def record(s: FiniteSet, prog: BitString) -> ModelRecord:
-        est = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
-        return ModelRecord(s, len(prog), prog, est)
-
-    def declare(time: int, winner: ModelRecord) -> None:
-        nonlocal best_record
-        # A record equal to the reigning one is the same program with the
-        # same estimate: nothing new to declare.
-        if winner != best_record:
-            best_record = winner
-            key = getattr(winner, objective)
-            declarations.append(Declaration(time, winner, key, log2_display(key)))
-
-    # Estimates change only when x is first printed, so between those
-    # moments the best record is a running minimum.
     for ev in stream.events:
         if ev.kind == "data":
-            if not x_known and ev.output == xb:
-                x_known = True
-                # conditional shortcuts unlock for every set already seen
-                seen = [record(r.set, r.witness_program) for r in seen]
-                if seen:
-                    declare(ev.time, min(seen, key=order))
-            continue
-        if len(ev.program) > alpha or xv not in ev.output:
-            continue
-        rec = record(ev.output, ev.program)  # type: ignore[arg-type]
-        if not x_known:
-            seen.append(rec)
-        if best_record is None or order(rec) < order(best_record):
-            declare(ev.time, rec)
+            if x_known or ev.output != xb:
+                continue
+            x_known = True
+            seen = [
+                ModelRecord(r.set, r.K_S, r.witness_program, int(sys.K_cond(xv, r.set)))
+                for r in seen
+            ]
+            winner = min(seen, key=order, default=None)
+        else:
+            s: FiniteSet = ev.output  # type: ignore[assignment]
+            if len(ev.program) > alpha or xv not in s:
+                continue
+            k = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
+            winner = ModelRecord(s, len(ev.program), ev.program, k)
+            if not x_known:
+                seen.append(winner)
+            if best is not None and order(winner) >= order(best):
+                continue
+        # A record equal to the reigning one is the same program with the
+        # same estimate: nothing new to declare.
+        if winner is not None and winner != best:
+            best = winner
+            key = winner.delta_key
+            declarations.append(Declaration(ev.time, winner, key, log2_display(key)))
 
-    return SearchTrace(
-        mode=mode,
-        x=xb,
-        alpha=alpha,
-        declarations=tuple(declarations),
-        final=best_record,
-        flagged_empty=best_record is None,
-    )
+    return SearchTrace("direct", xb, alpha, tuple(declarations), best, best is None)
 
 
 def search_many(
-    sys: DescriptionSystem, xs, alpha: int, stream: EnumerationStream
+    sys: DescriptionSystem, xs, alpha: int, stream: EnumerationStream, mode: str = "mdl"
 ) -> list[SearchTrace]:
-    """One mdl :func:`anytime_search` trace per entry of ``xs``, from one walk of the stream.
+    """One mdl or ml trace per entry of ``xs``, from one walk of the stream.
 
-    A set event's key ``2**|p| * |S|`` does not depend on x: each
-    affordable set event's key is computed once, and each member of its set
-    that ``xs`` names keeps a running best key, taking the event on strict
-    improvement.  Records are built only for the events kept, so the cost
-    is O(|stream| + sum of |S|) however many strings are asked for.
+    A set event's key, ``2**|p| * |S|`` in mdl and ``|S|`` in ml, does not
+    depend on x: each affordable set event's key is computed once, and each
+    member of its set that ``xs`` names keeps a running best key, taking the
+    event on strict improvement.  Records are built only for the events
+    kept, so the cost is O(|stream| + sum of |S|) however many strings are
+    asked for.  direct is refused: its keys change mid-stream, so it runs
+    in :func:`anytime_search`.
     """
+    if mode == "direct":
+        raise StructLabError(
+            "search_many runs mdl and ml only; direct runs in anytime_search, "
+            "because its keys change mid-stream"
+        )
+    if mode not in ("mdl", "ml"):
+        raise StructLabError(f"unknown search mode {mode!r}")
     _check_request(sys, alpha, stream)
+    ml = mode == "ml"
     values = [sys._value(x) for x in xs]
     best = dict.fromkeys(values, math.inf)
     kept: dict[int, list] = {v: [] for v in best}
@@ -202,7 +195,7 @@ def search_many(
         if ev.kind == "data" or len(ev.program) > alpha:
             continue
         s: FiniteSet = ev.output  # type: ignore[assignment]
-        key = s.cardinality << len(ev.program)
+        key = s.cardinality if ml else s.cardinality << len(ev.program)
         for v in s.values:
             if key < best.get(v, -1):
                 best[v] = key
@@ -219,12 +212,7 @@ def search_many(
         )
         final = declarations[-1].record if declarations else None
         traces[v] = SearchTrace(
-            mode="mdl",
-            x=BitString.from_value(n, v),
-            alpha=alpha,
-            declarations=declarations,
-            final=final,
-            flagged_empty=final is None,
+            mode, BitString.from_value(n, v), alpha, declarations, final, final is None
         )
     return [traces[v] for v in values]
 

@@ -636,7 +636,7 @@ def _format_object(obj) -> str:
     if isinstance(obj, BitString):
         return show_bits(obj)
     if isinstance(obj, FiniteSet):
-        return "{" + ",".join(str(b) for b in obj.bitstrings()) + "}"
+        return "{" + obj.show() + "}"
     raise StructLabError(f"cannot format enumeration object {obj!r}")
 
 

@@ -100,6 +100,13 @@ def test_finite_set_reads_empty_iterables_as_the_empty_set():
         empty.ceil_log_card
 
 
+@given(st.integers(1, 8), st.data())
+def test_member_list_text_reads_back(n, data):
+    values = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1), label="values")
+    s = FiniteSet(n, values)
+    assert FiniteSet.read(s.show(), "t") == s
+
+
 @pytest.mark.parametrize("value", [2.7, 3.99, True, False, None, b"01", Fraction(1)])
 def test_values_that_are_not_int_str_or_bitstring_are_refused(fixa, value):
     name = type(value).__name__

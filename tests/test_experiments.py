@@ -8,7 +8,12 @@ import pytest
 
 from structlab.artifacts import encode
 from structlab.codec import BitString
-from structlab.descsys import MAX_UNIVERSE_BITS, DescriptionSystem, build_system
+from structlab.descsys import (
+    MAX_UNIVERSE_BITS,
+    DescriptionSystem,
+    FiniteSet,
+    build_system,
+)
 from structlab.errors import StructLabError
 from structlab.experiments import (
     additivity_defect_report,
@@ -75,6 +80,20 @@ def test_nonstoch_full_depth_shortcut():
     report = verify_nonstoch(plan)
     assert report.ok
     assert report.actual_beta_keys == (None, Fraction(1 << 4), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "n, alpha0, beta_level", [(12, 5, 6), (12, 9, 4), (3, 2, 3), (6, 32, 1)]
+)
+def test_nonstoch_descriptor_prices_the_planted_string(n, alpha0, beta_level):
+    plan = make_nonstoch_system(n, alpha0, beta_level, seed=0)
+    sys = plan.system
+    cube = FiniteSet(n, range(1 << n))
+    assert sys.K_data(plan.x) == 1
+    assert sys.K_set(cube) == 1
+    assert sys.K_set(FiniteSet(n, [plan.x])) == alpha0
+    assert sys.K_cond(plan.x, cube) == n - beta_level
+    assert verify_nonstoch(plan).ok
 
 
 def test_nonstoch_across_seeds():

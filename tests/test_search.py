@@ -19,6 +19,7 @@ from structlab.descsys import (
     enumeration_stream,
 )
 from structlab.errors import StructLabError
+from structlab.rational import log2_display
 from structlab.search import (
     Declaration,
     SearchTrace,
@@ -333,25 +334,44 @@ def test_declarations_match_the_rescanning_oracle(seed, stream_seed, data):
         assert trace.flagged_empty == (not got)
 
 
+def oracle_trace(sys, x, alpha, stream, mode):
+    """The oracle's declarations as a trace, records read from the system."""
+    declarations = tuple(
+        Declaration(
+            t, ModelRecord(sys.set_programs[p], len(p), p, k), key, log2_display(key)
+        )
+        for t, p, k, key in oracle_search_trace(sys, x, alpha, stream, mode)
+    )
+    final = declarations[-1].record if declarations else None
+    xb = B.from_value(sys.universe_n, sys._value(x))
+    return SearchTrace(mode, xb, alpha, declarations, final, final is None)
+
+
+@pytest.mark.parametrize("mode", ["mdl", "ml"])
 @settings(max_examples=60)
-@given(st.integers(0, 10**6), st.data())
-def test_stream_fold_matches_the_per_string_search(seed, data):
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_stream_fold_matches_the_per_string_search(mode, seed, data):
     sys = random_system(seed, cheap_singletons=data.draw(st.booleans(), label="singletons"))
     xs = list(range(sys.universe_size()))
     alpha = data.draw(st.integers(0, sys.max_set_program_length()), label="alpha")
     for stream_seed in (3, 11):
         stream = enumeration_stream(sys, stream_seed)
-        traces = search_many(sys, xs, alpha, stream)
+        traces = search_many(sys, xs, alpha, stream, mode)
         assert len(traces) == len(xs)
         for x, trace in zip(xs, traces):
-            single = anytime_search(sys, x, alpha, stream, "mdl")
-            assert trace == single, x
-            got = [
-                (d.time, d.record.witness_program, d.record.K_cond, d.objective_key)
-                for d in trace.declarations
-            ]
-            assert got == oracle_search_trace(sys, x, alpha, stream, "mdl"), x
-            assert improvement_audit(sys, trace) == improvement_audit(sys, single)
+            want = oracle_trace(sys, x, alpha, stream, mode)
+            assert trace == want, x
+            if mode == "mdl":
+                assert improvement_audit(sys, trace) == improvement_audit(sys, want)
+
+
+@pytest.mark.parametrize("mode", ["mdl", "ml"])
+def test_single_string_search_is_the_stream_fold(fixa, mode):
+    stream = enumeration_stream(fixa, 5)
+    for x in fixa.universe_strings():
+        trace = anytime_search(fixa, x, 3, stream, mode)
+        assert trace == search_many(fixa, [x], 3, stream, mode)[0]
+        assert trace.mode == mode
 
 
 def test_stream_fold_takes_any_strings_in_order(fixa):
@@ -359,7 +379,7 @@ def test_stream_fold_takes_any_strings_in_order(fixa):
     assert search_many(fixa, [], 3, stream) == []
     xs = ["10", B("00"), 2, "00"]
     traces = search_many(fixa, xs, 3, stream)
-    assert traces == [anytime_search(fixa, x, 3, stream, "mdl") for x in xs]
+    assert traces == [oracle_trace(fixa, x, 3, stream, "mdl") for x in xs]
     assert traces[1] == traces[3]
 
 
@@ -370,6 +390,18 @@ def test_stream_fold_refusals(fixa):
     other = build_system(fixa.to_descriptor_text())
     with pytest.raises(StructLabError, match="built for this system"):
         search_many(other, ["00"], 3, stream)
+
+
+def test_stream_fold_refuses_direct_and_unknown_modes(fixa):
+    stream = enumeration_stream(fixa, 0)
+    with pytest.raises(
+        StructLabError, match="direct runs in anytime_search, because its keys change"
+    ):
+        search_many(fixa, ["00"], 3, stream, "direct")
+    with pytest.raises(StructLabError, match="unknown search mode 'fastest'"):
+        search_many(fixa, ["00"], 3, stream, "fastest")
+    with pytest.raises(StructLabError, match="unknown search mode 'fastest'"):
+        anytime_search(fixa, "00", 3, stream, "fastest")
 
 
 def test_stream_fold_tests_membership_at_most_once_per_declaration(monkeypatch):
