@@ -20,6 +20,10 @@ but *positions* in such a list:
 * ``muchnik_lambda`` rebuilds the whole two-part-cost curve of a string from
   a truncated enumeration, stopping the moment the string itself shows up.
 
+Every half-block quantity is integer arithmetic on two numbers, an object's
+first index and a pair count (:func:`_shared_prefix`, :func:`_block_range`),
+so the reports read a level's section of an enumeration as its pair count.
+
 Enumerations are value objects (:class:`EnumeratedD`), either induced from a
 :class:`~structlab.descsys.DescriptionSystem` or read from fixture text with
 one ``object<TAB>level`` line per pair.
@@ -31,7 +35,6 @@ import weakref
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import pairwise
 from operator import itemgetter
 
 from .codec import BitString, read_bits, read_int, show_bits, text_lines
@@ -82,12 +85,9 @@ class EnumeratedD:
     ``width`` the bit length of that count -- indexes are always read as
     ``width``-bit numerals with leading zeros.
 
-    Construction records each object's first-appearance index, the running
-    count of distinct objects over each prefix of the pairs, and whether
-    the levels are non-decreasing.  On such a level-sorted enumeration a
-    section is a prefix, which shares its parent's first-appearance table
-    and running count; lookups in them are bounded by the section's own
-    ``N_l``.
+    Construction records each object's first-appearance index and the
+    running count of distinct objects over each prefix of the pairs.  A
+    section is a filter: a new enumeration of the pairs at or below a level.
     """
 
     def __init__(self, pairs, l: "int | None" = None):
@@ -109,7 +109,6 @@ class EnumeratedD:
         self._order = tuple(order)
         self._first = first
         self._distinct = distinct
-        self._level_sorted = all(a[1] <= b[1] for a, b in pairwise(order))
         top = max((i for _, i in order), default=0)
         if l is None:
             l = top
@@ -142,29 +141,17 @@ class EnumeratedD:
 
     def objects(self) -> tuple:
         """Distinct objects in order of first appearance."""
-        # A section shares its parent's table, whose later entries lie past it.
-        return tuple(o for o, pos in self._first.items() if pos < self.N_l)
+        return tuple(self._first)
 
     def _first_index(self, obj) -> "int | None":
         """Index of the first pair carrying ``obj``, or None if it never appears."""
-        pos = self._first.get(obj)
-        return pos if pos is not None and pos < len(self._order) else None
+        return self._first.get(obj)
 
     def section(self, l: int) -> "EnumeratedD":
         """The sub-enumeration of pairs with level <= l, reindexed."""
         if l < 0:
             raise StructLabError(f"section level must be nonnegative, got {l}")
-        if not self._level_sorted:
-            return EnumeratedD(
-                ((o, i) for o, i in self._order if i <= l), l=l
-            )
-        sec = object.__new__(EnumeratedD)
-        sec._order = self._order[: bisect_right(self._order, l, key=itemgetter(1))]
-        sec._first = self._first
-        sec._distinct = self._distinct
-        sec._level_sorted = True
-        sec._l = l
-        return sec
+        return EnumeratedD(((o, i) for o, i in self._order if i <= l), l=l)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -181,14 +168,25 @@ class EnumeratedD:
         return f"EnumeratedD(l={self._l}, pairs={self.N_l})"
 
 
-def _count_prefix(d: EnumeratedD, index: int) -> BitString:
-    """The longest common prefix of the pair count and ``index`` as numerals."""
-    count = format(d.N_l, "b")
-    numeral = format(index, f"0{d.width}b")
-    keep = 0
-    while keep < len(count) and numeral[keep] == count[keep]:
-        keep += 1
-    return BitString(count[:keep])
+def _shared_prefix(index: int, count: int) -> int:
+    """Length of the common prefix of the numerals of ``index < count``."""
+    return count.bit_length() - (index ^ count).bit_length()
+
+
+def _count_bits(count: int, i: int) -> BitString:
+    """The first ``i`` bits of the numeral of ``count``."""
+    return BitString.from_value(i, count >> (count.bit_length() - i))
+
+
+def _block_range(count: int, i: int) -> tuple[int, int]:
+    """Indexes ``[lo, end)`` of the level-``i`` half-block under ``count`` pairs.
+
+    ``lo`` is the first ``i`` bits of the count followed by zeros; ``end``
+    puts a 1 after those ``i`` bits.
+    """
+    shift = count.bit_length() - i
+    lo = count >> shift << shift
+    return lo, lo + (1 << (shift - 1))
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def build_index(d: EnumeratedD, x) -> IndexRecord:
     index = d._first_index(xo)
     if index is None:
         return IndexRecord(xo, None, None)
-    return IndexRecord(xo, index, _count_prefix(d, index))
+    return IndexRecord(xo, index, _count_bits(d.N_l, _shared_prefix(index, d.N_l)))
 
 
 @dataclass(frozen=True)
@@ -270,14 +268,12 @@ def build_Sli(d: EnumeratedD, i: int) -> SliBlock:
         raise StructLabError(
             f"half-block level must be in [0, {width}), got {i}"
         )
-    count = format(d.N_l, "b")
-    if count[i] != "1":
+    if not d.N_l >> (width - i - 1) & 1:
         raise RefusalError(
             f"bit {i} of the pair count {d.N_l} is 0; the half-block is not full"
         )
-    lo = (d.N_l >> (width - i)) << (width - i)
-    hi = lo + (1 << (width - i - 1)) - 1
-    return SliBlock(i=i, prefix=BitString(count[:i]), width=width, lo=lo, hi=hi, source=d)
+    lo, end = _block_range(d.N_l, i)
+    return SliBlock(i=i, prefix=_count_bits(d.N_l, i), width=width, lo=lo, hi=end - 1, source=d)
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +368,18 @@ def muchnik_lambda(d_k: EnumeratedD, x, k: int, alpha0: int) -> MuchnikCurve:
     up to min(alpha0, K(x)) when ``d_k`` is induced from the system.
     """
     x = BitString(x)
-    if k < 0:
-        raise StructLabError(f"complexity budget must be nonnegative, got {k}")
+    if not 0 <= k <= d_k.l:
+        raise StructLabError(
+            f"the complexity budget must be in [0, {d_k.l}], the enumeration bound, got {k}"
+        )
     if not 0 <= alpha0 <= k:
         raise StructLabError(
             f"the plateau start must be in [0, {k}], got {alpha0}"
         )
-    for _, level in d_k.order:
-        if level > k:
-            raise StructLabError(
-                f"enumeration pair level {level} exceeds the budget {k}"
-            )
-    cutoff = None
-    for pos, (o, _) in enumerate(d_k.order):
-        if isinstance(o, BitString) and o == x:
-            cutoff = pos
-            break
+    top = max((level for _, level in d_k.order), default=0)
+    if top > k:
+        raise StructLabError(f"enumeration pair level {top} exceeds the budget {k}")
+    cutoff = d_k._first_index(x)
     if cutoff is None:
         raise StructLabError(f"the target string {x!r} never appears in the enumeration")
     trusted = staircase(
@@ -440,13 +432,13 @@ def reconstruct_from_prefix(d: EnumeratedD, i: int) -> ReconstructionReport:
     candidates = [pos for pos, (_, j) in enumerate(d.order) if j <= i]
     if not candidates:
         return ReconstructionReport(i=i, anchor=None, m=None, cutoff_count=0, objects=())
-    anchor_pos = max(candidates)
-    anchor = d.order[anchor_pos][0]
-    m = _count_prefix(d, anchor_pos)
-    cutoff = int(str(m) + "1" + "0" * (d.width - len(m) - 1), 2)
+    anchor = max(candidates)
+    m_len = _shared_prefix(anchor, d.N_l)
+    cutoff = _block_range(d.N_l, m_len)[1]  # m_len bits of the count, then 1, then 0s
     objects = tuple(o for o, j in d.order[:cutoff] if j <= i)
+    m = _count_bits(d.N_l, m_len)
     return ReconstructionReport(
-        i=i, anchor=anchor, m=m, cutoff_count=cutoff, objects=objects
+        i=i, anchor=d.order[anchor][0], m=m, cutoff_count=cutoff, objects=objects
     )
 
 
@@ -502,16 +494,22 @@ def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:
     induced enumeration and carve the half-block there.  Membership of ``x``
     and the block's exact cardinality hold by construction; the measured
     slack says how the block's two-part analog compares to the model's.
+    The induced enumeration is sorted by level, so that section is its
+    first ``count`` pairs and the block is read off the whole enumeration.
     """
     xb = BitString.from_value(sys.universe_n, sys._value(x))
     d = induced_data_D(sys)
+    index = d._first_index(xb)
     records = []
     for entry in sys.entries_containing(xb):
         cost = entry.K_S + entry.set.ceil_log_card
         for variant, l in (("exact", cost), ("padded", cost + sys.c_sub)):
-            sec = d.section(l)
-            idx = build_index(sec, xb)
-            block = None if idx.I is None else build_Sli(sec, idx.m_len)
+            count = bisect_right(d.order, l, key=itemgetter(1))
+            i = size = lam = contains = None
+            if index < count:  # the level-l section lists x
+                i, lam = _shared_prefix(index, count), count.bit_length() - 1
+                lo, end = _block_range(count, i)
+                size, contains = d._distinct[end] - d._distinct[lo], lo <= index < end
             records.append(
                 SliDominanceRecord(
                     program=entry.witness_program,
@@ -519,12 +517,12 @@ def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:
                     cardinality=entry.cardinality,
                     variant=variant,
                     l=l,
-                    in_section=block is not None,
-                    i=idx.m_len,
-                    block_cardinality=None if block is None else block.cardinality,
-                    block_lambda=None if block is None else sec.width - 1,
-                    slack=None if block is None else sec.width - 1 - l,
-                    contains=None if block is None else xb in block,
+                    in_section=i is not None,
+                    i=i,
+                    block_cardinality=size,
+                    block_lambda=lam,
+                    slack=None if lam is None else lam - l,
+                    contains=contains,
                 )
             )
     return SliDominanceReport(x=xb, c_sub=sys.c_sub, records=tuple(records))
@@ -563,31 +561,29 @@ class UniversalFamilyReport:
     rows: tuple
 
 
-def universal_family_report(
-    sys: DescriptionSystem, x, alpha_max: "int | None" = None
-) -> UniversalFamilyReport:
+def universal_family_report(sys: DescriptionSystem, x) -> UniversalFamilyReport:
     """Compare the best half-blocks of ``x`` against its exact profile.
 
     For every level ``l`` of the induced enumeration there is one half-block
     containing ``x`` (at its common-prefix length); scanning ``l`` yields a
     family of candidate models.  At each budget ``alpha`` the rows report
     the cheapest two-part and log-size analogs over blocks with prefix
-    length at most ``alpha``, with signed gaps against the exact curves.
+    length at most ``alpha`` (up to the longest set program), with signed
+    gaps against the exact curves.
     """
     xb = BitString.from_value(sys.universe_n, sys._value(x))
-    if alpha_max is None:
-        alpha_max = sys.max_set_program_length()
     d = induced_data_D(sys)
     k_x = sys.K_data(xb)
+    index = d._first_index(xb)
 
     candidates = []  # (i, width, l) for each level where x is enumerated
     for l in range(d.l + 1):
-        sec = d.section(l)
-        idx = build_index(sec, xb)
-        if idx.I is not None:
-            candidates.append((idx.m_len, sec.width, l))
+        count = bisect_right(d.order, l, key=itemgetter(1))
+        if index < count:
+            candidates.append((_shared_prefix(index, count), count.bit_length(), l))
 
-    prof = profile(sys, xb, alpha_max=alpha_max)
+    prof = profile(sys, xb)
+    alpha_max = prof.alpha_max
     lambda_best = staircase(((i, (width - 1, l)) for i, width, l in candidates), alpha_max)
     h_best = staircase(((i, (width - i - 1, l)) for i, width, l in candidates), alpha_max)
     rows = []

@@ -435,6 +435,90 @@ def oracle_half_block(order, i: int):
     return lo, hi, tuple(members)
 
 
+def oracle_universal_family_rows(sys: DescriptionSystem, order, x) -> list[dict]:
+    """``universal_family_report`` rows by one filtered section per level.
+
+    ``order`` is the induced enumeration.  At every level the section is
+    filtered out of it, ``x`` is indexed there and its half-block carved by
+    full scans; each budget's best analogs are a plain minimum, and gaps are
+    taken against :func:`oracle_profile_arrays`.
+    """
+    v = FiniteSet._coerce(sys.universe_n, x)
+    xb = BitString.from_value(sys.universe_n, v)
+    alpha_max = max((k for k, _ in oracle_distinct_sets(sys).values()), default=0)
+    candidates = []  # (i, width, l)
+    for l in range(max(j for _, j in order) + 1):
+        sec = oracle_section(order, l)
+        index, m = oracle_index(sec, xb)
+        if index is None:
+            continue
+        block = oracle_half_block(sec, len(m))
+        assert block is not None and xb in block[2]
+        candidates.append((len(m), len(sec).bit_length(), l))
+    k_x = oracle_K_data(sys, v)
+    h_rows, lam_rows, beta_rows = oracle_profile_arrays(sys, v, alpha_max)
+    rows = []
+    for alpha in range(alpha_max + 1):
+        fit = [(i, width, l) for i, width, l in candidates if i <= alpha]
+        lam, lam_l = min(((w - 1, l) for _, w, l in fit), default=(None, None))
+        h, h_l = min(((w - i - 1, l) for i, w, l in fit), default=(None, None))
+        lam_row, h_row, beta_row = lam_rows[alpha], h_rows[alpha], beta_rows[alpha]
+        rows.append(
+            {
+                "alpha": alpha,
+                "lambda_analog": lam,
+                "lambda_l": lam_l,
+                "h_analog": h,
+                "h_l": h_l,
+                "lambda_gap": None
+                if lam is None or lam_row is None
+                else lam - log2_display(lam_row["lambda_key"]),
+                "h_gap": None
+                if h is None or h_row is None
+                else h - log2_display(h_row["card"]),
+                "beta_gap": None
+                if lam is None or beta_row is None
+                else (lam - k_x) - log2_display(beta_row["delta_key"]),
+            }
+        )
+    return rows
+
+
+def oracle_sli_dominance_records(sys: DescriptionSystem, order, x) -> dict:
+    """``sli_dominance_report`` record fields, keyed by (program, variant).
+
+    For each distinct set holding ``x`` and each level variant, the
+    level-``l`` section is filtered out of the induced enumeration ``order``,
+    ``x`` is indexed in it and the block at its prefix length is carved, all
+    by full scans.
+    """
+    v = FiniteSet._coerce(sys.universe_n, x)
+    xb = BitString.from_value(sys.universe_n, v)
+    c_sub = oracle_c_sub(sys)
+    records = {}
+    for s, (k, witness) in oracle_distinct_sets(sys).items():
+        if v not in s:
+            continue
+        cost = k + (s.cardinality - 1).bit_length()
+        for variant, l in (("exact", cost), ("padded", cost + c_sub)):
+            sec = oracle_section(order, l)
+            index, m = oracle_index(sec, xb)
+            block = None if index is None else oracle_half_block(sec, len(m))
+            width = len(sec).bit_length()
+            records[witness, variant] = {
+                "K_S": k,
+                "cardinality": s.cardinality,
+                "l": l,
+                "in_section": block is not None,
+                "i": None if m is None else len(m),
+                "block_cardinality": None if block is None else len(block[2]),
+                "block_lambda": None if block is None else width - 1,
+                "slack": None if block is None else width - 1 - l,
+                "contains": None if block is None else xb in block[2],
+            }
+    return records
+
+
 def oracle_jsonable(value, *, int_floats: bool):
     """Walk ``value`` into plain JSON types by the artifact rules, eagerly."""
     if value is None or isinstance(value, (bool, int, str)):

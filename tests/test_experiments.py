@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from structlab import unistat
 from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import (
@@ -358,6 +359,23 @@ def test_gap_battery_never_scans_sets_per_string(tmp_path, monkeypatch, full):
     monkeypatch.setattr(DescriptionSystem, "entries_containing", counted)
     generate_gap_reports(tmp_path, systems={"hamming-8": system}, full=full)
     assert lookups["cached"] >= 256 and lookups["scanned"] == 0
+
+
+def test_gap_battery_builds_no_section_or_index(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(unistat.EnumeratedD, "section", counted(unistat.EnumeratedD.section))
+    for name in ("build_index", "build_Sli"):
+        monkeypatch.setattr(unistat, name, counted(getattr(unistat, name)))
+    _battery_on_weight_8(tmp_path, full=False)
+    assert calls == []
 
 
 def test_generate_gap_reports_samples_the_archived_sizes(tmp_path):

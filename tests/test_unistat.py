@@ -2,9 +2,13 @@
 
 import gc
 import random
+import time
 import weakref
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structlab.artifacts import encode
 from structlab.codec import BitString
@@ -27,7 +31,14 @@ from structlab.unistat import (
 )
 
 from .gensys import random_system
-from .oracles import oracle_half_block, oracle_index, oracle_section
+from .oracles import (
+    oracle_c_sub,
+    oracle_half_block,
+    oracle_index,
+    oracle_section,
+    oracle_sli_dominance_records,
+    oracle_universal_family_rows,
+)
 
 B = BitString
 
@@ -257,20 +268,17 @@ def _probes(d: EnumeratedD, limit: int = 64) -> list:
 def test_battery_enumerations_match_scans(name):
     sys = build_report_family_systems()[name]
     d = induced_data_D(sys)
-    assert d._level_sorted
     assert_matches_scans(d, _probes(d))
 
 
 def test_fixture_enumerations_match_scans(fixa):
     for d in (induced_data_D(fixa), induced_Dk(fixa, 3)):
-        assert d._level_sorted
         assert_matches_scans(d, list(d.objects()) + [B("0")])
 
 
 @pytest.mark.parametrize("sort_levels", [False, True])
 def test_random_enumerations_match_scans(sort_levels):
     """Injective (even seeds) and repeating (odd seeds) random enumerations."""
-    paths = set()
     for seed in range(30):
         rng = random.Random(seed)
         count = rng.randint(1, 32 if seed % 2 == 0 else 120)
@@ -283,10 +291,8 @@ def test_random_enumerations_match_scans(sort_levels):
         if not sort_levels:
             rng.shuffle(pairs)
         d = EnumeratedD((B.from_value(5, v), level) for v, level in pairs)
-        paths.add(d._level_sorted)
         probes = [B.from_value(5, v) for v in range(32)] + [B("0000")]
         assert_matches_scans(d, probes)
-    assert paths == {True} if sort_levels else False in paths
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +359,15 @@ def test_curve_errors(fixa):
         muchnik_lambda(induced_Dk(fixa, 3), "00", 3, 4)
     with pytest.raises(StructLabError, match="exceeds the budget"):
         muchnik_lambda(induced_Dk(fixa, 3), "00", 2, 1)
+
+
+def test_curve_refuses_a_budget_past_the_enumeration_before_any_work(fixa):
+    d_k = induced_Dk(fixa, 3)
+    start = time.perf_counter()
+    bound = r"must be in \[0, 3\], the enumeration bound, got 1000000000"
+    with pytest.raises(StructLabError, match=bound):
+        muchnik_lambda(d_k, "00", 10**9, 0)
+    assert time.perf_counter() - start < 1
 
 
 def test_curve_matches_exact_costs_up_to_the_data_cost():
@@ -434,6 +449,28 @@ def test_universal_family_reference(fixa):
     assert last.lambda_gap == pytest.approx(-3.0)
     assert last.h_gap == pytest.approx(0.0)
     assert last.beta_gap == pytest.approx(-1.0)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**6), st.booleans())
+def test_half_block_reports_match_the_per_level_loop(seed, cheap_singletons):
+    sys = random_system(seed, cheap_singletons=cheap_singletons)
+    order = induced_data_D(sys).order
+    for v in sys.universe_values():
+        family = universal_family_report(sys, v)
+        assert [asdict(row) for row in family.rows] == oracle_universal_family_rows(
+            sys, order, v
+        )
+        dominance = sli_dominance_report(sys, v)
+        assert dominance.c_sub == oracle_c_sub(sys)
+        records = {
+            (r.program, r.variant): {
+                k: val for k, val in asdict(r).items() if k not in ("program", "variant")
+            }
+            for r in dominance.records
+        }
+        assert len(records) == len(dominance.records)
+        assert records == oracle_sli_dominance_records(sys, order, v)
 
 
 def test_universal_family_rows_are_json_ready(fixa):
