@@ -13,12 +13,13 @@ The sections sample the number of strings fixed in ``structlab.experiments``
 (``SAMPLE_SIZES``); ``--full`` sweeps every string of every universe
 instead.  The induced enumeration is built once per system, each system's
 containing sets are filled for every string in one set-major pass, each
-search stream is built once per seed (and checked only then) and walked
-once for all strings, half-blocks answer size and membership from their
-index range, and the additivity census walks each (set, member) pair once,
-so the per-string cost is the profile fold and the audit.  On a 2-core
-host with Python 3.11 the default run's sections took about 0.5 s and
-``--full`` 4.7-4.9 s end to end, nearly all of it on the 12-bit system.
+search stream is a seeded permutation of the system's program table
+(only a stream built from an explicit order is checked) walked once for
+all strings, half-blocks answer size and membership from their index
+range, and the additivity census walks each (set, member) pair once, so
+the per-string cost is the profile fold and the audit.  On a 2-core
+host with Python 3.11 the default run's sections took about 0.4 s and
+``--full`` 3.4-3.5 s end to end, nearly all of it on the 12-bit system.
 """
 
 import argparse

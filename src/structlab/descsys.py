@@ -65,7 +65,6 @@ __all__ = [
     "FiniteSet",
     "ModelRecord",
     "DescriptionSystem",
-    "EnumerationEvent",
     "EnumerationStream",
     "build_system",
     "load_system",
@@ -581,6 +580,16 @@ class DescriptionSystem:
         # The entries are sorted by K(S) first.
         return self._set_entries[-1].K_S if self._set_entries else 0
 
+    @cached_property
+    def program_table(self) -> tuple[tuple[str, BitString, "BitString | FiniteSet"], ...]:
+        """Every data program, then every set program, each in program order,
+        as ``(kind, program, output)`` entries that all streams share."""
+        return tuple(
+            (kind, p, out)
+            for kind, programs in (("data", self.data_programs), ("set", self.set_programs))
+            for p, out in sorted(programs.items(), key=lambda item: item[0].sort_key())
+        )
+
     # -- audits --------------------------------------------------------
 
     def kraft_sums(self) -> dict[str, "Fraction | dict[str, Fraction]"]:
@@ -706,63 +715,59 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationEvent:
-    """One program surfacing during an enumeration of the system."""
-
-    time: int
-    kind: str  # "data" | "set"
-    program: BitString
-    output: "BitString | FiniteSet"
-
-
 class EnumerationStream:
-    """A complete enumeration of one system's programs, checked when built.
+    """A complete enumeration of one system's programs.
 
-    The order names every data and set program of ``system`` exactly once,
-    as ``(kind, program)`` pairs.  Each event reads its output from the
-    system and takes its time from its position, so every stream that
-    exists is a valid enumeration of the system object it was built for.
+    ``events`` holds each ``(kind, program, output)`` entry of the system's
+    :attr:`~DescriptionSystem.program_table` once; an event's time is its
+    position.  An explicit order of ``(kind, program)`` pairs is checked
+    here, so every stream is a valid enumeration of its system object.
     """
 
     __slots__ = ("system", "events")
 
     def __init__(self, system: DescriptionSystem, order: Iterable[tuple[str, BitString]]):
         order = list(order)
-        expected = len(system.data_programs) + len(system.set_programs)
-        if len(order) != expected:
+        table = system.program_table
+        if len(order) != len(table):
             raise StructLabError(
-                f"stream has {len(order)} events, system has {expected} programs"
+                f"stream has {len(order)} events, system has {len(table)} programs"
             )
-        # per kind: the system's programs and the ones the order has named
-        tables = {"data": (system.data_programs, set()), "set": (system.set_programs, set())}
+        # per kind: the entries the order has not named yet
+        unnamed: dict = {"data": {}, "set": {}}
+        for entry in table:
+            unnamed[entry[0]][entry[1]] = entry
         events = []
-        for t, (kind, p) in enumerate(order):
-            if kind not in tables:
+        for kind, p in order:
+            if kind not in unnamed:
                 raise StructLabError(f"unknown stream event kind {kind!r}")
-            programs, seen = tables[kind]
-            output = programs.get(p)
-            if output is None:
+            entry = unnamed[kind].pop(p, None)
+            if entry is None:
+                programs = system.data_programs if kind == "data" else system.set_programs
+                if p in programs:
+                    raise StructLabError("stream repeats a program")
                 raise StructLabError(f"stream names a {kind} program {str(p)!r} the system lacks")
-            if p in seen:
-                raise StructLabError("stream repeats a program")
-            seen.add(p)
-            events.append(EnumerationEvent(t, kind, p, output))
+            events.append(entry)
         self.system = system
         self.events = tuple(events)
+
+    @classmethod
+    def _trusted(cls, system: DescriptionSystem, events: list) -> "EnumerationStream":
+        """A stream of a permutation of ``system.program_table``, unchecked."""
+        self = cls.__new__(cls)
+        self.system, self.events = system, tuple(events)
+        return self
 
 
 def enumeration_stream(sys: DescriptionSystem, seed: int) -> EnumerationStream:
     """A seed-keyed total enumeration of all data and set programs.
 
-    Every (kind, program) pair appears exactly once; times are 0,1,2,....
-    The order is a pure function of the system and the seed.
+    The system's program table shuffled by ``random.Random(seed)``: a
+    permutation of the table names each program once, so it needs no check.
     """
-    canonical: list[tuple[str, BitString]] = [
-        ("data", p) for p in sorted(sys.data_programs, key=BitString.sort_key)
-    ] + [("set", p) for p in sorted(sys.set_programs, key=BitString.sort_key)]
-    random.Random(seed).shuffle(canonical)
-    return EnumerationStream(sys, canonical)
+    events = list(sys.program_table)
+    random.Random(seed).shuffle(events)
+    return EnumerationStream._trusted(sys, events)
 
 
 # ---------------------------------------------------------------------------

@@ -382,19 +382,15 @@ def reverse_fit_gap_report(
     samples: dict[int, list] = {eps: [] for eps in epsilons}
     for x in xs:
         prof = profile(sys, x)
+        betas, lambdas = prof.beta_values(), prof.lambda_values()
         for alpha in range(prof.alpha_max + 1):
-            beta_key = prof.beta_key(alpha)
-            if beta_key is None:
+            if prof.beta_rows[alpha] is None:
                 continue
-            beta = log2_display(beta_key)
             for eps in epsilons:
                 bumped = alpha + eps
-                if bumped > prof.alpha_max:
+                if bumped > prof.alpha_max or prof.lambda_rows[bumped] is None:
                     continue
-                lam_key = prof.lambda_key(bumped)
-                if lam_key is None:
-                    continue
-                gap = log2_display(lam_key) - beta - prof.K_x
+                gap = lambdas[bumped] - betas[alpha] - prof.K_x
                 samples[eps].append((gap, {"x": str(x), "alpha": alpha}))
     summaries = tuple(
         _summarize(f"epsilon={eps}", samples[eps]) for eps in epsilons

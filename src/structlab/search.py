@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import BitString
-from .descsys import DescriptionSystem, EnumerationStream, FiniteSet, ModelRecord
+from .descsys import DescriptionSystem, EnumerationStream, ModelRecord
 from .errors import StructLabError
 from .rational import log2_display
 
@@ -114,9 +114,9 @@ def anytime_search(
 
     The stream must be an :class:`~structlab.descsys.EnumerationStream`
     built for this same system object (e.g. by
-    :func:`structlab.descsys.enumeration_stream`), which checked its
-    completeness when it was built; the declared sequence depends on the
-    stream order, but the final objective value is stream-independent.
+    :func:`structlab.descsys.enumeration_stream`); an event's time is its
+    position.  The declared sequence depends on the stream order, but the
+    final objective value is stream-independent.
     mdl and ml traces come from :func:`search_many`.
     """
     if mode != "direct":
@@ -136,9 +136,9 @@ def anytime_search(
     best: "ModelRecord | None" = None
     x_known = False
     seen: list[ModelRecord] = []
-    for ev in stream.events:
-        if ev.kind == "data":
-            if x_known or ev.output != xb:
+    for t, (kind, p, out) in enumerate(stream.events):
+        if kind == "data":
+            if x_known or out != xb:
                 continue
             x_known = True
             seen = [
@@ -147,11 +147,10 @@ def anytime_search(
             ]
             winner = min(seen, key=order, default=None)
         else:
-            s: FiniteSet = ev.output  # type: ignore[assignment]
-            if len(ev.program) > alpha or xv not in s:
+            if len(p) > alpha or xv not in out:
                 continue
-            k = int(sys.K_cond(xv, s)) if x_known else s.ceil_log_card
-            winner = ModelRecord(s, len(ev.program), ev.program, k)
+            k = int(sys.K_cond(xv, out)) if x_known else out.ceil_log_card
+            winner = ModelRecord(out, len(p), p, k)
             if not x_known:
                 seen.append(winner)
             if best is not None and order(winner) >= order(best):
@@ -161,7 +160,7 @@ def anytime_search(
         if winner is not None and winner != best:
             best = winner
             key = winner.delta_key
-            declarations.append(Declaration(ev.time, winner, key, log2_display(key)))
+            declarations.append(Declaration(t, winner, key, log2_display(key)))
 
     return SearchTrace("direct", xb, alpha, tuple(declarations), best, best is None)
 
@@ -191,15 +190,14 @@ def search_many(
     values = [sys._value(x) for x in xs]
     best = dict.fromkeys(values, math.inf)
     kept: dict[int, list] = {v: [] for v in best}
-    for ev in stream.events:
-        if ev.kind == "data" or len(ev.program) > alpha:
+    for t, (kind, p, s) in enumerate(stream.events):
+        if kind == "data" or len(p) > alpha:
             continue
-        s: FiniteSet = ev.output  # type: ignore[assignment]
-        key = s.cardinality if ml else s.cardinality << len(ev.program)
+        key = s.cardinality if ml else s.cardinality << len(p)
         for v in s.values:
             if key < best.get(v, -1):
                 best[v] = key
-                kept[v].append((ev.time, s, ev.program, key))
+                kept[v].append((t, s, p, key))
 
     n = sys.universe_n
     traces: dict[int, SearchTrace] = {}

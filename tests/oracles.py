@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
@@ -315,6 +316,23 @@ def oracle_mdl_guarantee(sys: DescriptionSystem, trace) -> bool:
     return True
 
 
+def oracle_stream_order(sys: DescriptionSystem, seed: int) -> list:
+    """``(kind, program, output)`` of a seeded stream, built from scratch.
+
+    The data programs and then the set programs, each shortest first and
+    then in text order, as ``(kind, program)`` pairs shuffled by
+    ``random.Random(seed)``; each output is read from the system's tables.
+    """
+    def ordered(programs) -> list:
+        return sorted(programs, key=lambda p: (len(p), str(p)))
+
+    pairs = [("data", p) for p in ordered(sys.data_programs)]
+    pairs += [("set", p) for p in ordered(sys.set_programs)]
+    random.Random(seed).shuffle(pairs)
+    tables = {"data": sys.data_programs, "set": sys.set_programs}
+    return [(kind, p, tables[kind][p]) for kind, p in pairs]
+
+
 def oracle_search_trace(sys: DescriptionSystem, x, alpha: int, stream, mode: str) -> list:
     """``(time, program, K(x|S), objective key)`` at each change of the best model.
 
@@ -331,11 +349,11 @@ def oracle_search_trace(sys: DescriptionSystem, x, alpha: int, stream, mode: str
     x_printed = False
     best = None
     declarations = []
-    for ev in stream.events:
-        if ev.kind == "data":
-            x_printed = x_printed or ev.output.value == v
-        elif len(ev.program) <= alpha and v in ev.output.values:
-            candidates.append((ev.time, ev.program, ev.output))
+    for t, (kind, program, output) in enumerate(stream.events):
+        if kind == "data":
+            x_printed = x_printed or output.value == v
+        elif len(program) <= alpha and v in output.values:
+            candidates.append((t, program, output))
         ranked = []
         for time, p, s in candidates:
             if mode == "direct" and not x_printed:
@@ -353,7 +371,7 @@ def oracle_search_trace(sys: DescriptionSystem, x, alpha: int, stream, mode: str
             key, _, p, k = min(ranked)
             if best != (p, k):
                 best = (p, k)
-                declarations.append((ev.time, p, k, key))
+                declarations.append((t, p, k, key))
     return declarations
 
 

@@ -16,6 +16,7 @@ from structlab import descsys
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import (
     DescriptionSystem,
+    EnumerationStream,
     FiniteSet,
     apply_permutation,
     build_system,
@@ -26,6 +27,7 @@ from structlab.descsys import (
     kraft_sum,
 )
 from structlab.errors import DescriptorError, StructLabError
+from structlab.experiments import build_report_family_systems, make_nonstoch_system
 from structlab.structfn import profile
 
 from .gensys import random_prefix_code, random_system
@@ -38,6 +40,7 @@ from .oracles import (
     oracle_distinct_sets,
     oracle_family_entries,
     oracle_kraft,
+    oracle_stream_order,
 )
 
 B = BitString
@@ -575,17 +578,55 @@ def test_stream_is_total_and_deterministic(fixa):
     s1 = enumeration_stream(fixa, seed=7).events
     s2 = enumeration_stream(fixa, seed=7).events
     assert s1 == s2
-    assert [e.time for e in s1] == list(range(7))
-    pairs = {(e.kind, str(e.program)) for e in s1}
+    assert len(s1) == 7
+    pairs = {(kind, str(p)) for kind, p, _ in s1}
     assert len(pairs) == 7
     assert {(("data"), str(p)) for p in fixa.data_programs} <= pairs
 
 
 def test_stream_seed_changes_order(fixa):
     orders = {
-        tuple(str(e.program) for e in enumeration_stream(fixa, s).events) for s in range(8)
+        tuple(str(p) for _, p, _ in enumeration_stream(fixa, s).events) for s in range(8)
     }
     assert len(orders) > 1
+
+
+def assert_stream_matches_oracle(sys, seed):
+    assert list(enumeration_stream(sys, seed).events) == oracle_stream_order(sys, seed)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_stream_is_the_shuffled_program_order(system_seed, seed):
+    assert_stream_matches_oracle(random_system(system_seed), seed)
+
+
+def test_battery_streams_are_the_shuffled_program_order():
+    systems = build_report_family_systems()
+    systems["nonstoch"] = make_nonstoch_system(12, 5, 6, seed=0).system
+    for sys in systems.values():
+        for seed in (0, 1, 11):
+            assert_stream_matches_oracle(sys, seed)
+
+
+def test_streams_permute_one_table_without_hashing(monkeypatch):
+    sys = build_report_family_systems()["patches-8"]
+    hashes = []
+    original = BitString.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BitString, "__hash__", counted)
+    first, second = enumeration_stream(sys, 0), enumeration_stream(sys, 1)
+    assert hashes == []
+    monkeypatch.undo()
+    assert first.events != second.events
+    shared = {id(entry) for entry in sys.program_table}
+    assert {id(e) for e in first.events} == {id(e) for e in second.events} == shared
+    order = [(kind, p) for kind, p, _ in first.events]
+    assert EnumerationStream(sys, order).events == first.events
 
 
 ### Recoding invariance of complexities
