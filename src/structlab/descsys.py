@@ -317,6 +317,12 @@ def check_prefix_free(programs: Iterable[BitString], namespace: str) -> None:
         )
 
 
+def _in_program_order(programs: Mapping[BitString, object]) -> list[tuple]:
+    """The ``(program, output)`` items sorted by (length, value), each key
+    read from the item, so no program is hashed again."""
+    return sorted(programs.items(), key=lambda item: item[0].sort_key())
+
+
 def kraft_sum(programs: Iterable[BitString]) -> Fraction:
     """Exact sum of 2**-|p| over the given programs."""
     lengths = [len(p) for p in programs]
@@ -475,8 +481,8 @@ class DescriptionSystem:
 
         k_data: list[int] = [0] * size
         witness_data: list[BitString] = [None] * size  # type: ignore[list-item]
-        for p in sorted(self.data_programs, key=BitString.sort_key):
-            v = self.data_programs[p].value
+        for p, out in _in_program_order(self.data_programs):
+            v = out.value
             if witness_data[v] is None:
                 k_data[v] = len(p)
                 witness_data[v] = p
@@ -484,8 +490,7 @@ class DescriptionSystem:
         self._witness_data = witness_data
 
         set_index: dict[FiniteSet, tuple[int, BitString]] = {}
-        for p in sorted(self.set_programs, key=BitString.sort_key):
-            s = self.set_programs[p]
+        for p, s in _in_program_order(self.set_programs):
             if s not in set_index:
                 set_index[s] = (len(p), p)
         self._set_index = set_index
@@ -587,7 +592,7 @@ class DescriptionSystem:
         return tuple(
             (kind, p, out)
             for kind, programs in (("data", self.data_programs), ("set", self.set_programs))
-            for p, out in sorted(programs.items(), key=lambda item: item[0].sort_key())
+            for p, out in _in_program_order(programs)
         )
 
     # -- audits --------------------------------------------------------
@@ -1016,9 +1021,10 @@ def build_system(text: str) -> DescriptionSystem:
             continue
         table = tables[kind]
         for _, prog, value in entries:
-            if prog in table:
+            size = len(table)
+            table.setdefault(prog, value)  # one hash per program; no growth means a duplicate
+            if len(table) == size:
                 raise DescriptorError(f"{where}: duplicate {kind} program {str(prog)!r}")
-            table[prog] = value
 
     if first is None:
         raise DescriptorError("cannot infer the universe width: no sized payloads")

@@ -24,7 +24,8 @@ systems and writes deterministic JSON files (no timestamps, sorted keys),
 so reruns are byte-identical and diffs are meaningful.  It fills each
 system's containing sets for every string in one set-major pass before
 the sections run, and the improvement section walks each search stream
-once for all of its strings.
+once for all of its strings.  A section keeps no samples: it folds each
+one into a running count, sum and pair of extremes as it is measured.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .artifacts import number, write_json
 from .codec import BitString
@@ -82,12 +84,11 @@ SAMPLE_SIZES = {"reverse_strings": 192, "universal_strings": 32, "improvement_st
 def _sample_strings(
     sys: DescriptionSystem, size: "int | None", seed: int
 ) -> list[BitString]:
-    universe = list(sys.universe_strings())
+    universe = sys.universe_values()
     if size is None or size >= len(universe):
-        return universe
-    rng = random.Random(seed)
-    picked = rng.sample(universe, size)
-    return sorted(picked, key=BitString.sort_key)
+        return list(sys.universe_strings())
+    # sample picks by position, so a range gives the strings a list would
+    return _strings(sys, random.Random(seed).sample(universe, size))
 
 
 def _stratified_sample(
@@ -100,20 +101,25 @@ def _stratified_sample(
     every popcount class keeps the structured corners of the universe --
     where large improvements actually occur -- in the probe.
     """
-    universe = list(sys.universe_strings())
+    universe = sys.universe_values()
     if size is None or size >= len(universe):
-        return universe
+        return list(sys.universe_strings())
     rng = random.Random(seed)
-    classes: dict[int, list[BitString]] = {}
-    for b in universe:
-        classes.setdefault(bin(b.value).count("1"), []).append(b)
-    pools = [rng.sample(v, len(v)) for _, v in sorted(classes.items())]
-    picked: list[BitString] = []
+    classes: dict[int, list[int]] = {}
+    for v in universe:
+        classes.setdefault(v.bit_count(), []).append(v)
+    pools = [rng.sample(vs, len(vs)) for _, vs in sorted(classes.items())]
+    picked: list[int] = []
     while len(picked) < size and any(pools):
         for pool in pools:
             if pool and len(picked) < size:
                 picked.append(pool.pop())
-    return sorted(picked, key=BitString.sort_key)
+    return _strings(sys, picked)
+
+
+def _strings(sys: DescriptionSystem, values: "list[int]") -> list[BitString]:
+    """The universe strings of ``values``, in value order."""
+    return [BitString.from_value(sys.universe_n, v) for v in sorted(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +342,59 @@ class GapSummary:
         }
 
 
-def _summarize(label: str, samples: list) -> GapSummary:
-    """Collapse (value, witness) samples into a GapSummary."""
-    if not samples:
-        return GapSummary(label, 0, None, None, None, None, None)
-    lo = min(samples, key=lambda s: s[0])
-    hi = max(samples, key=lambda s: s[0])
-    total = sum(v for v, _ in samples)
-    return GapSummary(
-        label=label,
-        count=len(samples),
-        minimum=lo[0],
-        maximum=hi[0],
-        mean=total / len(samples),
-        min_witness=lo[1],
-        max_witness=hi[1],
-    )
+class _Tally:
+    """A running count, sum and pair of extremes of one measured quantity.
+
+    Samples are folded in as they are measured, so a section keeps no
+    sample list.  The sum is a plain left-to-right ``total += value`` from
+    0, and the extremes are the first least and first greatest samples (a
+    strict ``<`` or ``>`` replaces them), which is what ``min`` and ``max``
+    over the samples keep.  A witness dict is built only for a sample that
+    becomes a new extreme: ``witness(*parts)``.
+    """
+
+    __slots__ = ("label", "witness", "count", "total", "lo", "hi", "lo_witness", "hi_witness")
+
+    def __init__(self, label: str, witness: Callable[..., dict]):
+        self.label = label
+        self.witness = witness
+        self.count = 0
+        self.total = 0
+        self.lo = self.hi = self.lo_witness = self.hi_witness = None
+
+    def add(self, value, *parts) -> None:
+        self.count += 1
+        self.total += value
+        if self.count == 1:
+            self.lo = self.hi = value
+            self.lo_witness = self.hi_witness = self.witness(*parts)
+        elif value < self.lo:
+            self.lo, self.lo_witness = value, self.witness(*parts)
+        elif value > self.hi:
+            self.hi, self.hi_witness = value, self.witness(*parts)
+
+    def summary(self) -> GapSummary:
+        return GapSummary(
+            label=self.label,
+            count=self.count,
+            minimum=self.lo,
+            maximum=self.hi,
+            mean=self.total / self.count if self.count else None,
+            min_witness=self.lo_witness,
+            max_witness=self.hi_witness,
+        )
+
+
+def _at_budget(x: str, alpha: int) -> dict:
+    return {"x": x, "alpha": alpha}
+
+
+def _dominance_witness(x: str, program: BitString, variant: str) -> dict:
+    return {"x": x, "set_program": str(program), "variant": variant}
+
+
+def _pair_witness(x: str, seed: int, program_1: BitString, program_2: BitString) -> dict:
+    return {"x": x, "seed": seed, "from": str(program_1), "to": str(program_2)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +422,23 @@ def reverse_fit_gap_report(
 ) -> ReverseFitGapReport:
     if any(eps < 0 for eps in epsilons):
         raise StructLabError(f"extra budgets must be nonnegative, got {epsilons}")
-    samples: dict[int, list] = {eps: [] for eps in epsilons}
+    tallies = [(eps, _Tally(f"epsilon={eps}", _at_budget)) for eps in epsilons]
     for x in xs:
         prof = profile(sys, x)
+        name = str(x)
         betas, lambdas = prof.beta_values(), prof.lambda_values()
         for alpha in range(prof.alpha_max + 1):
             if prof.beta_rows[alpha] is None:
                 continue
-            for eps in epsilons:
+            for eps, tally in tallies:
                 bumped = alpha + eps
                 if bumped > prof.alpha_max or prof.lambda_rows[bumped] is None:
                     continue
-                gap = lambdas[bumped] - betas[alpha] - prof.K_x
-                samples[eps].append((gap, {"x": str(x), "alpha": alpha}))
-    summaries = tuple(
-        _summarize(f"epsilon={eps}", samples[eps]) for eps in epsilons
-    )
+                tally.add(lambdas[bumped] - betas[alpha] - prof.K_x, name, alpha)
     return ReverseFitGapReport(
-        epsilons=tuple(epsilons), strings_used=len(xs), summaries=summaries
+        epsilons=tuple(epsilons),
+        strings_used=len(xs),
+        summaries=tuple(tally.summary() for _, tally in tallies),
     )
 
 
@@ -416,42 +458,24 @@ class UniversalGapReport:
 def universal_gap_report(
     sys: DescriptionSystem, xs: "list[BitString]"
 ) -> UniversalGapReport:
-    lambda_gaps: list = []
-    h_gaps: list = []
-    beta_gaps: list = []
-    slacks: list = []
+    lambda_gaps = _Tally("lambda_gap", _at_budget)
+    h_gaps = _Tally("h_gap", _at_budget)
+    beta_gaps = _Tally("beta_gap", _at_budget)
+    slacks = _Tally("dominance_slack", _dominance_witness)
     for x in xs:
-        rep = universal_family_report(sys, x)
-        for row in rep.rows:
-            witness = {"x": str(x), "alpha": row.alpha}
-            if row.lambda_gap is not None and math.isfinite(row.lambda_gap):
-                lambda_gaps.append((row.lambda_gap, witness))
-            if row.h_gap is not None and math.isfinite(row.h_gap):
-                h_gaps.append((row.h_gap, witness))
-            if row.beta_gap is not None and math.isfinite(row.beta_gap):
-                beta_gaps.append((row.beta_gap, witness))
-        dom = sli_dominance_report(sys, x)
-        for record in dom.records:
-            if record.slack is None:
-                continue
-            slacks.append(
-                (
-                    float(record.slack),
-                    {
-                        "x": str(x),
-                        "set_program": str(record.program),
-                        "variant": record.variant,
-                    },
-                )
-            )
+        name = str(x)
+        for row in universal_family_report(sys, x).rows:
+            for tally, gap in (
+                (lambda_gaps, row.lambda_gap), (h_gaps, row.h_gap), (beta_gaps, row.beta_gap)
+            ):
+                if gap is not None and math.isfinite(gap):
+                    tally.add(gap, name, row.alpha)
+        for record in sli_dominance_report(sys, x).records:
+            if record.slack is not None:
+                slacks.add(float(record.slack), name, record.program, record.variant)
     return UniversalGapReport(
         strings_used=len(xs),
-        summaries=(
-            _summarize("lambda_gap", lambda_gaps),
-            _summarize("h_gap", h_gaps),
-            _summarize("beta_gap", beta_gaps),
-            _summarize("dominance_slack", slacks),
-        ),
+        summaries=tuple(t.summary() for t in (lambda_gaps, h_gaps, beta_gaps, slacks)),
     )
 
 
@@ -489,10 +513,11 @@ def improvement_slack_report(
     traces_with_pairs = 0
     qualifying = 0
     improved = 0
-    slack_samples: list = []
-    drop_samples: list = []
+    slack = _Tally("slack_needed", _pair_witness)
+    drop = _Tally("deficiency_drop", _pair_witness)
     traces = {s: search_many(sys, xs, alpha, enumeration_stream(sys, s)) for s in seeds}
     for i, x in enumerate(xs):
+        name = str(x)
         for s in seeds:
             audit = improvement_audit(sys, traces[s][i], c=c)
             searches += 1
@@ -500,14 +525,8 @@ def improvement_slack_report(
                 traces_with_pairs += 1
             for pair in audit.pairs:
                 qualifying += 1
-                witness = {
-                    "x": str(x),
-                    "seed": s,
-                    "from": str(pair.program_1),
-                    "to": str(pair.program_2),
-                }
-                slack_samples.append((pair.slack_needed, witness))
-                drop_samples.append((pair.delta_2 - pair.delta_1, witness))
+                slack.add(pair.slack_needed, name, s, pair.program_1, pair.program_2)
+                drop.add(pair.delta_2 - pair.delta_1, name, s, pair.program_1, pair.program_2)
                 if pair.delta_2 <= pair.delta_1:
                     improved += 1
     return ImprovementSlackReport(
@@ -516,8 +535,8 @@ def improvement_slack_report(
         traces_with_pairs=traces_with_pairs,
         qualifying_pairs=qualifying,
         improved_count=improved,
-        slack=_summarize("slack_needed", slack_samples),
-        deficiency_drop=_summarize("deficiency_drop", drop_samples),
+        slack=slack.summary(),
+        deficiency_drop=drop.summary(),
     )
 
 

@@ -40,7 +40,6 @@ from operator import itemgetter
 from .codec import BitString, read_bits, read_int, show_bits, text_lines
 from .descsys import DescriptionSystem, FiniteSet
 from .errors import FixtureError, RefusalError, StructLabError
-from .rational import log2_display
 from .structfn import profile, staircase
 
 __all__ = [
@@ -118,6 +117,17 @@ class EnumeratedD:
                 f"enumeration bound {l} is below a pair level {top}"
             )
         self._l = l
+
+    @classmethod
+    def _trusted(cls, order: tuple) -> "EnumeratedD":
+        """An enumeration of distinct objects in nondecreasing level order,
+        without the pair checks such an order passes by construction."""
+        self = cls.__new__(cls)
+        self._order = order
+        self._first = {o: pos for pos, (o, _) in enumerate(order)}
+        self._distinct = array("q", range(len(order) + 1))
+        self._l = order[-1][1] if order else 0
+        return self
 
     @property
     def l(self) -> int:
@@ -291,17 +301,23 @@ def induced_data_D(sys: DescriptionSystem) -> EnumeratedD:
     Pairs are sorted by (program length, program); each string appears
     exactly once, so pairs with level <= l form a prefix of the enumeration
     and the full count of a section equals the number of strings of
-    complexity at most l.  The enumeration is built once per system and
-    shared by later calls for as long as the system is alive.
+    complexity at most l.  They are the first appearances of the outputs
+    in the data part of :attr:`DescriptionSystem.program_table`, which is
+    in program order already, so the objects are the table's own strings.
+    The enumeration is built once per system and shared by later calls for
+    as long as the system is alive.
     """
     d = _INDUCED.get(sys)
     if d is None:
-        n = sys.universe_n
-        rows = sorted(
-            (sys.K_data(v), sys.data_witness(v).sort_key(), BitString.from_value(n, v))
-            for v in sys.universe_values()
-        )
-        d = _INDUCED[sys] = EnumeratedD(((b, k) for k, _, b in rows))
+        seen = bytearray(sys.universe_size())
+        pairs = []
+        for kind, p, out in sys.program_table:
+            if kind != "data":
+                break
+            if not seen[out.value]:
+                seen[out.value] = 1
+                pairs.append((out, len(p)))
+        d = _INDUCED[sys] = EnumeratedD._trusted(tuple(pairs))
     return d
 
 
@@ -586,27 +602,26 @@ def universal_family_report(sys: DescriptionSystem, x) -> UniversalFamilyReport:
     alpha_max = prof.alpha_max
     lambda_best = staircase(((i, (width - 1, l)) for i, width, l in candidates), alpha_max)
     h_best = staircase(((i, (width - i - 1, l)) for i, width, l in candidates), alpha_max)
+    # one log2_display per staircase step of each exact curve
+    lambdas, hs, betas = prof.lambda_values(), prof.h_values(), prof.beta_values()
     rows = []
     for alpha in range(alpha_max + 1):
         lambda_analog, lambda_l = lambda_best[alpha] or (None, None)
         h_analog, h_l = h_best[alpha] or (None, None)
-        lam_key = prof.lambda_key(alpha)
-        h_key = prof.h_key(alpha)
-        beta_key = prof.beta_key(alpha)
         lambda_gap = (
             None
-            if lambda_analog is None or lam_key is None
-            else lambda_analog - log2_display(lam_key)
+            if lambda_analog is None or prof.lambda_rows[alpha] is None
+            else lambda_analog - lambdas[alpha]
         )
         h_gap = (
             None
-            if h_analog is None or h_key is None
-            else h_analog - log2_display(h_key)
+            if h_analog is None or prof.h_rows[alpha] is None
+            else h_analog - hs[alpha]
         )
         beta_gap = (
             None
-            if lambda_analog is None or beta_key is None
-            else (lambda_analog - k_x) - log2_display(beta_key)
+            if lambda_analog is None or prof.beta_rows[alpha] is None
+            else (lambda_analog - k_x) - betas[alpha]
         )
         rows.append(
             UniversalFamilyRow(

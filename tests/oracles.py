@@ -20,7 +20,7 @@ from structlab.artifacts import number
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import DescriptionSystem, FiniteSet
 from structlab.errors import DescriptorError
-from structlab.experiments import AdditivityRecord, AdditivityReport
+from structlab.experiments import AdditivityRecord, AdditivityReport, GapSummary
 from structlab.predict import PredictionStrategy
 from structlab.rational import log2_display
 
@@ -127,6 +127,63 @@ def oracle_additivity_report(sys: DescriptionSystem) -> AdditivityReport:
         min_record=min_rec,
         histogram=histogram,
     )
+
+
+def oracle_gap_summary(label: str, samples: list) -> GapSummary:
+    """Summarize a whole list of ``(value, witness)`` samples at once.
+
+    The extremes are what ``min`` and ``max`` keep, the first least and the
+    first greatest sample.  The sum runs left to right from 0, one rounded
+    addition per sample, as ``sum`` of floats did before Python 3.12.
+    """
+    if not samples:
+        return GapSummary(label, 0, None, None, None, None, None)
+    lo = min(samples, key=lambda s: s[0])
+    hi = max(samples, key=lambda s: s[0])
+    total = 0
+    for value, _ in samples:
+        total = total + value
+    return GapSummary(label, len(samples), lo[0], hi[0], total / len(samples), lo[1], hi[1])
+
+
+def oracle_sample_strings(sys: DescriptionSystem, size, seed: int) -> list:
+    """The reverse-fit and half-block sample, drawn from a list of every string."""
+    universe = list(sys.universe_strings())
+    if size is None or size >= len(universe):
+        return universe
+    picked = random.Random(seed).sample(universe, size)
+    return sorted(picked, key=BitString.sort_key)
+
+
+def oracle_stratified_sample(sys: DescriptionSystem, size, seed: int) -> list:
+    """The improvement sample, round-robin over popcount classes of a list
+    of every string."""
+    universe = list(sys.universe_strings())
+    if size is None or size >= len(universe):
+        return universe
+    rng = random.Random(seed)
+    classes: dict = {}
+    for b in universe:
+        classes.setdefault(bin(b.value).count("1"), []).append(b)
+    pools = [rng.sample(v, len(v)) for _, v in sorted(classes.items())]
+    picked: list = []
+    while len(picked) < size and any(pools):
+        for pool in pools:
+            if pool and len(picked) < size:
+                picked.append(pool.pop())
+    return sorted(picked, key=BitString.sort_key)
+
+
+def oracle_induced_pairs(sys: DescriptionSystem) -> list:
+    """Every string with K(x), sorted by (K(x), its least shortest program),
+    each string built anew from its value."""
+    best: dict[int, BitString] = {}
+    for p, out in sys.data_programs.items():
+        held = best.get(out.value)
+        if held is None or (len(p), p.value) < (len(held), held.value):
+            best[out.value] = p
+    rows = sorted((len(p), p.value, v) for v, p in best.items())
+    return [(BitString.from_value(sys.universe_n, v), k) for k, _, v in rows]
 
 
 def oracle_check_prefix_free(programs, namespace: str) -> None:

@@ -629,6 +629,31 @@ def test_streams_permute_one_table_without_hashing(monkeypatch):
     assert EnumerationStream(sys, order).events == first.events
 
 
+def test_building_a_system_hashes_each_program_once(monkeypatch):
+    hashes = []
+    original = BitString.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BitString, "__hash__", counted)
+    sys = build_system(
+        "data . @family:bernoulli(n=6)\n"
+        "set 0 @family:cube(n=6)\n"
+        "set 10 @family:patches(n=6,m=3)\n"
+        "set 11 @family:singletons(n=6)\n"
+    )
+    monkeypatch.undo()
+    assert len(hashes) == len(sys.data_programs) + len(sys.set_programs)
+    assert len({id(p) for p in hashes}) == len(hashes)  # no program twice
+    # a repeated program is refused even when it prints the very same output
+    for text in ("data 0 0\ndata 1 1\nset 0 0\nset 0 0\n", "data 0 0\ndata 0 0\n"):
+        kind = text.split()[-3]
+        with pytest.raises(DescriptorError, match=f"duplicate {kind} program '0'"):
+            build_system(text)
+
+
 ### Recoding invariance of complexities
 
 

@@ -5,8 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from structlab import unistat
+from structlab import experiments, unistat
 from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import (
@@ -17,6 +19,9 @@ from structlab.descsys import (
 )
 from structlab.errors import StructLabError
 from structlab.experiments import (
+    _sample_strings,
+    _stratified_sample,
+    _Tally,
     additivity_defect_report,
     build_report_family_systems,
     generate_gap_reports,
@@ -29,7 +34,13 @@ from structlab.experiments import (
 from structlab.structfn import profile
 
 from .gensys import random_system
-from .oracles import oracle_additivity_report, oracle_c_sub
+from .oracles import (
+    oracle_additivity_report,
+    oracle_c_sub,
+    oracle_gap_summary,
+    oracle_sample_strings,
+    oracle_stratified_sample,
+)
 
 B = BitString
 
@@ -186,6 +197,60 @@ def test_additivity_walk_matches_oracle_on_random_systems():
     assert shortcut_wins >= 10
     assert duplicate_sets >= 5
     assert tied_extremes >= 5
+
+
+# ---------------------------------------------------------------------------
+# gap summaries
+# ---------------------------------------------------------------------------
+
+
+def _tally_of(values) -> tuple:
+    """A tally fed ``values`` with witness ``{"i": position}``, and the
+    number of witnesses it built."""
+    built = []
+
+    def witness(i):
+        built.append(i)
+        return {"i": i}
+
+    tally = _Tally("q", witness)
+    for i, v in enumerate(values):
+        tally.add(v, i)
+    return tally.summary(), built
+
+
+@given(
+    st.lists(
+        st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 1e16, -1e16]) | st.integers(-3, 3),
+        max_size=30,
+    )
+)
+@example([1.0, 3.0, 1.0, 3.0, 2.0])  # ties at both extremes keep the first
+@example([2, 0.5, 2, 0.5])
+@example([])
+def test_running_tally_matches_the_list_summary(values):
+    summary, built = _tally_of(values)
+    assert summary == oracle_gap_summary("q", [(v, {"i": i}) for i, v in enumerate(values)])
+    # a witness is built only for a sample that becomes a new extreme
+    assert built == sorted(set(built))
+    assert set(built) >= {w["i"] for w in (summary.min_witness, summary.max_witness) if w}
+
+
+def test_running_tally_builds_a_witness_per_new_extreme_only():
+    summary, built = _tally_of([5, 1, 2, 3, 4, 0.5, 5])
+    assert built == [0, 1, 5]
+    assert (summary.minimum, summary.maximum) == (0.5, 5)
+    assert (summary.min_witness, summary.max_witness) == ({"i": 5}, {"i": 0})
+
+
+def test_running_tally_sums_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the running sum is 0.0; the
+    # compensated sum() of Python 3.12 and later would keep the 1.0
+    values = [1e16, 1.0, -1e16]
+    summary, _ = _tally_of(values)
+    assert summary.mean == 0.0
+    assert oracle_gap_summary("q", [(v, None) for v in values]).mean == 0.0
+    assert summary.count == 3 and (summary.minimum, summary.maximum) == (-1e16, 1e16)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +441,69 @@ def test_gap_battery_builds_no_section_or_index(tmp_path, monkeypatch):
         monkeypatch.setattr(unistat, name, counted(getattr(unistat, name)))
     _battery_on_weight_8(tmp_path, full=False)
     assert calls == []
+
+
+def test_gap_sections_format_each_string_once(monkeypatch):
+    # One str(x) per string, and one str() per set-program witness built;
+    # no witness dict per sample.
+    sys = build_system(WEIGHT_8)
+    xs = list(sys.universe_strings())
+    calls = {"str": 0, "witness": 0}
+    original_str = BitString.__str__
+
+    def counted_str(self):
+        calls["str"] += 1
+        return original_str(self)
+
+    def counted(fn):
+        def wrapper(*args):
+            calls["witness"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(BitString, "__str__", counted_str)
+    for name in ("_at_budget", "_dominance_witness"):
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+    for section in (reverse_fit_gap_report, universal_gap_report):
+        calls.update(str=0, witness=0)
+        report = section(sys, xs)
+        samples = sum(summary.count for summary in report.summaries)
+        assert len(xs) <= calls["str"] <= len(xs) + calls["witness"]
+        assert calls["witness"] * 20 < samples
+
+
+def test_induced_enumeration_makes_no_bitstring(monkeypatch):
+    sys = build_system(WEIGHT_8)
+    made = []
+    init, trusted = BitString.__init__, BitString._trusted.__func__
+
+    def counted_init(self, *args):
+        made.append("init")
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        made.append("trusted")
+        return trusted(cls, *args)
+
+    # every BitString is made by one of these two
+    monkeypatch.setattr(BitString, "__init__", counted_init)
+    monkeypatch.setattr(BitString, "_trusted", classmethod(counted_trusted))
+    d = unistat.induced_data_D(sys)
+    assert made == []
+    assert d.N_l == 256 and d.is_injective()
+    B("0"), B.from_value(1, 0)
+    assert made == ["init", "trusted"]  # the counters see constructions
+
+
+@pytest.mark.parametrize("name", ["hamming-12", "patches-8", "cylinders-6", "random"])
+def test_sampling_helpers_return_the_listed_strings(name):
+    sys = random_system(5, n=5) if name == "random" else build_report_family_systems()[name]
+    size = sys.universe_size()
+    for k in (1, 16, 32, 192, size - 1, size, size + 1, None):
+        for seed in (0, 3):
+            assert _sample_strings(sys, k, seed) == oracle_sample_strings(sys, k, seed)
+            assert _stratified_sample(sys, k, seed) == oracle_stratified_sample(sys, k, seed)
 
 
 def test_generate_gap_reports_samples_the_archived_sizes(tmp_path):

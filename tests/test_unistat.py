@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from structlab.artifacts import encode
 from structlab.codec import BitString
-from structlab.descsys import FiniteSet
+from structlab.descsys import FiniteSet, build_system
 from structlab.errors import FixtureError, RefusalError, StructLabError
 from structlab.experiments import build_report_family_systems
 from structlab.structfn import profile
@@ -35,6 +35,7 @@ from .oracles import (
     oracle_c_sub,
     oracle_half_block,
     oracle_index,
+    oracle_induced_pairs,
     oracle_section,
     oracle_sli_dominance_records,
     oracle_universal_family_rows,
@@ -223,6 +224,33 @@ def test_induced_enumeration_is_built_once_per_live_system():
     del sys, d
     gc.collect()
     assert gone() is None
+
+
+def _assert_induced_matches_oracle(sys) -> None:
+    d = induced_data_D(sys)
+    want = EnumeratedD(oracle_induced_pairs(sys))
+    assert d == want
+    assert d._first == want._first
+    assert list(d._distinct) == list(want._distinct)
+    assert d.is_injective() and d.N_l == sys.universe_size()
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.integers(0, 6), st.booleans())
+def test_induced_enumeration_matches_the_sorted_rows(seed, extra_data, cheap_singletons):
+    sys = random_system(seed, extra_data=extra_data, cheap_singletons=cheap_singletons)
+    if extra_data and not cheap_singletons:  # some string has two data programs
+        assert len(sys.data_programs) > sys.universe_size()
+    _assert_induced_matches_oracle(sys)
+
+
+def test_induced_enumeration_takes_each_string_at_its_shortest_program():
+    # 11 is printed by 0 and by 111; it is listed once, at level 1
+    sys = build_system("data 0 11\ndata 100 00\ndata 101 01\ndata 110 10\ndata 111 11\n")
+    _assert_induced_matches_oracle(sys)
+    assert induced_data_D(sys).order == ((B("11"), 1), (B("00"), 3), (B("01"), 3), (B("10"), 3))
+    for system in build_report_family_systems().values():
+        _assert_induced_matches_oracle(system)
 
 
 # ---------------------------------------------------------------------------
