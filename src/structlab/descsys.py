@@ -512,7 +512,6 @@ class DescriptionSystem:
         self._shortcut_min = shortcut_min
 
         self._containing_cache: dict[int, tuple[ModelRecord, ...]] = {}
-        self._c_sub: "int | None" = None
 
     # -- complexities ------------------------------------------------------
 
@@ -660,6 +659,23 @@ class DescriptionSystem:
             found[v].append(rec)
         self._containing_cache = dict(enumerate(map(tuple, found)))
 
+    @cached_property
+    def _defect_census(self) -> tuple[dict[int, int], "tuple | None", "tuple | None"]:
+        """The histogram of :meth:`_chain_rule_defects` and the first pair in
+        (x, entry rank) order at its greatest and least defect, as
+        ``(defect, v, rank)``: one walk, kept for :attr:`c_sub` and the
+        additivity report, that fills no containing-set table.  Ranks arrive
+        in order, so an equal defect moves an extreme only to a smaller v."""
+        histogram: dict[int, int] = {}
+        high = low = None
+        for rank, v, defect in self._chain_rule_defects():
+            histogram[defect] = histogram.get(defect, 0) + 1
+            if high is None or defect > high[0] or (defect == high[0] and v < high[1]):
+                high = (defect, v, rank)
+            if low is None or defect < low[0] or (defect == low[0] and v < low[1]):
+                low = (defect, v, rank)
+        return histogram, high, low
+
     @property
     def c_sub(self) -> int:
         """max over representable S and x in S of K(x) - K(S) - K(x|S).
@@ -667,11 +683,8 @@ class DescriptionSystem:
         The exact constant by which two-part descriptions in this system may
         undershoot plain data complexity; 0 for a system with no sets.
         """
-        if self._c_sub is None:
-            self._c_sub = max(
-                (defect for _, _, defect in self._chain_rule_defects()), default=0
-            )
-        return self._c_sub
+        high = self._defect_census[1]
+        return 0 if high is None else high[0]
 
     # -- serialization ---------------------------------------------------
 

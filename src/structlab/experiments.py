@@ -275,17 +275,11 @@ class AdditivityReport:
 def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
     """Measure ``K(x) - K(S) - K(x|S)`` over every representable pair.
 
-    One set-major walk over ``sys.set_entries()``, O(sum of |S|).  Each
-    extreme record is the first pair in (x, entry rank) order to reach it.
+    It reads the system's one cached walk of every (set, member) pair,
+    O(sum of |S|), which ``c_sub`` shares.  Each extreme record is the
+    first pair in (x, entry rank) order to reach it.
     """
-    histogram: dict[int, int] = {}
-    highest = lowest = None  # least (-defect, v, rank) and (defect, v, rank)
-    for rank, v, defect in sys._chain_rule_defects():
-        histogram[defect] = histogram.get(defect, 0) + 1
-        if highest is None or (-defect, v, rank) < highest:
-            highest = (-defect, v, rank)
-        if lowest is None or (defect, v, rank) < lowest:
-            lowest = (defect, v, rank)
+    histogram, highest, lowest = sys._defect_census
 
     def record(v: int, rank: int) -> AdditivityRecord:
         entry = sys.set_entries()[rank]
@@ -309,7 +303,7 @@ def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
         min_defect=None if min_rec is None else min_rec.defect,
         max_record=max_rec,
         min_record=min_rec,
-        histogram=histogram,
+        histogram=dict(histogram),
     )
 
 

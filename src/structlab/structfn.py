@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .codec import BitString
@@ -278,69 +277,65 @@ def profile(
     ``alpha_max`` defaults to the longest set program (the point where all
     three curves have saturated); ``mss_slack`` defaults to the system's
     ``c_sub``.
+
+    One ordered pass, O(r log r + alpha_max) for the r sets containing
+    ``x``.  The records are sorted once by (K(S), witness program), and the
+    budgets are swept in that order, keeping running h, lambda and beta
+    records, each replaced only by a strictly smaller key.  So the first
+    record to reach a minimum wins, which is the documented tie-break:
+    objective, then K(S), then witness program.
     """
-    xb = BitString.from_value(sys.universe_n, sys._value(x))
+    v = sys._value(x)
     if alpha_max is None:
         alpha_max = sys.max_set_program_length()
     if alpha_max < 0:
         raise StructLabError("alpha_max must be nonnegative")
     slack = sys.c_sub if mss_slack is None else mss_slack
-    k_x = sys.K_data(xb)
+    k_x = sys.K_data(v)
+    bound = 1 << (k_x + slack) if k_x + slack >= 0 else 0
 
-    containing = sys.entries_containing(xb)
-    # Each record's keys, read once: K(S), then the h, lambda and beta
-    # objectives, then the witness program's sort key.
-    facts = [
-        (
-            rec.K_S,
-            rec.cardinality,
-            rec.lambda_key,
-            rec.delta_order,
-            rec.witness_program.sort_key(),
-        )
-        for rec in containing
-    ]
+    # Records sharing a (K(S), delta, Lambda) triple share every key, so
+    # only the first of them, the least witness, can win a strict compare.
+    first: dict[tuple[int, int, int], ModelRecord] = {}
+    containing = sys.entries_containing(v)
+    for rec in sorted(containing, key=lambda r: (r.K_S, r.witness_program.sort_key())):
+        first.setdefault((rec.K_S, rec.delta_order, rec.lambda_key), rec)
+    pending = list(reversed(first.items()))  # least K(S) last, to pop
 
-    def stairs(objective: int) -> list:
-        # Ties break by smaller K(S), then by the witness program.
-        return staircase(
-            ((f[0], (f[objective], f[0], f[4], i)) for i, f in enumerate(facts)),
-            alpha_max,
-        )
-
-    def rows(keys) -> tuple["ModelRecord | None", ...]:
-        return tuple(None if key is None else containing[key[-1]] for key in keys)
-
-    lambda_stairs = stairs(2)
-    lambda_rows = rows(lambda_stairs)
-    lambdas = [None if key is None else key[0] for key in lambda_stairs]
-
-    critical = tuple(
-        alpha
-        for alpha, (prev, lam) in enumerate(pairwise((None, *lambdas)))
-        if lam is not None and (prev is None or lam < prev)
-    )
-
+    rows: list[tuple] = []  # the (h, lambda, beta) records of each budget
+    critical: list[int] = []
     sufficiency: "SufficiencyRecord | None" = None
-    bound_exp = k_x + slack
-    if bound_exp >= 0:
-        for alpha, lam in enumerate(lambdas):
-            if lam is not None and lam <= (1 << bound_exp):
-                sufficiency = SufficiencyRecord(alpha, slack, lambda_rows[alpha])
-                break
+    h = lam = beta = None
+    h_key = lam_key = beta_key = math.inf
+    for alpha in range(alpha_max + 1):
+        before = lam_key
+        while pending and pending[-1][0][0] <= alpha:
+            (k_s, order, total), rec = pending.pop()
+            if total >> k_s < h_key:
+                h, h_key = rec, total >> k_s
+            if total < lam_key:
+                lam, lam_key = rec, total
+            if order < beta_key:
+                beta, beta_key = rec, order
+        if lam_key < before:
+            critical.append(alpha)
+            if sufficiency is None and lam_key <= bound:
+                sufficiency = SufficiencyRecord(alpha, slack, lam)
+        rows.append((h, lam, beta))
+    h_rows, lambda_rows, beta_rows = zip(*rows)
 
     return StructureProfile(
-        x=xb,
+        x=BitString.from_value(sys.universe_n, v),
         K_x=k_x,
         alpha_max=alpha_max,
         c_sub=sys.c_sub,
-        h_rows=rows(stairs(1)),
+        h_rows=h_rows,
         lambda_rows=lambda_rows,
-        beta_rows=rows(stairs(3)),
-        critical_alphas=critical,
+        beta_rows=beta_rows,
+        critical_alphas=tuple(critical),
         sufficiency=sufficiency,
-        pareto=_pareto_frontier(containing, facts),
-        flagged=lambdas[-1] is None,
+        pareto=_pareto_frontier(first),
+        flagged=lam is None,
     )
 
 
@@ -361,20 +356,16 @@ def profile_universe(
 
 
 def _pareto_frontier(
-    containing: Sequence[ModelRecord], facts: Sequence[tuple]
+    first: dict[tuple[int, int, int], ModelRecord]
 ) -> tuple[ParetoPoint, ...]:
+    """The Pareto-minimal ``(K(S), delta_order, lambda_key)`` triples, each
+    with its first record in :func:`profile`'s order, the least witness."""
     # The records share one n, so delta_order orders them as delta_key does.
-    witness: dict[tuple[int, int, int], int] = {}
-    for i, (k_s, _, lam, order, program) in enumerate(facts):
-        key = (k_s, order, lam)
-        prev = witness.get(key)
-        if prev is None or program < facts[prev][4]:
-            witness[key] = i
     # A dominator sorts before what it dominates, and domination is
     # transitive, so each triple need only face the front kept so far, all
     # of whose K(S) are already <= its own.
     front: list[tuple[int, int, int]] = []
-    for key in sorted(witness):
+    for key in sorted(first):
         if not any(f[1] <= key[1] and f[2] <= key[2] for f in front):
             front.append(key)
-    return tuple(ParetoPoint(key[0], key[2], containing[witness[key]]) for key in front)
+    return tuple(ParetoPoint(key[0], key[2], first[key]) for key in front)

@@ -329,20 +329,28 @@ def oracle_mss(sys: DescriptionSystem, x, lam_rows, slack: int):
     return None
 
 
-def oracle_pareto_triples(sys: DescriptionSystem, x):
-    """Pareto-minimal (K(S), delta-key, lambda-key) triples over sets containing x."""
+def oracle_triple_witnesses(sys: DescriptionSystem, x) -> dict:
+    """Each (K(S), delta-key, lambda-key) triple of a set containing x, with
+    the witness programs of every such set that has it, least first."""
     v = FiniteSet._coerce(sys.universe_n, x)
-    triples = []
+    table: dict = {}
     for s, (k, witness) in oracle_distinct_sets(sys).items():
         if v not in s:
             continue
         kc = oracle_K_cond(sys, v, s)
-        triples.append((k, Fraction(s.cardinality, 1 << int(kc)), (1 << k) * s.cardinality))
+        triple = (k, Fraction(s.cardinality, 1 << int(kc)), (1 << k) * s.cardinality)
+        table.setdefault(triple, []).append(witness)
+    return {t: sorted(ws, key=BitString.sort_key) for t, ws in table.items()}
+
+
+def oracle_pareto_triples(sys: DescriptionSystem, x):
+    """Pareto-minimal (K(S), delta-key, lambda-key) triples over sets containing x."""
+    triples = list(oracle_triple_witnesses(sys, x))
     minimal = []
-    for t in set(triples):
+    for t in triples:
         dominated = any(
             u != t and u[0] <= t[0] and u[1] <= t[1] and u[2] <= t[2]
-            for u in set(triples)
+            for u in triples
         )
         if not dominated:
             minimal.append(t)

@@ -164,6 +164,27 @@ def test_additivity_max_matches_c_sub(fixa):
             assert report.max_defect == sys.c_sub
 
 
+def test_battery_walks_each_system_twice_and_c_sub_fills_no_table(tmp_path, monkeypatch):
+    walks = []
+    original = DescriptionSystem._member_conds
+
+    def counted(self):
+        walks.append(self)
+        return original(self)
+
+    monkeypatch.setattr(DescriptionSystem, "_member_conds", counted)
+    system = build_system(WEIGHT_8)
+    assert system.c_sub == additivity_defect_report(system).max_defect
+    # c_sub leaves the containing table empty, so a lone profile still scans
+    assert walks == [system] and system._containing_cache == {}
+    walks.clear()
+    system = build_system(WEIGHT_8)
+    generate_gap_reports(tmp_path, systems={"hamming-8": system})
+    # the containing table, then one census for c_sub and the report; the
+    # planted-staircase system reads c_sub alone
+    assert walks.count(system) == 2 and all(walks.count(s) <= 2 for s in walks)
+
+
 def _assert_walk_matches_oracles(sys):
     report = additivity_defect_report(sys)
     assert report == oracle_additivity_report(sys)

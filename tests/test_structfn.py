@@ -34,6 +34,7 @@ from .oracles import (
     oracle_pareto_triples,
     oracle_profile_arrays,
     oracle_signature_rows,
+    oracle_triple_witnesses,
 )
 
 INF = math.inf
@@ -156,6 +157,19 @@ def test_fixa_pareto_frontier_collapses(fixa):
         (1, Fraction(1), 8)
     ]
     assert oracle_pareto_triples(fixa, "00") == [(1, Fraction(1), 8)]
+
+
+def test_ties_break_by_witness_not_by_set_entry_order():
+    # 00 lies in {00, 01} (printed by 00) and {00} (printed by 01): both have
+    # K(S) = 2 and delta_order 4, and set-entry order (by |S|) lists 01 first
+    sys = build_system("data 0 @family:literal(n=2)\nset 00 00,01\nset 01 00")
+    containing = sys.entries_containing("00")
+    assert [str(rec.witness_program) for rec in containing] == ["01", "00"]
+    assert [rec.delta_order for rec in containing] == [4, 4]
+    p = profile(sys, "00")
+    assert str(p.beta_rows[2].witness_program) == "00"
+    assert str(p.h_rows[2].witness_program) == str(p.lambda_rows[2].witness_program) == "01"
+    assert p.signature()[1] == oracle_signature_rows(sys, "00", 2)
 
 
 def test_flagged_profile_for_unmodelled_string():
@@ -296,6 +310,24 @@ def test_pareto_front_matches_the_oracle_on_long_fronts():
             assert front == oracle_pareto_triples(sys, v)
             long_fronts += len(front) > 3
     assert long_fronts >= 20
+
+
+@pytest.mark.parametrize(
+    "shape", [{}, {"cheap_singletons": True}, {"n": 6, "max_sets": 40}]
+)
+def test_pareto_points_carry_the_least_witness(shape):
+    shared = 0
+    for seed in range(40):
+        sys = random_system(seed, **shape)
+        for v in sys.universe_values():
+            table = oracle_triple_witnesses(sys, v)
+            for pt in profile(sys, v).pareto:
+                witnesses = table[pt.K_S, pt.delta_key, pt.lambda_key]
+                assert pt.record.witness_program == witnesses[0]
+                assert pt.record.set == sys.set_programs[witnesses[0]]
+                shared += len(witnesses) > 1
+    # points whose triple several containing sets share, so the pick matters
+    assert shared >= 10
 
 
 @settings(max_examples=30)
