@@ -42,12 +42,13 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .codec import (
     BitString,
@@ -90,37 +91,38 @@ class FiniteSet:
 
     Elements are stored as integers in ``[0, 2^n)``; the integer order of
     values coincides with lexicographic order of the corresponding n-bit
-    strings.  The empty set is representable as a value (it shows up as a
-    flagged terminal state in synthesis) but description systems refuse to
-    *print* it.
+    strings.  They are kept once: a ``range`` when contiguous (the cube,
+    each cylinder and singleton), an ascending tuple otherwise, so equal
+    sets have equal stores however they were built.  The empty set is
+    representable as a value (it shows up as a flagged terminal state in
+    synthesis) but description systems refuse to *print* it.
     """
 
-    __slots__ = ("_n", "_values", "_members", "_hash")
+    __slots__ = ("_n", "_values", "_hash")
 
     def __init__(self, n: int, values: Iterable["int | str | BitString"]):
         if not 1 <= n <= MAX_UNIVERSE_BITS:
             raise DescriptorError(f"universe width must be in [1, {MAX_UNIVERSE_BITS}], got {n}")
-        members = frozenset([v if type(v) is int else self._coerce(n, v) for v in values])
-        vals = sorted(members)
-        if vals and not 0 <= vals[0] <= vals[-1] < 1 << n:
-            bad = vals[0] if vals[0] < 0 else vals[-1]
-            raise DescriptorError(f"element value {bad} outside universe of width {n}")
-        self._n = n
-        self._values = tuple(vals)
-        self._members = members
-        # Sets key the shortcut and set-index tables; the cube has 2^n
-        # members, so hashing the tuple on every lookup would cost O(2^n).
-        self._hash = hash((n, self._values))
+        vals = sorted({v if type(v) is int else self._coerce(n, v) for v in values})
+        for end in vals[:1] + vals[-1:]:  # the ends bound every int member
+            self._coerce(n, end)
+        self._store(n, vals)
 
     @classmethod
-    def _trusted(cls, n: int, values: Iterable[int]) -> "FiniteSet":
+    def _trusted(cls, n: int, values: Sequence[int]) -> "FiniteSet":
         """A set from values already ascending, distinct and inside ``[0, 2^n)``."""
         self = cls.__new__(cls)
-        self._n = n
-        self._values = tuple(values)
-        self._members = frozenset(self._values)
-        self._hash = hash((n, self._values))
+        self._store(n, values)
         return self
+
+    def _store(self, n: int, values: Sequence[int]) -> None:
+        # Ascending distinct values are contiguous iff their ends are len - 1
+        # apart.  A tuple may hold 2^n members, so its hash is taken once.
+        if values and values[-1] - values[0] == len(values) - 1:
+            self._values: Sequence[int] = range(values[0], values[-1] + 1)
+        else:
+            self._values = tuple(values)
+        self._n, self._hash = n, hash((n, self._values))
 
     @classmethod
     def read(
@@ -164,7 +166,8 @@ class FiniteSet:
         return self._n
 
     @property
-    def values(self) -> tuple[int, ...]:
+    def values(self) -> Sequence[int]:
+        """The members in ascending order: a ``range`` or a tuple."""
         return self._values
 
     @property
@@ -190,14 +193,16 @@ class FiniteSet:
         return ",".join(str(b) for b in self.bitstrings())
 
     def __contains__(self, x: object) -> bool:
-        if type(x) is int:
-            return x in self._members
-        if isinstance(x, (str, BitString)):
+        if type(x) is not int:
             try:
-                return self._coerce(self._n, x) in self._members
-            except DescriptorError:
+                x = self._coerce(self._n, x)
+            except DescriptorError:  # a wrong width or type
                 return False
-        return False
+        vals = self._values
+        if type(vals) is range:
+            return x in vals
+        i = bisect_left(vals, x)
+        return i < len(vals) and vals[i] == x
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self.bitstrings())
@@ -206,22 +211,23 @@ class FiniteSet:
         return len(self._values)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteSet)
-            and self._n == other._n
-            and self._values == other._values
-        )
+        if not isinstance(other, FiniteSet):
+            return False
+        return self._n == other._n and self._values == other._values
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        shown = ",".join(str(b) for b in self.bitstrings()[:6])
+        shown = ",".join(str(BitString.from_value(self._n, v)) for v in self._values[:6])
         more = "" if len(self) <= 6 else f",...({len(self)} total)"
         return f"FiniteSet(n={self._n}, {{{shown}{more}}})"
 
     def subset_of(self, other: "FiniteSet") -> bool:
-        return self._n == other._n and self._members <= other._members
+        mine, theirs = self._values, other._values
+        if self._n == other._n and type(theirs) is range and mine:
+            return theirs.start <= mine[0] and mine[-1] < theirs.stop
+        return self._n == other._n and all(v in other for v in mine)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +581,7 @@ class DescriptionSystem:
             cached = tuple(
                 ModelRecord(e.set, e.K_S, e.witness_program, int(self.K_cond(v, e.set)))
                 for e in self._set_entries
-                if v in e.set
+                if v in e.set._values
             )
             self._containing_cache[v] = cached
         return cached
@@ -597,18 +603,16 @@ class DescriptionSystem:
     # -- audits --------------------------------------------------------
 
     def kraft_sums(self) -> dict[str, "Fraction | dict[str, Fraction]"]:
-        cond = {
-            str(self.set_witness(s) or "?"): kraft_sum(table)
-            for s, table in sorted(
-                self.cond_shortcuts.items(),
-                key=lambda kv: (self.K_set(kv[0]), kv[0].values),
-            )
-        }
         return {
             "data": kraft_sum(self.data_programs),
             "set": kraft_sum(self.set_programs),
-            "cond": cond,
+            "cond": {anchor: kraft_sum(table) for anchor, table in self._shortcut_tables()},
         }
+
+    def _shortcut_tables(self) -> Iterator[tuple[str, dict[BitString, BitString]]]:
+        """Each conditional table under its set's witness text, by K(S), then members."""
+        for s in sorted(self.cond_shortcuts, key=lambda s: (self.K_set(s), tuple(s.values))):
+            yield show_bits(self.set_witness(s)), self.cond_shortcuts[s]
 
     def _member_conds(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(rank, v, K(x|S))`` for every representable pair.
@@ -695,14 +699,9 @@ class DescriptionSystem:
             lines.append(f"data\t{show_bits(p)}\t{self.data_programs[p]}")
         for p in sorted(self.set_programs, key=BitString.sort_key):
             lines.append(f"set\t{show_bits(p)}\t{self.set_programs[p].show()}")
-        for s, table in sorted(
-            self.cond_shortcuts.items(), key=lambda kv: (self.K_set(kv[0]), kv[0].values)
-        ):
-            anchor = self.set_witness(s)
-            if anchor is None:  # pragma: no cover - ruled out by validation
-                raise DescriptorError("cannot serialize shortcuts of an unprintable set")
+        for anchor, table in self._shortcut_tables():
             for q in sorted(table, key=BitString.sort_key):
-                lines.append(f"cond\t{show_bits(q)}\t{table[q]}@{show_bits(anchor)}")
+                lines.append(f"cond\t{show_bits(q)}\t{table[q]}@{anchor}")
         return "\n".join(lines) + "\n"
 
 

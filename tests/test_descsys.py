@@ -110,6 +110,85 @@ def test_member_list_text_reads_back(n, data):
     assert FiniteSet.read(s.show(), "t") == s
 
 
+@st.composite
+def _member_lists(draw, n):
+    """Member values of {0,1}^n: any set, a contiguous run, a singleton,
+    the empty set or the whole cube."""
+    top = 1 << n
+    shape = draw(st.sampled_from(["any", "run", "single", "empty", "cube"]))
+    if shape == "any":
+        return frozenset(draw(st.sets(st.integers(0, top - 1))))
+    if shape == "run":
+        lo = draw(st.integers(0, top - 1))
+        return frozenset(range(lo, draw(st.integers(lo + 1, top))))
+    if shape == "single":
+        return frozenset([draw(st.integers(0, top - 1))])
+    return frozenset(range(top if shape == "cube" else 0))
+
+
+def _every_route(n, ref, shuffled):
+    """The same member set built by each constructor that takes one."""
+    ordered = sorted(ref)
+    built = [
+        FiniteSet(n, shuffled + shuffled[:2]),
+        FiniteSet(n, [format(v, f"0{n}b") for v in shuffled]),
+        FiniteSet(n, [B.from_value(n, v) for v in shuffled]),
+        FiniteSet._trusted(n, ordered),
+    ]
+    if ordered and ordered[-1] - ordered[0] == len(ordered) - 1:
+        run = range(ordered[0], ordered[-1] + 1)
+        built += [FiniteSet(n, run), FiniteSet._trusted(n, run)]
+    if ordered:
+        built.append(FiniteSet.read(built[0].show(), "t", width=n))
+    return built
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_finite_set_agrees_with_a_frozenset_on_every_route(n, data):
+    ref = data.draw(_member_lists(n), label="members")
+    other_ref = data.draw(_member_lists(n), label="other")
+    shuffled = data.draw(st.permutations(sorted(ref)), label="order")
+    other = FiniteSet(n, sorted(other_ref))
+    contiguous = bool(ref) and max(ref) - min(ref) == len(ref) - 1
+    for s in _every_route(n, ref, shuffled):
+        assert type(s.values) is (range if contiguous else tuple)
+        assert list(s.values) == sorted(ref) and len(s) == s.cardinality == len(ref)
+        assert s == FiniteSet(n, sorted(ref)) and hash(s) == hash(FiniteSet(n, sorted(ref)))
+        assert (s == other) == (ref == other_ref)
+        if ref == other_ref:
+            assert hash(s) == hash(other)
+        assert s.subset_of(other) == (ref <= other_ref)
+        assert other.subset_of(s) == (other_ref <= ref)
+        assert not s.subset_of(FiniteSet(n + 1, range(1 << (n + 1))))
+        if ref:
+            assert FiniteSet.read(s.show(), "t") == s
+        for v in range(-2, (1 << n) + 2):
+            assert (v in s) == (v in ref)
+            if 0 <= v < 1 << n:
+                assert (format(v, f"0{n}b") in s) == (B.from_value(n, v) in s) == (v in ref)
+        for v in range(1 << (n + 1)):
+            assert format(v, f"0{n + 1}b") not in s and B.from_value(n + 1, v) not in s
+        assert "" not in s and B("") not in s
+        for alien in (0.0, 1.0, True, False, None, b"0", Fraction(0), (0,)):
+            assert alien not in s
+
+
+def test_repr_spells_only_the_members_it_shows(monkeypatch):
+    cube = FiniteSet._trusted(16, range(1 << 16))
+    spelled = []
+    from_value = B.from_value
+
+    def counted(length, value):
+        spelled.append(value)
+        return from_value(length, value)
+
+    monkeypatch.setattr(B, "from_value", counted)
+    shown = ",".join(format(v, "016b") for v in range(6))
+    assert repr(cube) == f"FiniteSet(n=16, {{{shown},...(65536 total)}})"
+    assert spelled == list(range(6))
+
+
 @pytest.mark.parametrize("value", [2.7, 3.99, True, False, None, b"01", Fraction(1)])
 def test_values_that_are_not_int_str_or_bitstring_are_refused(fixa, value):
     name = type(value).__name__
@@ -292,6 +371,11 @@ def test_cond_shortcut_parsed_and_used():
     assert sums["cond"] == {"0": Fraction(1, 2)}
 
 
+def test_kraft_sums_label_a_set_printed_by_the_empty_program():
+    text = "data\t00\t00\ndata\t01\t01\ndata\t10\t10\ndata\t11\t11\nset\t.\t00,01\ncond\t0\t01@.\n"
+    assert build_system(text).kraft_sums()["cond"] == {".": Fraction(1, 2)}
+
+
 ### Families
 
 
@@ -389,7 +473,7 @@ def test_expand_family_matches_the_scan_oracle(name, args):
     assert [(k, p) for k, p, _ in got] == [(k, p) for k, p, _ in want]
     for (_, _, out), (_, _, expected) in zip(got, want):
         if kind == "set":
-            assert out.values == tuple(expected)
+            assert tuple(out.values) == tuple(expected)
             assert out == FiniteSet(args["n"], expected)
         else:
             assert out == expected
