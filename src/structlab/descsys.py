@@ -59,7 +59,7 @@ from .codec import (
     string_of_integer,
     text_lines,
 )
-from .errors import DescriptorError, FixtureError, StructLabError
+from .errors import CodecError, DescriptorError, FixtureError, StructLabError
 from .rational import ceil_log2, log2_display
 
 __all__ = [
@@ -196,7 +196,7 @@ class FiniteSet:
         if type(x) is not int:
             try:
                 x = self._coerce(self._n, x)
-            except DescriptorError:  # a wrong width or type
+            except (CodecError, DescriptorError):  # a wrong width, type or character
                 return False
         vals = self._values
         if type(vals) is range:
@@ -587,6 +587,11 @@ class DescriptionSystem:
         return cached
 
     def max_set_program_length(self) -> int:
+        """The largest K(S) over the distinct sets, 0 with none.
+
+        Each set counts at its shortest program, so this can be less than the
+        longest set program when a set is also printed by a shorter one.
+        """
         # The entries are sorted by K(S) first.
         return self._set_entries[-1].K_S if self._set_entries else 0
 

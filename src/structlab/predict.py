@@ -17,11 +17,13 @@ Strategies and finite sets translate into each other without slack:
   (or explicitly rational) threshold; the conservation law caps the
   result's cardinality at the inverse threshold.
 
-A strategy stores its beliefs as one tuple in (length, value) order of the
-prefixes, so prefix ``b`` sits at slot ``b.to_integer()``.  ``set_to_strategy``
-fills that tuple directly: it folds member counts up one list per level and
-shares one ``Fraction`` per distinct (ones, whole) count pair, at cost
-O(|A| + 2**n) per set, and every distinct belief is still checked once.
+A strategy reads its beliefs in (length, value) order of the prefixes, so
+prefix ``b`` sits at slot ``b.to_integer()``.  An explicit strategy keeps
+them in one tuple, checked once.  ``set_to_strategy`` keeps the set's member
+store instead and counts each belief from it on demand with bisections: the
+strategy is built in O(1), one belief costs O(log |A|), and a loss reads the
+n beliefs along its string, so a set codebook's snooping curve costs
+O(sets * n * log |S|) with no 2**n term.
 
 A :class:`StrategyCodebook` names strategies by prefix-free programs, which
 prices strategies the way description systems price sets; its
@@ -33,10 +35,9 @@ namespace via ``codebook_from_sets``.
 from __future__ import annotations
 
 import math
-import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .artifacts import number
 from .codec import BitString, read_bits, read_rational, show_bits, text_lines
@@ -96,11 +97,44 @@ def _check_beliefs(n: int, beliefs: tuple) -> None:
             raise StructLabError(f"belief values must be Fractions in [0, 1], got {p!r}")
 
 
+class _SetBeliefs:
+    """The beliefs of a set's proportion-following strategy, read off its members.
+
+    Indexed like a belief tuple: slot ``(1 << length) - 1 + value`` holds
+    |A_{y1}| / |A_y| for the prefix y of that length and value, or 1/2 when
+    no member extends y.  The counts come from bisections in the sorted
+    member store, so one belief costs O(log |A|) and none is stored.
+    """
+
+    __slots__ = ("_n", "_members")
+
+    def __init__(self, a: FiniteSet):
+        self._n = a.n
+        self._members = a.values
+
+    def ratio(self, length: int, value: int) -> tuple[int, int]:
+        """The belief at a prefix as (ones, whole) member counts, unreduced."""
+        members, shift = self._members, self._n - length
+        lo = bisect_left(members, value << shift)
+        hi = bisect_left(members, (value + 1) << shift, lo)
+        if lo == hi:
+            return 1, 2
+        return hi - bisect_left(members, ((value << 1) | 1) << (shift - 1), lo, hi), hi - lo
+
+    def __getitem__(self, slot: int) -> Fraction:
+        length = (slot + 1).bit_length() - 1
+        return Fraction(*self.ratio(length, slot + 1 - (1 << length)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range((1 << self._n) - 1))
+
+
 class PredictionStrategy:
     """A total map from prefixes of length < n to rational beliefs in [0,1].
 
-    Beliefs are one tuple in (length, value) order of the prefixes: prefix
-    ``b`` sits at slot ``b.to_integer()``.
+    Beliefs are read in (length, value) order of the prefixes: prefix ``b``
+    sits at slot ``b.to_integer()``.  They are one checked tuple, or for a
+    strategy built by ``set_to_strategy``, the set's members.
     """
 
     __slots__ = ("_n", "_beliefs")
@@ -130,9 +164,14 @@ class PredictionStrategy:
         self._beliefs = beliefs
 
     @classmethod
-    def _from_beliefs(cls, n: int, beliefs: tuple) -> "PredictionStrategy":
-        """A strategy over beliefs already in slot order, checked like ``__init__``'s."""
-        _check_beliefs(n, beliefs)
+    def _from_beliefs(cls, n: int, beliefs: "tuple | _SetBeliefs") -> "PredictionStrategy":
+        """A strategy over beliefs already in slot order.
+
+        A tuple is checked like ``__init__``'s; a set's beliefs are proportions
+        by construction.
+        """
+        if type(beliefs) is not _SetBeliefs:
+            _check_beliefs(n, beliefs)
         self = cls.__new__(cls)
         self._n = n
         self._beliefs = beliefs
@@ -175,10 +214,10 @@ class PredictionStrategy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PredictionStrategy):
             return NotImplemented
-        return self._n == other._n and self._beliefs == other._beliefs
+        return self._n == other._n and tuple(self._beliefs) == tuple(other._beliefs)
 
     def __hash__(self) -> int:
-        return hash((self._n, self._beliefs))
+        return hash((self._n, tuple(self._beliefs)))
 
     def __repr__(self) -> str:
         return f"PredictionStrategy(n={self._n})"
@@ -211,11 +250,18 @@ def evaluate_loss(strategy: PredictionStrategy, x: "str | BitString") -> LossRec
             f"string length {len(xb)} does not match the horizon {strategy.n}"
         )
     n, v, beliefs = strategy.n, xb.value, strategy._beliefs
-    product = Fraction(1)
+    num = den = 1
     for i in range(n):
-        p = beliefs[_slot(i, v >> (n - i))]
-        product *= p if (v >> (n - 1 - i)) & 1 else 1 - p
-    return LossRecord(x=xb, product=product)
+        if type(beliefs) is _SetBeliefs:
+            ones, whole = beliefs.ratio(i, v >> (n - i))
+        else:
+            p = beliefs[_slot(i, v >> (n - i))]
+            ones, whole = p.numerator, p.denominator
+        num *= ones if (v >> (n - 1 - i)) & 1 else whole - ones
+        if not num:  # the product stays 0 whatever follows
+            break
+        den *= whole
+    return LossRecord(x=xb, product=Fraction(num, den))
 
 
 def set_to_strategy(a: FiniteSet) -> PredictionStrategy:
@@ -225,27 +271,13 @@ def set_to_strategy(a: FiniteSet) -> PredictionStrategy:
     to a member's loss, and any fixed value keeps the strategy total.
     Every member's realized product is exactly ``1/|A|``.
 
-    Member counts are folded up one list per level, and each distinct
-    (ones, whole) pair becomes one shared ``Fraction``: O(|A| + 2**n).
+    The strategy keeps the set's member store and counts each belief from
+    it when read, so building it costs O(1).
     """
     if a.cardinality == 0:
         raise StructLabError("cannot build a strategy from an empty set")
-    n = a.n
-    counts = [0] * (1 << n)
-    for v in a.values:
-        counts[v] = 1
-    shared = {(0, 0): Fraction(1, 2)}
-    levels = []
-    for _ in range(n):
-        ones = counts[1::2]
-        counts = list(map(operator.add, counts[0::2], ones))
-        pairs = list(zip(ones, counts))
-        for pair in set(pairs).difference(shared):
-            shared[pair] = Fraction(*pair)
-        levels.append(list(map(shared.__getitem__, pairs)))
-    return PredictionStrategy._from_beliefs(
-        n, tuple(chain.from_iterable(reversed(levels)))
-    )
+    _slot_count(a.n)
+    return PredictionStrategy._from_beliefs(a.n, _SetBeliefs(a))
 
 
 def strategy_to_set(

@@ -274,9 +274,11 @@ def profile(
 ) -> StructureProfile:
     """Compute the full exact profile of ``x`` on budgets ``0..alpha_max``.
 
-    ``alpha_max`` defaults to the longest set program (the point where all
-    three curves have saturated); ``mss_slack`` defaults to the system's
-    ``c_sub``.
+    ``alpha_max`` defaults to ``sys.max_set_program_length()``, the largest
+    K(S) over the distinct sets, where all three curves have saturated.  That
+    can be less than the longest set program, the default of
+    ``snooping_curve``: a set also printed by a shorter program counts at the
+    shorter length.  ``mss_slack`` defaults to the system's ``c_sub``.
 
     One ordered pass, O(r log r + alpha_max) for the r sets containing
     ``x``.  The records are sorted once by (K(S), witness program), and the

@@ -290,10 +290,13 @@ def test_c04_snooping_exactness(battery):
             if strategy_to_set(strat, m).cardinality > (1 << m):
                 violations.append(("cap", strat.n, m))
 
-    # (d) snooping curves equal size curves on paired codebooks
+    # (d) snooping curves equal size curves on paired codebooks, up to the
+    # 4,110 set programs of the 12-bit family system
     wide = build_system(WIDE_12)
+    hamming = build_report_family_systems()["hamming-12"]
     paired = [(sys, None) for sys in battery[:25]] + [
-        (wide, ["000000000000", "000000000001", "101010101010"])
+        (wide, ["000000000000", "000000000001", "101010101010"]),
+        (hamming, ["000000000000", "111111111111", "101010101010"]),
     ]
     for sys, xs in paired:
         codebook = codebook_from_sets(sys)

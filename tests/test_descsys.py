@@ -202,6 +202,29 @@ def test_values_that_are_not_int_str_or_bitstring_are_refused(fixa, value):
     assert value not in FiniteSet(2, range(4))
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0, True),
+        (3, False),
+        (4, False),
+        (-1, False),
+        ("00", True),
+        ("01", False),
+        (B("00"), True),
+        (B("11"), False),
+        ("000", False),
+        (B("0"), False),
+        ("22", False),
+        ("0x", False),
+        (None, False),
+        (0.0, False),
+    ],
+)
+def test_membership_answers_every_value(value, expected):
+    assert (value in FiniteSet(2, [0, 2])) is expected
+
+
 def test_ceil_log_card_values():
     for card, expect in [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4)]:
         s = FiniteSet(4, range(card))

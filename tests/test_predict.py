@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structlab import predict
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import CodecError, FixtureError, StructLabError
+from structlab.experiments import build_report_family_systems
 from structlab.modelclasses import likelihood_curve, pmf_codebook_from_sets
 from structlab.predict import (
     PredictionStrategy,
@@ -88,7 +90,8 @@ def test_malformed_belief_is_a_structlab_error(value):
     ],
 )
 def test_belief_tuple_check(n, beliefs, message):
-    # the check set_to_strategy hands its tuple to
+    # the check every explicit belief tuple passes; a set's strategy reads
+    # its beliefs off the set and has no tuple to check
     with pytest.raises(StructLabError, match=message):
         PredictionStrategy._from_beliefs(n, beliefs)
 
@@ -317,6 +320,29 @@ def test_codebook_complexity_is_the_shortest_name():
     book = StrategyCodebook({"0": uniform, "11": uniform})
     assert book.complexity(uniform) == 1
     assert book.complexity(PredictionStrategy.uniform(3)) == math.inf
+
+
+@pytest.mark.parametrize("name", ["fixa", "hamming-12"])
+def test_set_codebooks_read_only_the_beliefs_along_x(name, fixa, monkeypatch):
+    # A set strategy reads its beliefs off the set: building the codebook
+    # reads none, and one snooping curve reads at most n per strategy.
+    sys = fixa if name == "fixa" else build_report_family_systems()[name]
+    n = sys.universe_n
+    reads: dict[int, int] = {}
+    ratio = predict._SetBeliefs.ratio
+
+    def counted(store, length, value):
+        reads[id(store)] = reads.get(id(store), 0) + 1
+        return ratio(store, length, value)
+
+    monkeypatch.setattr(predict._SetBeliefs, "ratio", counted)
+    book = codebook_from_sets(sys)
+    assert reads == {}
+    for x in (B.zeros(n), B.ones(n), B.from_value(n, 0b101010101010 % (1 << n))):
+        reads.clear()
+        snooping_curve(book, x)
+        assert len(reads) == len(book)
+        assert max(reads.values()) <= n
 
 
 def test_codebook_complexity_finds_a_set_built_strategy():
