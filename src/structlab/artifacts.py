@@ -20,9 +20,10 @@ rule for turning exact values into text lives here:
   Identical inputs give byte-identical files, and a refused run never
   leaves a half-written one.
 
-CLI artifacts apply the number rule to every float.  The gap archive keeps
-finite floats as they are (``"mean": 0.0``, ``"c": 1.0``), so the encoder
-takes that one choice as the ``int_floats`` keyword.
+Every artifact, CLI run or gap archive, applies the number rule to every
+float it holds, so a report type carries no value rule of its own: its
+``to_json_dict`` only renames fields, adds computed ones, or spells a value
+the encoder would spell otherwise.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ def number(v):
 
 # ---------------------------------------------------------------------------
 # The walk.  Each encoder appends the text of ``value`` to ``out``; ``newline``
-# is the line break and indentation of the value's own depth, and ``table``
-# maps a type to its encoder and holds the float rule (one table per
-# ``int_floats`` choice).
+# is the line break and indentation of the value's own depth.
 # ---------------------------------------------------------------------------
 
 
@@ -81,57 +80,56 @@ class _Sink(list):
             self.clear()
 
 
-def _null(value, out, newline, table):
+def _null(value, out, newline):
     out.append("null")
 
 
-def _bool(value, out, newline, table):
+def _bool(value, out, newline):
     out.append("true" if value else "false")
 
 
-def _int(value, out, newline, table):
+def _int(value, out, newline):
     out.append(int.__repr__(value))
 
 
-def _str(value, out, newline, table):
+def _str(value, out, newline):
     out.append(_quote(value))
 
 
-def _kept_float_text(value) -> str:
+def _float_text(value) -> str:
+    """The text of :func:`number` applied to ``value``."""
+    if value.is_integer():
+        return int.__repr__(int(value))
     return float.__repr__(value) if math.isfinite(value) else _quote(number(value))
 
 
-def _int_float_text(value) -> str:
-    return int.__repr__(int(value)) if value.is_integer() else _kept_float_text(value)
+def _float(value, out, newline):
+    out.append(_float_text(value))
 
 
-def _float(value, out, newline, table):
-    out.append(table.float_text(value))
-
-
-def _fraction(value, out, newline, table):
+def _fraction(value, out, newline):
     if value.denominator == 1:
         out.append(int.__repr__(value.numerator))
     else:
         out.append(_quote(f"{value.numerator}/{value.denominator}"))
 
 
-def _bitstring(value, out, newline, table):
+def _bitstring(value, out, newline):
     out.append(_quote(str(value)))
 
 
-def _finite_set(value, out, newline, table):
-    _array([str(b) for b in value.bitstrings()], out, newline, table)
+def _finite_set(value, out, newline):
+    _array([str(b) for b in value.bitstrings()], out, newline)
 
 
-def _dict(value, out, newline, table):
+def _dict(value, out, newline):
     items = {str(k): v for k, v in value.items()}
     if len(items) < len(value):
         # Keys equal after str keep the last value, as a dict built from
         # them would; the values dropped are still checked.
         for k, v in value.items():
             if items[str(k)] is not v:
-                table[type(v)](v, _Sink(), newline, table)
+                _ENCODERS.get(type(v), _other)(v, _Sink(), newline)
     if not items:
         out.append("{}")
         return
@@ -140,12 +138,12 @@ def _dict(value, out, newline, table):
     for key in sorted(items):
         v = items[key]
         out.append(f"{sep}{_quote(key)}: ")
-        table[type(v)](v, out, inner, table)
+        _ENCODERS.get(type(v), _other)(v, out, inner)
         sep = "," + inner
     out.append(newline + "}")
 
 
-def _array(value, out, newline, table):
+def _array(value, out, newline):
     streamed = not isinstance(value, (list, tuple))
     inner = newline + "  "
     sep = "[" + inner
@@ -155,74 +153,57 @@ def _array(value, out, newline, table):
         if type(v) is float:
             # A curve repeats one float object along each step of its staircase.
             if v is not last:
-                last, text = v, table.float_text(v)
+                last, text = v, _float_text(v)
             out.append(text)
         else:
-            table[type(v)](v, out, inner, table)
+            _ENCODERS.get(type(v), _other)(v, out, inner)
         if streamed:
             out.drain()
         sep = "," + inner
     out.append("[]" if sep[0] == "[" else newline + "]")
 
 
+#: Encoders by exact type; any other type goes through :func:`_other`.
+_ENCODERS = {
+    type(None): _null,
+    bool: _bool,
+    int: _int,
+    str: _str,
+    float: _float,
+    Fraction: _fraction,
+    BitString: _bitstring,
+    FiniteSet: _finite_set,
+    dict: _dict,
+    list: _array,
+    tuple: _array,
+}
+
 #: Base types a subclass is encoded as, in the order they are tried.
 _BASES = (int, str, float, Fraction, BitString, FiniteSet, dict, list, tuple)
 
 
-def _other(value, out, newline, table):
+def _other(value, out, newline):
     for base in _BASES:
         if isinstance(value, base):
-            return table[base](value, out, newline, table)
+            return _ENCODERS[base](value, out, newline)
     if hasattr(value, "to_json_dict"):
         value = value.to_json_dict()
     elif is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in fields(value)}
     elif isinstance(value, Iterator):
-        return _array(value, out, newline, table)
+        return _array(value, out, newline)
     else:
         raise TypeError(f"no artifact form for {type(value).__name__}")
-    table[type(value)](value, out, newline, table)
+    _ENCODERS.get(type(value), _other)(value, out, newline)
 
 
-class _Dispatch(dict):
-    """Encoders by exact type, and the text of a float under one float rule."""
-
-    def __init__(self, float_text):
-        super().__init__({
-            type(None): _null,
-            bool: _bool,
-            int: _int,
-            str: _str,
-            float: _float,
-            Fraction: _fraction,
-            BitString: _bitstring,
-            FiniteSet: _finite_set,
-            dict: _dict,
-            list: _array,
-            tuple: _array,
-        })
-        self.float_text = float_text
-
-    def __missing__(self, kind):
-        return _other
-
-
-_TABLES = {True: _Dispatch(_int_float_text), False: _Dispatch(_kept_float_text)}
-
-
-def _encode_into(value, out: _Sink, int_floats: bool) -> None:
-    table = _TABLES[bool(int_floats)]
-    table[type(value)](value, out, "\n", table)
-
-
-def encode(value, *, int_floats: bool) -> str:
+def encode(value) -> str:
     """The artifact text of ``value``, without a final newline.
 
-    With ``int_floats`` false, finite floats are kept as they are.  NaN
-    raises ``StructLabError``; a value with no artifact form ``TypeError``.
+    NaN raises ``StructLabError``; a value with no artifact form ``TypeError``.
     """
     out = _Sink()
-    _encode_into(value, out, int_floats)
+    _ENCODERS.get(type(value), _other)(value, out, "\n")
     return "".join(out)
 
 
@@ -255,10 +236,10 @@ def write_text(path: "str | Path", text: "str | Iterable[str]") -> None:
             f.writelines(text)
 
 
-def write_json(path: "str | Path", value, *, int_floats: bool) -> None:
+def write_json(path: "str | Path", value) -> None:
     """Write the :func:`encode` text of ``value`` and a final newline."""
     with _replacing(path) as f:
         out = _Sink(f)
-        _encode_into(value, out, int_floats)
+        _ENCODERS.get(type(value), _other)(value, out, "\n")
         out.append("\n")
         out.drain()

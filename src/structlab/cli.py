@@ -203,6 +203,15 @@ def _profile_csv(profiles):
         )
 
 
+def _snoop_csv(curve) -> str:
+    """The CSV text: the header, then one row per budget."""
+    lines = ["alpha,loss,witness_program"]
+    for row in curve.rows:
+        witness = "" if row.witness is None else str(row.witness)
+        lines.append(f"{row.alpha},{number(row.loss)},{witness}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_search(args):
     sys = load_system(args.system)
     alpha = args.alpha_max
@@ -290,7 +299,7 @@ def _cmd_snoop(args):
     _check_budget(sys, "--alpha-max", args.alpha_max)
     curve = snooping_curve(codebook_from_sets(sys), args.x, alpha_max=args.alpha_max)
     if args.format == "csv":
-        yield "snoop.csv", curve.to_csv()
+        yield "snoop.csv", _snoop_csv(curve)
         return
     yield "snoop.json", {
         "x": curve.x,
@@ -468,7 +477,7 @@ def main(argv=None) -> int:
         for name, payload in _artifacts(args):
             path = Path(args.out) / name
             if path.suffix == ".json":
-                write_json(path, payload, int_floats=True)
+                write_json(path, payload)
             else:
                 write_text(path, payload)
     except StructLabError as exc:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .artifacts import number, write_json
+from .artifacts import write_json
 from .codec import BitString
 from .descsys import (
     MAX_UNIVERSE_BITS,
@@ -172,10 +172,10 @@ class NonStochReport:
             "n": self.plan.n,
             "alpha0": self.plan.alpha0,
             "beta_level": self.plan.beta_level,
-            "x": str(self.plan.x),
+            "x": self.plan.x,
             "K_x": self.K_x,
             "c_sub": self.c_sub,
-            "beta": [number(v) for v in self.beta_values()],
+            "beta": self.beta_values(),
             "ok": self.ok,
         }
 
@@ -318,22 +318,11 @@ class GapSummary:
 
     label: str
     count: int
-    minimum: "float | None"
-    maximum: "float | None"
+    min: "float | None"
+    max: "float | None"
     mean: "float | None"
     min_witness: "dict | None"
     max_witness: "dict | None"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "count": self.count,
-            "min": number(self.minimum),
-            "max": number(self.maximum),
-            "mean": self.mean,
-            "min_witness": self.min_witness,
-            "max_witness": self.max_witness,
-        }
 
 
 class _Tally:
@@ -371,8 +360,8 @@ class _Tally:
         return GapSummary(
             label=self.label,
             count=self.count,
-            minimum=self.lo,
-            maximum=self.hi,
+            min=self.lo,
+            max=self.hi,
             mean=self.total / self.count if self.count else None,
             min_witness=self.lo_witness,
             max_witness=self.hi_witness,
@@ -622,5 +611,5 @@ def generate_gap_reports(
         },
     }
     for filename, payload in payloads.items():
-        write_json(out / filename, payload, int_floats=False)
+        write_json(out / filename, payload)
     return {"out_dir": str(out), "files": list(payloads), "seconds": seconds}

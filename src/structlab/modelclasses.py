@@ -296,7 +296,7 @@ class PmfRestriction:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": str(self.x),
+            "x": self.x,
             "probability": str(self.probability),
             "m": self.m,
             "threshold": str(self.threshold),
@@ -304,7 +304,7 @@ class PmfRestriction:
             "cardinality_bound": self.cardinality_bound,
             "probability_bound": str(self.probability_bound),
             "holds": self.holds,
-            "members": [str(b) for b in self.set.bitstrings()],
+            "members": self.set,
         }
 
 
@@ -335,12 +335,12 @@ class FnRestriction:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": str(self.x),
+            "x": self.x,
             "data_length": self.data_length,
             "cardinality": self.cardinality,
             "ceil_log_card": self.ceil_log_card,
             "holds": self.holds,
-            "members": [str(b) for b in self.set.bitstrings()],
+            "members": self.set,
         }
 
 

@@ -39,7 +39,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artifacts import number
 from .codec import BitString, read_bits, read_rational, show_bits, text_lines
 from .descsys import Codebook, DescriptionSystem, FiniteSet
 from .errors import FixtureError, StructLabError
@@ -360,13 +359,6 @@ class SnoopingCurve:
 
     def loss_values(self) -> list[float]:
         return [row.loss for row in self.rows]
-
-    def to_csv(self) -> str:
-        lines = ["alpha,loss,witness_program"]
-        for row in self.rows:
-            witness = "" if row.witness is None else str(row.witness)
-            lines.append(f"{row.alpha},{number(row.loss)},{witness}")
-        return "\n".join(lines) + "\n"
 
 
 def snooping_curve(

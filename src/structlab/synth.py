@@ -130,19 +130,19 @@ class SynthesisRun:
 
     def to_json_dict(self) -> dict:
         return {
-            "target": list(self.target),
+            "target": self.target,
             "n": self.n,
             "universe_size": self.universe.cardinality,
             "events": len(self.events),
             "kraft_total": str(self.kraft_total),
             "final_block_sizes": [s.cardinality for s in self.final_blocks],
-            "replacement_counts": list(self.replacement_counts),
+            "replacement_counts": self.replacement_counts,
             "replacement_bounds": [
                 self.replacement_bound(i) for i in range(self.k + 1)
             ],
             "replacement_bounds_ok": self.replacement_bounds_ok,
-            "witness": None if self.witness_x is None else str(self.witness_x),
-            "certificate_witness": str(self.certificate_witness),
+            "witness": self.witness_x,
+            "certificate_witness": self.certificate_witness,
             "exhausted": self.exhausted,
         }
 
@@ -376,11 +376,11 @@ class CoverReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": str(self.x),
+            "x": self.x,
             "delta": self.delta,
             "threshold": str(self.threshold),
             "block_capacity": self.block_capacity,
-            "blocks": [[str(b) for b in s.bitstrings()] for s in self.blocks],
+            "blocks": self.blocks,
             "chop_count": self.chop_count,
             "records_seen": self.records_seen,
             "distinct_records": self.distinct_records,

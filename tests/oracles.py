@@ -602,12 +602,12 @@ def oracle_sli_dominance_records(sys: DescriptionSystem, order, x) -> dict:
     return records
 
 
-def oracle_jsonable(value, *, int_floats: bool):
+def oracle_jsonable(value):
     """Walk ``value`` into plain JSON types by the artifact rules, eagerly."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return number(value) if int_floats or not math.isfinite(value) else value
+        return number(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return value.numerator
@@ -617,22 +617,22 @@ def oracle_jsonable(value, *, int_floats: bool):
     if isinstance(value, FiniteSet):
         return [str(b) for b in value.bitstrings()]
     if isinstance(value, dict):
-        return {str(k): oracle_jsonable(v, int_floats=int_floats) for k, v in value.items()}
+        return {str(k): oracle_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [oracle_jsonable(v, int_floats=int_floats) for v in value]
+        return [oracle_jsonable(v) for v in value]
     if hasattr(value, "to_json_dict"):
-        return oracle_jsonable(value.to_json_dict(), int_floats=int_floats)
+        return oracle_jsonable(value.to_json_dict())
     if is_dataclass(value):
         return {
-            f.name: oracle_jsonable(getattr(value, f.name), int_floats=int_floats)
+            f.name: oracle_jsonable(getattr(value, f.name))
             for f in fields(value)
         }
     raise TypeError(f"no artifact form for {type(value).__name__}")
 
 
-def oracle_artifact_text(value, *, int_floats: bool) -> str:
+def oracle_artifact_text(value) -> str:
     """The artifact text the encoder must match: the walk, then ``json.dumps``."""
-    return json.dumps(oracle_jsonable(value, int_floats=int_floats), indent=2, sort_keys=True)
+    return json.dumps(oracle_jsonable(value), indent=2, sort_keys=True)
 
 
 def oracle_profile_artifact(sys: DescriptionSystem, fmt: str) -> str:
@@ -668,4 +668,4 @@ def oracle_profile_artifact(sys: DescriptionSystem, fmt: str) -> str:
         })
     if fmt == "csv":
         return "\n".join(lines) + "\n"
-    return oracle_artifact_text({"profiles": profiles}, int_floats=True) + "\n"
+    return oracle_artifact_text({"profiles": profiles}) + "\n"

@@ -1,10 +1,12 @@
 """On-line cover families: the threshold construction and its budget."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from structlab.artifacts import encode
 from structlab.descsys import FiniteSet
 from structlab.errors import StructLabError
 from structlab.synth import CoverRecord, cover_family
@@ -153,12 +155,11 @@ def test_threshold_exponent_range_is_inclusive(delta):
 
 
 def test_report_json_serializable():
-    import json
-
     records = [rec(2, [0, 1], cond=2), rec(2, [0, 2], cond=2)]
-    report = cover_family(records, "00", delta=2)
-    blob = json.dumps(report.to_json_dict())
-    assert '"covered": true' in blob
+    report = json.loads(encode(cover_family(records, "00", delta=2)))
+    assert report["covered"] is True
+    assert report["x"] == "00" and report["threshold"] == "1"
+    assert report["blocks"] == [["00", "01"], ["10"]]
 
 
 # ---------------------------------------------------------------------------

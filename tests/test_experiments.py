@@ -59,7 +59,7 @@ def test_nonstoch_reference_staircase():
     assert report.K_x == 1
     assert report.c_sub == 0
     assert report.beta_values() == [math.inf, 4.0, 4.0, 0.0]
-    d = report.to_json_dict()
+    d = json.loads(encode(report))
     assert d["beta"] == ["inf", 4, 4, 0]
     assert d["ok"] is True
 
@@ -146,7 +146,7 @@ def test_additivity_report_on_fixture(fixa):
     assert report.max_record.x == B("10")
     assert report.max_record.set_program == B("0")
     assert report.min_record.x == B("00")
-    d = json.loads(encode(report, int_floats=False))
+    d = json.loads(encode(report))
     assert d["histogram"] == {"-2": 3, "-1": 2, "0": 2}
     assert d["max_record"]["K_cond"] == 2
 
@@ -260,7 +260,7 @@ def test_running_tally_matches_the_list_summary(values):
 def test_running_tally_builds_a_witness_per_new_extreme_only():
     summary, built = _tally_of([5, 1, 2, 3, 4, 0.5, 5])
     assert built == [0, 1, 5]
-    assert (summary.minimum, summary.maximum) == (0.5, 5)
+    assert (summary.min, summary.max) == (0.5, 5)
     assert (summary.min_witness, summary.max_witness) == ({"i": 5}, {"i": 0})
 
 
@@ -271,7 +271,7 @@ def test_running_tally_sums_left_to_right():
     summary, _ = _tally_of(values)
     assert summary.mean == 0.0
     assert oracle_gap_summary("q", [(v, None) for v in values]).mean == 0.0
-    assert summary.count == 3 and (summary.minimum, summary.maximum) == (-1e16, 1e16)
+    assert summary.count == 3 and (summary.min, summary.max) == (-1e16, 1e16)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,8 @@ def test_reverse_fit_gap_reference(fixa):
     # every deficiency in the fixture is 0, so the gap is lambda - K(x):
     # 2 bits for 00, 1 for 01, 0 for 10 and 11, at every budget
     assert s0.count == 12
-    assert s0.minimum == 0.0
-    assert s0.maximum == 2.0
+    assert s0.min == 0.0
+    assert s0.max == 2.0
     assert s0.mean == pytest.approx(0.75)
     assert s0.max_witness == {"x": "00", "alpha": 1}
     assert s0.min_witness == {"x": "10", "alpha": 1}
@@ -328,7 +328,7 @@ def test_universal_gap_report_on_fixture(fixa):
     for label in ("lambda_gap", "h_gap", "beta_gap", "dominance_slack"):
         assert by_label[label].count > 0
     # dominance slack is nonpositive by construction
-    assert by_label["dominance_slack"].maximum <= 0
+    assert by_label["dominance_slack"].max <= 0
     witness = by_label["dominance_slack"].max_witness
     assert set(witness) == {"x", "set_program", "variant"}
 
@@ -362,7 +362,7 @@ def test_improvement_slack_report_weight_family():
     assert report.improved_count <= report.qualifying_pairs
     assert report.slack.count == report.qualifying_pairs
     assert report.deficiency_drop.count == report.qualifying_pairs
-    d = json.loads(encode(report, int_floats=False))
+    d = json.loads(encode(report))
     assert d["searches"] == 48
     assert set(d["slack"]["max_witness"]) == {"x", "seed", "from", "to"}
 
@@ -373,7 +373,7 @@ def test_improvement_slack_report_empty_on_fixture(fixa):
     assert report.searches == 4
     assert report.qualifying_pairs == 0
     assert report.slack.count == 0
-    assert report.slack.minimum is None
+    assert report.slack.min is None
 
 
 # ---------------------------------------------------------------------------

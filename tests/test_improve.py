@@ -91,7 +91,7 @@ def test_stray_anchor_swapped_for_clean_block():
     assert report.anchor.total_length == pytest.approx(9.0)
     assert report.best.total_length == pytest.approx(6.0)
     assert report.slack_total == pytest.approx(0.0)
-    assert json.loads(encode(report, int_floats=True))["improved"] is True
+    assert json.loads(encode(report))["improved"] is True
 
 
 def test_randomized_replacement_never_worse():

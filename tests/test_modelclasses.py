@@ -1,5 +1,6 @@
 """Probability and lookup-function models: expansions, restrictions, curves."""
 
+import json
 import math
 import random
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, StructLabError
@@ -378,13 +380,13 @@ def test_restrict_fn_rejects_missing_and_mixed():
 
 def test_restriction_reports_serialize():
     m = ProbModel(2, {v: Fraction(1, 3) for v in ("00", "01", "10")})
-    d = restrict_to_set(m, "00").to_json_dict()
+    d = json.loads(encode(restrict_to_set(m, "00")))
     assert d["m"] == 1
     assert d["probability"] == "1/3"
     assert d["members"] == ["00", "01", "10"]
     assert d["holds"] is True
     p = expand_set(FiniteSet(2, ["00", "01"]), "fn")
-    d = restrict_to_set(p, "01").to_json_dict()
+    d = json.loads(encode(restrict_to_set(p, "01")))
     assert d["data_length"] == 1
     assert d["ceil_log_card"] == 1
     assert d["holds"] is True

@@ -379,13 +379,6 @@ def test_set_codebook_reference_curve(fixa):
     ]
     assert [row.witness for row in curve.rows] == [None, B("0"), B("10"), B("110")]
     assert curve.loss_values() == [math.inf, 2.0, 1.0, 0.0]
-    assert curve.to_csv() == (
-        "alpha,loss,witness_program\n"
-        "0,inf,\n"
-        "1,2,0\n"
-        "2,1,10\n"
-        "3,0,110\n"
-    )
 
 
 def test_set_codebook_curve_equals_size_curve_everywhere():

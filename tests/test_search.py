@@ -465,7 +465,7 @@ def test_audit_no_pairs_on_single_declaration(fixa):
     assert audit.qualifying_count == 0
     assert audit.max_slack_needed is None
     assert audit.threshold_bits == pytest.approx(2.0)
-    assert json.loads(encode(audit, int_floats=True))["pairs"] == []
+    assert json.loads(encode(audit))["pairs"] == []
 
 
 def test_audit_qualifying_pair_weight_family():
@@ -558,7 +558,7 @@ def test_audit_json_shape():
     ham0 = B("10") + encode_sd(EMPTY)
     stream = manual_stream(sys, first=[("set", B("0")), ("set", ham0)])
     trace = anytime_search(sys, "0" * 12, 15, stream, "mdl")
-    report = json.loads(encode(improvement_audit(sys, trace, c=1.0), int_floats=True))
+    report = json.loads(encode(improvement_audit(sys, trace, c=1.0)))
     assert report["x"] == "0" * 12
     assert report["qualifying_count"] == 1
     assert report["pairs"][0]["program_1"] == "0"

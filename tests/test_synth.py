@@ -1,9 +1,11 @@
 """Curve synthesis: block replacement simulation and its exact counting."""
 
+import json
 import random
 
 import pytest
 
+from structlab.artifacts import encode
 from structlab.codec import BitString
 from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, StructLabError
@@ -134,7 +136,7 @@ def test_exhausted_universe_is_flagged():
 
 def test_json_report_shape():
     run = synthesize((3, 2, 2), cube(3), [(1, ["000", "001"])])
-    report = run.to_json_dict()
+    report = json.loads(encode(run))
     assert report["target"] == [3, 2, 2]
     assert report["replacement_counts"] == [0, 1, 1]
     assert report["replacement_bounds"] == [2, 4, 8]

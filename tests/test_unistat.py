@@ -503,7 +503,7 @@ def test_half_block_reports_match_the_per_level_loop(seed, cheap_singletons):
 
 def test_universal_family_rows_are_json_ready(fixa):
     report = universal_family_report(fixa, "11")
-    blob = encode(report, int_floats=False)
+    blob = encode(report)
     assert '"alpha": 0' in blob
 
 
