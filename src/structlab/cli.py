@@ -135,7 +135,7 @@ def _check_budget(sys: DescriptionSystem, flag: str, value: "int | None") -> Non
     Every curve is constant past it and ``induced_Dk`` only repeats whole
     rounds, so a larger value would buy nothing but unbounded work.
     """
-    longest = max(map(len, [*sys.data_programs, *sys.set_programs]))
+    longest = sys.max_program_length()
     if value is not None and value > longest:
         raise StructLabError(
             f"{flag} {value} exceeds the longest data or set program ({longest} bits)"

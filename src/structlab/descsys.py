@@ -15,9 +15,10 @@ the universe ``{0,1}^n``:
   ``ceil(log2 |S|)`` (available whenever ``x`` is a member) and the
   shortest shortcut for ``(S, x)``.
 
-Each namespace must satisfy the Kraft inequality exactly; the sums are kept
-as ``fractions.Fraction`` and exposed for audits.  The system also carries
-its *subadditivity constant*::
+Each namespace must be prefix-free, and that is its whole audit: by Kraft's
+inequality a prefix-free binary code has a Kraft sum of at most 1.  The sums
+are kept as exact ``fractions.Fraction`` values for audits.  The system also
+carries its *subadditivity constant*::
 
     c_sub = max over representable S and x in S of  K(x) - K(S) - K(x|S)
 
@@ -323,10 +324,10 @@ def check_prefix_free(programs: Iterable[BitString], namespace: str) -> None:
         )
 
 
-def _in_program_order(programs: Mapping[BitString, object]) -> list[tuple]:
+def _in_program_order(items: Iterable[tuple]) -> list[tuple]:
     """The ``(program, output)`` items sorted by (length, value), each key
     read from the item, so no program is hashed again."""
-    return sorted(programs.items(), key=lambda item: item[0].sort_key())
+    return sorted(items, key=lambda item: item[0].sort_key())
 
 
 def kraft_sum(programs: Iterable[BitString]) -> Fraction:
@@ -339,12 +340,12 @@ def kraft_sum(programs: Iterable[BitString]) -> Fraction:
 class Codebook:
     """Prefix-free programs naming models that share one length ``n``.
 
-    The program side is audited exactly like a description-system
-    namespace: programs are prefix-free and their Kraft sum is at most 1,
-    so the length of the shortest program naming a model is an honest
-    complexity.  Subclasses set the model type and the words their error
-    messages use, such as ``"a probability model"``, ``"support length"``
-    and the namespace ``"pmf"``.
+    The program side is audited like a description-system namespace: its
+    programs must be prefix-free, so their Kraft sum is at most 1 and the
+    length of the shortest program naming a model is an honest complexity.
+    Subclasses set the model type and the words their error messages use,
+    such as ``"a probability model"``, ``"support length"`` and the
+    namespace ``"pmf"``.
     """
 
     __slots__ = ("_n", "_programs")
@@ -355,29 +356,25 @@ class Codebook:
     namespace: str
 
     def __init__(self, programs):
-        norm = {}
+        items = []
         for prog, model in dict(programs).items():
             b = BitString(prog) if isinstance(prog, str) else prog
             if not isinstance(b, BitString):
                 raise StructLabError(f"malformed program {prog!r}")
             if not isinstance(model, self.model_type):
                 raise StructLabError(f"program {b!r} does not map to {self.model_noun}")
-            norm[b] = model
-        if not norm:
+            items.append((b, model))
+        if not items:
             raise StructLabError("a codebook needs at least one program")
-        lengths = {model.n for model in norm.values()}
+        lengths = {model.n for _, model in items}
         if len(lengths) != 1:
             raise StructLabError(
                 f"codebook models must share one {self.length_noun}, got {sorted(lengths)}"
             )
-        check_prefix_free(norm, self.namespace)
-        total = kraft_sum(norm)
-        if total > 1:
-            raise StructLabError(
-                f"{self.namespace} programs overfill the Kraft budget: {total}"
-            )
+        # A program given both as text and as a BitString is refused here.
+        check_prefix_free([b for b, _ in items], self.namespace)
         self._n = lengths.pop()
-        self._programs = dict(sorted(norm.items(), key=lambda kv: kv[0].sort_key()))
+        self._programs = dict(_in_program_order(items))
 
     @property
     def n(self) -> int:
@@ -389,7 +386,7 @@ class Codebook:
         return dict(self._programs)
 
     def max_program_length(self) -> int:
-        return max(len(p) for p in self._programs)
+        return len(next(reversed(self._programs)))
 
     def complexity(self, model) -> "int | float":
         """Length of the shortest program naming an equal model."""
@@ -406,7 +403,13 @@ class Codebook:
 
 
 class DescriptionSystem:
-    """Three exact prefix-free namespaces over a common universe."""
+    """Three exact prefix-free namespaces over a common universe.
+
+    Construction walks each namespace once, in program order, checking each
+    output as it fills the namespace's table; then :func:`check_prefix_free`
+    runs.  That is the whole audit, as no prefix-free code has a Kraft sum
+    past 1; :meth:`kraft_sums` keeps the exact sums for audits.
+    """
 
     def __init__(
         self,
@@ -425,80 +428,54 @@ class DescriptionSystem:
         self.cond_shortcuts: dict[FiniteSet, dict[BitString, BitString]] = {
             s: dict(m) for s, m in (cond_shortcuts or {}).items()
         }
-        self._validate()
-        self._build_caches()
+        self._read_data()
+        self._read_sets()
+        self._read_shortcuts()
+        self._containing_cache: dict[int, tuple[ModelRecord, ...]] = {}
 
-    # -- validation ----------------------------------------------------
+    # -- construction: one program-order walk per namespace --------------
 
-    def _validate(self) -> None:
+    def _read_data(self) -> None:
+        """Fill K(x) and its witness for every x; the universe must be covered."""
         n = self.universe_n
         size = 1 << n
-
         if not self.data_programs:
             raise DescriptorError("a system needs at least one data program")
-        for p, out in self.data_programs.items():
+        k_data: list[int] = [0] * size
+        witness_data: list[BitString] = [None] * size  # type: ignore[list-item]
+        self._k_data, self._witness_data = k_data, witness_data
+        filled = 0
+        for p, out in _in_program_order(self.data_programs.items()):
             if len(out) != n:
                 raise DescriptorError(
                     f"data program {str(p)!r} prints {str(out)!r}, not an {n}-bit string"
                 )
+            v = out.value
+            if witness_data[v] is None:
+                k_data[v], witness_data[v] = len(p), p
+                filled += 1
         check_prefix_free(self.data_programs, "data")
-        if kraft_sum(self.data_programs) > 1:
-            raise DescriptorError("data namespace violates the Kraft inequality")
-
-        covered = {out.value for out in self.data_programs.values()}
-        if len(covered) != size:
-            missing = next(v for v in range(size) if v not in covered)
+        if filled != size:
+            missing = next(v for v, w in enumerate(witness_data) if w is None)
             raise DescriptorError(
                 "data namespace leaves universe elements undescribed, e.g. "
                 + str(BitString.from_value(n, missing))
             )
+        self._max_program_length = len(p)  # the walk ends on a longest program
 
-        for p, s in self.set_programs.items():
-            if s.n != n:
+    def _read_sets(self) -> None:
+        """Index each distinct printed set under its shortest program."""
+        set_index: dict[FiniteSet, tuple[int, BitString]] = {}
+        for p, s in _in_program_order(self.set_programs.items()):
+            if s.n != self.universe_n:
                 raise DescriptorError(f"set program {str(p)!r} prints a set of wrong width")
             if s.cardinality == 0:
                 raise DescriptorError(f"set program {str(p)!r} prints the empty set")
-        check_prefix_free(self.set_programs, "set")
-        if kraft_sum(self.set_programs) > 1:
-            raise DescriptorError("set namespace violates the Kraft inequality")
-
-        representable = set(self.set_programs.values())
-        for s, table in self.cond_shortcuts.items():
-            if s not in representable:
-                raise DescriptorError(
-                    "conditional shortcuts refer to a set no program prints"
-                )
-            for q, out in table.items():
-                if len(out) != n:
-                    raise DescriptorError(
-                        f"conditional shortcut {str(q)!r} prints a non-universe string"
-                    )
-            check_prefix_free(table, "conditional")
-            if kraft_sum(table) > 1:
-                raise DescriptorError(
-                    "a conditional namespace violates the Kraft inequality"
-                )
-
-    # -- caches ----------------------------------------------------------
-
-    def _build_caches(self) -> None:
-        n = self.universe_n
-        size = 1 << n
-
-        k_data: list[int] = [0] * size
-        witness_data: list[BitString] = [None] * size  # type: ignore[list-item]
-        for p, out in _in_program_order(self.data_programs):
-            v = out.value
-            if witness_data[v] is None:
-                k_data[v] = len(p)
-                witness_data[v] = p
-        self._k_data = k_data
-        self._witness_data = witness_data
-
-        set_index: dict[FiniteSet, tuple[int, BitString]] = {}
-        for p, s in _in_program_order(self.set_programs):
             if s not in set_index:
                 set_index[s] = (len(p), p)
+        check_prefix_free(self.set_programs, "set")
+        if set_index:
+            self._max_program_length = max(self._max_program_length, len(p))
         self._set_index = set_index
         self._set_entries: tuple[ModelRecord, ...] = tuple(
             sorted(
@@ -507,17 +484,22 @@ class DescriptionSystem:
             )
         )
 
+    def _read_shortcuts(self) -> None:
+        """Keep each conditional table's shortest shortcut per printed value."""
         shortcut_min: dict[FiniteSet, dict[int, int]] = {}
         for s, table in self.cond_shortcuts.items():
+            if s not in self._set_index:
+                raise DescriptorError("conditional shortcuts refer to a set no program prints")
             best: dict[int, int] = {}
-            for q in sorted(table, key=BitString.sort_key):
-                v = table[q].value
-                if v not in best:
-                    best[v] = len(q)
+            for q, out in _in_program_order(table.items()):
+                if len(out) != self.universe_n:
+                    raise DescriptorError(
+                        f"conditional shortcut {str(q)!r} prints a non-universe string"
+                    )
+                best.setdefault(out.value, len(q))
+            check_prefix_free(table, "conditional")
             shortcut_min[s] = best
         self._shortcut_min = shortcut_min
-
-        self._containing_cache: dict[int, tuple[ModelRecord, ...]] = {}
 
     # -- complexities ------------------------------------------------------
 
@@ -595,6 +577,10 @@ class DescriptionSystem:
         # The entries are sorted by K(S) first.
         return self._set_entries[-1].K_S if self._set_entries else 0
 
+    def max_program_length(self) -> int:
+        """The length of the longest data or set program."""
+        return self._max_program_length
+
     @cached_property
     def program_table(self) -> tuple[tuple[str, BitString, "BitString | FiniteSet"], ...]:
         """Every data program, then every set program, each in program order,
@@ -602,7 +588,7 @@ class DescriptionSystem:
         return tuple(
             (kind, p, out)
             for kind, programs in (("data", self.data_programs), ("set", self.set_programs))
-            for p, out in _in_program_order(programs)
+            for p, out in _in_program_order(programs.items())
         )
 
     # -- audits --------------------------------------------------------

@@ -20,9 +20,8 @@ class CodecError(StructLabError):
 class DescriptorError(StructLabError):
     """A description-system descriptor failed validation.
 
-    Raised for grammar errors, prefix-free violations, Kraft overflows,
-    out-of-universe outputs, empty set outputs, or uncovered universe
-    elements.
+    Raised for grammar errors, prefix-free violations, out-of-universe
+    outputs, empty set outputs, or uncovered universe elements.
     """
 
 

@@ -28,6 +28,7 @@ from structlab.descsys import (
 )
 from structlab.errors import DescriptorError, StructLabError
 from structlab.experiments import build_report_family_systems, make_nonstoch_system
+from structlab.predict import PredictionStrategy, StrategyCodebook
 from structlab.structfn import profile
 
 from .gensys import random_prefix_code, random_system
@@ -322,6 +323,67 @@ def test_kraft_overflow_detected_directly():
 def test_uncovered_universe_rejected():
     with pytest.raises(DescriptorError, match="undescribed"):
         build_system("data\t0\t00\ndata\t10\t01\ndata\t11\t10")
+
+
+_CUBE2, _HALF2 = FiniteSet(2, range(4)), FiniteSet(2, [0, 1])
+_DATA2 = {B("00"): B("00"), B("01"): B("01"), B("10"): B("10"), B("11"): B("11")}
+
+
+@pytest.mark.parametrize(
+    "data, sets, conds, message",
+    [
+        ({}, {}, None, "a system needs at least one data program"),
+        (
+            {B("0"): B("00"), B("10"): B("11"), B("11"): B("00")},
+            {},
+            None,
+            "data namespace leaves universe elements undescribed, e.g. 01",
+        ),
+        (
+            {**_DATA2, B("11"): B("1")},
+            {},
+            None,
+            "data program '11' prints '1', not an 2-bit string",
+        ),
+        (_DATA2, {B("0"): FiniteSet(3, [0])}, None, "set program '0' prints a set of wrong width"),
+        (
+            _DATA2,
+            {B("0"): _CUBE2},
+            {_HALF2: {B("0"): B("00")}},
+            "conditional shortcuts refer to a set no program prints",
+        ),
+        (
+            _DATA2,
+            {B("0"): _CUBE2},
+            {_CUBE2: {B("0"): B("000")}},
+            "conditional shortcut '0' prints a non-universe string",
+        ),
+        (
+            _DATA2,
+            {B("0"): _CUBE2},
+            {_CUBE2: {B("0"): B("00"), B("01"): B("01")}},
+            "conditional namespace not prefix-free: '0' is a prefix of '01'",
+        ),
+        # two faults: a width fault is refused before a prefix clash, and a
+        # prefix clash before an undescribed string
+        (
+            {B("0"): B("00"), B("00"): B("01"), B("10"): B("10"), B("11"): B("111")},
+            {},
+            None,
+            "data program '11' prints '111', not an 2-bit string",
+        ),
+        (
+            {B("0"): B("00"), B("01"): B("01")},
+            {},
+            None,
+            "data namespace not prefix-free: '0' is a prefix of '01'",
+        ),
+    ],
+)
+def test_construction_refusals_name_the_fault(data, sets, conds, message):
+    with pytest.raises(DescriptorError) as exc:
+        DescriptionSystem(2, data, sets, conds)
+    assert str(exc.value) == message
 
 
 def test_empty_set_output_rejected():
@@ -676,6 +738,58 @@ def test_descriptor_text_builds_or_refuses(text):
     except StructLabError:
         return
     assert isinstance(system, DescriptionSystem)
+
+
+@st.composite
+def short_program_lists(draw):
+    """Programs of lengths 0..8: leaves of a complete code grown from the
+    empty program, some dropped, plus a few texts and repeats."""
+    leaves = [""]
+    for _ in range(draw(st.integers(0, 24))):
+        growable = [w for w in leaves if len(w) < 8]
+        if not growable:
+            break
+        w = draw(st.sampled_from(growable))
+        leaves.remove(w)
+        leaves += [w + "0", w + "1"]
+    kept = draw(st.one_of(st.just(leaves), st.lists(st.sampled_from(leaves), unique=True)))
+    extra = draw(
+        st.lists(st.one_of(st.sampled_from(leaves), st.text(alphabet="01", max_size=8)), max_size=3)
+    )
+    return [B(t) for t in draw(st.permutations(kept + extra))]
+
+
+@settings(max_examples=300)
+@given(short_program_lists())
+def test_a_kraft_sum_past_one_is_always_a_prefix_clash(programs):
+    # Kraft's inequality: construction and codebooks check prefix-freeness
+    # alone, because no prefix-free code has a Kraft sum past 1.
+    if kraft_sum(programs) > 1:
+        with pytest.raises(DescriptorError, match="prefix|duplicate"):
+            check_prefix_free(programs, "set")
+    # a program may come as text or as a BitString; an accepted codebook
+    # keeps every program it was given
+    named = dict.fromkeys(
+        (str(p) if i % 2 else p for i, p in enumerate(programs)), PredictionStrategy.uniform(2)
+    )
+    try:
+        book = StrategyCodebook(named)
+    except StructLabError:
+        return
+    assert len(book) == len(named)
+    assert kraft_sum(book.programs) <= 1
+
+
+@settings(max_examples=300)
+@given(_descriptor_text())
+def test_every_accepted_descriptor_keeps_its_kraft_sums_within_one(text):
+    try:
+        system = build_system(text)
+    except StructLabError:
+        return
+    sums = system.kraft_sums()
+    assert sums["data"] <= 1 and sums["set"] <= 1
+    assert all(total <= 1 for total in sums["cond"].values())
 
 
 ### Enumeration streams

@@ -315,6 +315,15 @@ def test_codebook_validation():
         StrategyCodebook({0: uniform})
 
 
+def test_codebook_refuses_a_program_given_as_text_and_as_bits():
+    uniform, other = PredictionStrategy.uniform(2), set_to_strategy(FiniteSet(2, [1]))
+    with pytest.raises(StructLabError, match="duplicate program '0' in strategy namespace"):
+        StrategyCodebook({"0": uniform, B("0"): other, "1": uniform})
+    book = StrategyCodebook({"1": uniform, B("00"): other, "01": uniform})
+    assert list(book.programs) == [B("1"), B("00"), B("01")]
+    assert book.max_program_length() == 2
+
+
 def test_codebook_complexity_is_the_shortest_name():
     uniform = PredictionStrategy.uniform(2)
     book = StrategyCodebook({"0": uniform, "11": uniform})
