@@ -431,7 +431,8 @@ class DescriptionSystem:
         self._read_data()
         self._read_sets()
         self._read_shortcuts()
-        self._containing_cache: dict[int, tuple[ModelRecord, ...]] = {}
+        self._containing: "list[tuple[ModelRecord, ...]] | None" = None
+        self._census: "tuple[dict[int, int], tuple | None, tuple | None] | None" = None
 
     # -- construction: one program-order walk per namespace --------------
 
@@ -464,24 +465,21 @@ class DescriptionSystem:
         self._max_program_length = len(p)  # the walk ends on a longest program
 
     def _read_sets(self) -> None:
-        """Index each distinct printed set under its shortest program."""
-        set_index: dict[FiniteSet, tuple[int, BitString]] = {}
+        """Index each distinct printed set's entry under its shortest program."""
+        set_index: dict[FiniteSet, ModelRecord] = {}
         for p, s in _in_program_order(self.set_programs.items()):
             if s.n != self.universe_n:
                 raise DescriptorError(f"set program {str(p)!r} prints a set of wrong width")
             if s.cardinality == 0:
                 raise DescriptorError(f"set program {str(p)!r} prints the empty set")
             if s not in set_index:
-                set_index[s] = (len(p), p)
+                set_index[s] = ModelRecord(s, len(p), p)
         check_prefix_free(self.set_programs, "set")
         if set_index:
             self._max_program_length = max(self._max_program_length, len(p))
         self._set_index = set_index
         self._set_entries: tuple[ModelRecord, ...] = tuple(
-            sorted(
-                (ModelRecord(s, k, w) for s, (k, w) in set_index.items()),
-                key=ModelRecord.sort_key,
-            )
+            sorted(set_index.values(), key=ModelRecord.sort_key)
         )
 
     def _read_shortcuts(self) -> None:
@@ -525,13 +523,14 @@ class DescriptionSystem:
         return self._witness_data[self._value(x)]
 
     def K_set(self, s: FiniteSet) -> "int | float":
-        """K(S): shortest program printing exactly S; inf when none does."""
+        """K(S): shortest program printing exactly S, read off the set's
+        entry; inf when no program prints S."""
         entry = self._set_index.get(s)
-        return entry[0] if entry is not None else math.inf
+        return entry.K_S if entry is not None else math.inf
 
     def set_witness(self, s: FiniteSet) -> "BitString | None":
         entry = self._set_index.get(s)
-        return entry[1] if entry is not None else None
+        return entry.witness_program if entry is not None else None
 
     def is_representable(self, s: FiniteSet) -> bool:
         return s in self._set_index
@@ -556,17 +555,19 @@ class DescriptionSystem:
         return self._set_entries
 
     def entries_containing(self, x: "int | str | BitString") -> tuple[ModelRecord, ...]:
-        """Distinct representable sets containing x, each with K(x|S) filled in."""
+        """Distinct representable sets containing x, each with K(x|S) filled in.
+
+        The row of the containing table once :meth:`cache_all_containing`
+        has filled it; until then a scan of every set entry, kept nowhere.
+        """
         v = self._value(x)
-        cached = self._containing_cache.get(v)
-        if cached is None:
-            cached = tuple(
-                ModelRecord(e.set, e.K_S, e.witness_program, int(self.K_cond(v, e.set)))
-                for e in self._set_entries
-                if v in e.set._values
-            )
-            self._containing_cache[v] = cached
-        return cached
+        if self._containing is not None:
+            return self._containing[v]
+        return tuple(
+            ModelRecord(e.set, e.K_S, e.witness_program, int(self.K_cond(v, e.set)))
+            for e in self._set_entries
+            if v in e.set._values
+        )
 
     def max_set_program_length(self) -> int:
         """The largest K(S) over the distinct sets, 0 with none.
@@ -605,71 +606,69 @@ class DescriptionSystem:
         for s in sorted(self.cond_shortcuts, key=lambda s: (self.K_set(s), tuple(s.values))):
             yield show_bits(self.set_witness(s)), self.cond_shortcuts[s]
 
-    def _member_conds(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(rank, v, K(x|S))`` for every representable pair.
+    def _walk_pairs(self, found: "list | None") -> None:
+        """Walk every representable (set, member) pair once, O(sum of |S|).
 
-        Set-major: one pass over ``set_entries()`` (``rank`` indexes it) and
-        each set's members in value order, O(sum of |S|).  Each set's
-        shortcut table is read once per entry, keeping only the shortcuts
-        that beat the index code.
+        Set-major: each entry of ``set_entries()`` in rank order, its members
+        in value order.  K(x|S) is the index code unless the set's shortcut
+        table holds a shorter program for x.  The walk always stores the
+        census of K(x) - K(S) - K(x|S) that :attr:`c_sub` and the additivity
+        report read: its histogram and the first pair in (x, entry rank)
+        order at its greatest and least defect, as ``(defect, v, rank)``.
+        Ranks arrive in order, so an equal defect moves an extreme only to a
+        smaller v.  Given ``found``, one list per universe value, it also
+        appends each pair's containing record to its member's list; members
+        sharing one K(x|S) share one record.
         """
-        for rank, entry in enumerate(self._set_entries):
-            s = entry.set
-            index_code = s.ceil_log_card
-            cheaper = {
-                v: q
-                for v, q in self._shortcut_min.get(s, {}).items()
-                if q < index_code
-            }
-            for v in s.values:
-                yield rank, v, cheaper.get(v, index_code)
-
-    def _chain_rule_defects(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(rank, v, K(x) - K(S) - K(x|S))`` for every representable pair,
-        in the order of :meth:`_member_conds`."""
-        k_data, entries = self._k_data, self._set_entries
-        for rank, v, k_cond in self._member_conds():
-            yield rank, v, k_data[v] - entries[rank].K_S - k_cond
-
-    def cache_all_containing(self) -> None:
-        """Fill the :meth:`entries_containing` cache for every string at once.
-
-        One set-major pass over the (set, member) pairs, O(2^n + sum of |S|),
-        where answering each string on its own scans every set entry.  The
-        records, their order and their K(x|S) are those the scan gives; a
-        string in no set gets ``()``.  Members sharing one K(x|S) share one
-        record.  A second call does nothing.
-        """
-        size = 1 << self.universe_n
-        if len(self._containing_cache) == size:
-            return
-        found: list[list[ModelRecord]] = [[] for _ in range(size)]
-        shared: dict[tuple[int, int], ModelRecord] = {}
-        for rank, v, k_cond in self._member_conds():
-            rec = shared.get((rank, k_cond))
-            if rec is None:
-                e = self._set_entries[rank]
-                rec = ModelRecord(e.set, e.K_S, e.witness_program, k_cond)
-                shared[rank, k_cond] = rec
-            found[v].append(rec)
-        self._containing_cache = dict(enumerate(map(tuple, found)))
-
-    @cached_property
-    def _defect_census(self) -> tuple[dict[int, int], "tuple | None", "tuple | None"]:
-        """The histogram of :meth:`_chain_rule_defects` and the first pair in
-        (x, entry rank) order at its greatest and least defect, as
-        ``(defect, v, rank)``: one walk, kept for :attr:`c_sub` and the
-        additivity report, that fills no containing-set table.  Ranks arrive
-        in order, so an equal defect moves an extreme only to a smaller v."""
+        k_data = self._k_data
         histogram: dict[int, int] = {}
         high = low = None
-        for rank, v, defect in self._chain_rule_defects():
-            histogram[defect] = histogram.get(defect, 0) + 1
-            if high is None or defect > high[0] or (defect == high[0] and v < high[1]):
-                high = (defect, v, rank)
-            if low is None or defect < low[0] or (defect == low[0] and v < low[1]):
-                low = (defect, v, rank)
-        return histogram, high, low
+        for rank, entry in enumerate(self._set_entries):
+            s, k_set = entry.set, entry.K_S
+            index_code = s.ceil_log_card
+            cheaper = {
+                v: q for v, q in self._shortcut_min.get(s, {}).items() if q < index_code
+            }
+            shared: dict[int, ModelRecord] = {}
+            for v in s.values:
+                k_cond = cheaper.get(v, index_code)
+                defect = k_data[v] - k_set - k_cond
+                histogram[defect] = histogram.get(defect, 0) + 1
+                if high is None or defect > high[0] or (defect == high[0] and v < high[1]):
+                    high = (defect, v, rank)
+                if low is None or defect < low[0] or (defect == low[0] and v < low[1]):
+                    low = (defect, v, rank)
+                if found is not None:
+                    rec = shared.get(k_cond)
+                    if rec is None:
+                        rec = shared[k_cond] = ModelRecord(s, k_set, entry.witness_program, k_cond)
+                    found[v].append(rec)
+        self._census = (histogram, high, low)
+
+    def cache_all_containing(self) -> None:
+        """Fill the containing table that :meth:`entries_containing` reads.
+
+        One walk of the (set, member) pairs, O(2^n + sum of |S|), where
+        answering each string on its own scans every set entry; the same walk
+        takes the :attr:`c_sub` census.  The records, their order and their
+        K(x|S) are those the scan gives; a string in no set gets ``()``.  A
+        second call does nothing.
+        """
+        if self._containing is not None:
+            return
+        found: list = [[] for _ in range(1 << self.universe_n)]
+        self._walk_pairs(found)
+        for v, row in enumerate(found):
+            found[v] = tuple(row)
+        self._containing = found
+
+    @property
+    def _defect_census(self) -> tuple[dict[int, int], "tuple | None", "tuple | None"]:
+        """The census of the last pair walk; a walk that fills no table
+        takes it when no walk has run yet."""
+        if self._census is None:
+            self._walk_pairs(None)
+        return self._census
 
     @property
     def c_sub(self) -> int:

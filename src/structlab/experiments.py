@@ -23,8 +23,9 @@ collects those measurements into archivable JSON reports:
 systems and writes deterministic JSON files (no timestamps, sorted keys),
 so reruns are byte-identical and diffs are meaningful.  It fills each
 system's containing sets for every string in one set-major pass before
-the sections run, and the improvement section walks each search stream
-once for all of its strings.  A section keeps no samples: it folds each
+the sections run, the same pass whose census ``c_sub`` and the additivity
+section read, and the improvement section walks each search stream once
+for all of its strings.  A section keeps no samples: it folds each
 one into a running count, sum and pair of extremes as it is measured.
 """
 
@@ -275,9 +276,10 @@ class AdditivityReport:
 def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
     """Measure ``K(x) - K(S) - K(x|S)`` over every representable pair.
 
-    It reads the system's one cached walk of every (set, member) pair,
-    O(sum of |S|), which ``c_sub`` shares.  Each extreme record is the
-    first pair in (x, entry rank) order to reach it.
+    It reads the census of the system's one walk of every (set, member)
+    pair, O(sum of |S|), which ``c_sub`` shares and which the walk that
+    fills the containing table takes too.  Each extreme record is the first
+    pair in (x, entry rank) order to reach it.
     """
     histogram, highest, lowest = sys._defect_census
 
@@ -368,16 +370,16 @@ class _Tally:
         )
 
 
-def _at_budget(x: str, alpha: int) -> dict:
+def _at_budget(x: BitString, alpha: int) -> dict:
     return {"x": x, "alpha": alpha}
 
 
-def _dominance_witness(x: str, program: BitString, variant: str) -> dict:
-    return {"x": x, "set_program": str(program), "variant": variant}
+def _dominance_witness(x: BitString, program: BitString, variant: str) -> dict:
+    return {"x": x, "set_program": program, "variant": variant}
 
 
-def _pair_witness(x: str, seed: int, program_1: BitString, program_2: BitString) -> dict:
-    return {"x": x, "seed": seed, "from": str(program_1), "to": str(program_2)}
+def _pair_witness(x: BitString, seed: int, program_1: BitString, program_2: BitString) -> dict:
+    return {"x": x, "seed": seed, "from": program_1, "to": program_2}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,6 @@ def reverse_fit_gap_report(
     tallies = [(eps, _Tally(f"epsilon={eps}", _at_budget)) for eps in epsilons]
     for x in xs:
         prof = profile(sys, x)
-        name = str(x)
         betas, lambdas = prof.beta_values(), prof.lambda_values()
         for alpha in range(prof.alpha_max + 1):
             if prof.beta_rows[alpha] is None:
@@ -417,7 +418,7 @@ def reverse_fit_gap_report(
                 bumped = alpha + eps
                 if bumped > prof.alpha_max or prof.lambda_rows[bumped] is None:
                     continue
-                tally.add(lambdas[bumped] - betas[alpha] - prof.K_x, name, alpha)
+                tally.add(lambdas[bumped] - betas[alpha] - prof.K_x, x, alpha)
     return ReverseFitGapReport(
         epsilons=tuple(epsilons),
         strings_used=len(xs),
@@ -446,16 +447,15 @@ def universal_gap_report(
     beta_gaps = _Tally("beta_gap", _at_budget)
     slacks = _Tally("dominance_slack", _dominance_witness)
     for x in xs:
-        name = str(x)
         for row in universal_family_report(sys, x).rows:
             for tally, gap in (
                 (lambda_gaps, row.lambda_gap), (h_gaps, row.h_gap), (beta_gaps, row.beta_gap)
             ):
                 if gap is not None and math.isfinite(gap):
-                    tally.add(gap, name, row.alpha)
+                    tally.add(gap, x, row.alpha)
         for record in sli_dominance_report(sys, x).records:
             if record.slack is not None:
-                slacks.add(float(record.slack), name, record.program, record.variant)
+                slacks.add(float(record.slack), x, record.program, record.variant)
     return UniversalGapReport(
         strings_used=len(xs),
         summaries=tuple(t.summary() for t in (lambda_gaps, h_gaps, beta_gaps, slacks)),
@@ -500,7 +500,6 @@ def improvement_slack_report(
     drop = _Tally("deficiency_drop", _pair_witness)
     traces = {s: search_many(sys, xs, alpha, enumeration_stream(sys, s)) for s in seeds}
     for i, x in enumerate(xs):
-        name = str(x)
         for s in seeds:
             audit = improvement_audit(sys, traces[s][i], c=c)
             searches += 1
@@ -508,8 +507,8 @@ def improvement_slack_report(
                 traces_with_pairs += 1
             for pair in audit.pairs:
                 qualifying += 1
-                slack.add(pair.slack_needed, name, s, pair.program_1, pair.program_2)
-                drop.add(pair.delta_2 - pair.delta_1, name, s, pair.program_1, pair.program_2)
+                slack.add(pair.slack_needed, x, s, pair.program_1, pair.program_2)
+                drop.add(pair.delta_2 - pair.delta_1, x, s, pair.program_1, pair.program_2)
                 if pair.delta_2 <= pair.delta_1:
                     improved += 1
     return ImprovementSlackReport(

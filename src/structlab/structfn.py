@@ -347,7 +347,8 @@ def profile_universe(
     """Yield ``(x, profile(sys, x))`` for every string of the universe, in value order.
 
     Fills the containing-set table for every string in one set-major pass
-    first (:meth:`DescriptionSystem.cache_all_containing`), so what is left
+    first (:meth:`DescriptionSystem.cache_all_containing`), which also takes
+    the census ``c_sub`` reads, so the pairs are walked once and what is left
     per string is the fold.  For a single string, :func:`profile` alone is
     cheaper: its scan of the set entries costs far less than the table.
     """

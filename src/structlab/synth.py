@@ -550,15 +550,11 @@ def improve_model(
         raise StructLabError("the anchor set does not contain the target string")
 
     candidates = sys.entries_containing(xv)
-    if not candidates:
-        raise StructLabError("no representable set contains the target string")
     best = min(
         candidates,
         key=lambda r: (r.lambda_key, r.cardinality, r.K_S, r.witness_program.sort_key()),
     )
-
-    k_a = sys.K_set(a)
-    anchor = ModelRecord(a, k_a, sys.set_witness(a), int(sys.K_cond(xv, a)))
+    anchor = next(r for r in candidates if r.set == a)
     prof = profile(sys, xv, alpha_max=alpha)
     lam_key = prof.lambda_key(alpha)
     h_key = prof.h_key(alpha)

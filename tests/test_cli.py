@@ -630,6 +630,31 @@ def test_cover_refuses_negative_claimed_complexities(claims, tmp_path, capsys):
     assert not (tmp_path / "out" / "cover.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["synth", "--target", "3,x", "--stream", "{}/s.txt", "--n", "3"],
+         {"type": "StructLabError", "message": "bad target curve '3,x'"}),
+        (["convert", "--mode", "expand-pmf"],
+         {"type": "StructLabError", "message": "expand-pmf needs --members"}),
+        (["convert", "--mode", "restrict-pmf", "--pmf", "{}/model.pmf"],
+         {"type": "StructLabError", "message": "restrict-pmf needs --x"}),
+        (["convert", "--mode", "restrict-fn", "--x", "01"],
+         {"type": "StructLabError", "message": "restrict-fn needs --fn"}),
+        (["cover", "--records", "{}/comments.txt", "--x", "00"],
+         {"type": "FixtureError", "message": "a record file names no records"}),
+    ],
+    ids=["synth-target", "expand-pmf", "restrict-pmf", "restrict-fn", "cover-empty"],
+)
+def test_missing_or_malformed_arguments_exit_one(argv, error, tmp_path, capsys):
+    (tmp_path / "comments.txt").write_text("# no records here\n")
+    rc = run(*[a.format(tmp_path) for a in argv], "--out", str(tmp_path / "out"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"command": argv[0], "error": error}
+
+
 def test_unreadable_input_exits_two(tmp_path, capsys):
     rc = run(
         "profile", "--system", str(tmp_path / "missing.tsv"),

@@ -386,6 +386,25 @@ def test_construction_refusals_name_the_fault(data, sets, conds, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build_system("data 0 @family:literal(n)\n"), "line 1: bad family argument 'n'"),
+        (lambda: build_system("data 0 @family:literal(n=2)\ncond 1 @family:cube(n=2)\n"),
+         "line 2: families are not supported for kind 'cond'"),
+        (lambda: build_system(
+            "data 0 @family:literal(n=1)\nset 0 0,1\ncond 1 0@0\ncond 1 1@0\n"
+        ), "line 4: duplicate conditional program '1' for one set"),
+        (lambda: DescriptionSystem(0, {}, {}), "universe width must be in [1, 16], got 0"),
+    ],
+    ids=["family-argument", "cond-family", "duplicate-cond", "zero-width"],
+)
+def test_descriptor_refusals_name_the_fault(make, message):
+    with pytest.raises(DescriptorError) as exc:
+        make()
+    assert type(exc.value) is DescriptorError and str(exc.value) == message
+
+
 def test_empty_set_output_rejected():
     # the empty set is a legal *value* (synthesis uses it as a flagged
     # terminal state) but no program may print it
@@ -947,6 +966,9 @@ def test_random_systems_agree_with_oracles(seed):
         assert sys.set_witness(s) == w
         for v in list(s.values)[:8]:
             assert sys.K_cond(v, s) == oracle_K_cond(sys, v, s)
+    # each set's entry is kept once: K_set and set_witness read it
+    assert len(sys._set_index) == len(oracle_distinct_sets(sys))
+    assert all(sys._set_index[e.set] is e for e in sys.set_entries())
     assert sys.c_sub == oracle_c_sub(sys)
 
 
@@ -965,16 +987,23 @@ def _table_against_scan(seed: int, **shape) -> Counter:
     scanned = random_system(seed, **shape)
     tabled = random_system(seed, **shape)
     tabled.cache_all_containing()
-    table = tabled._containing_cache
-    assert sorted(table) == list(scanned.universe_values())
+    table = tabled._containing
+    assert len(table) == scanned.universe_size()
+    # the walk that fills the table takes the census a lone c_sub takes
+    assert tabled._defect_census == scanned._defect_census
+    shared = {(id(r.set), r.K_cond): r for row in table for r in row}
     met: Counter = Counter()
     for v in scanned.universe_values():
         want = scanned.entries_containing(v)
-        assert table[v] == want
+        assert table[v] == want and tabled.entries_containing(v) is table[v]
         assert [r.K_cond for r in table[v]] == [oracle_K_cond(scanned, v, r.set) for r in want]
+        # one record per (entry, K(x|S)), shared by the members
+        assert all(shared[id(r.set), r.K_cond] is r for r in table[v])
         met["string in no set"] += not want
+    # the scan and the census keep no table
+    assert scanned._containing is None
     tabled.cache_all_containing()
-    assert tabled._containing_cache is table
+    assert tabled._containing is table
     for s, shortcuts in scanned.cond_shortcuts.items():
         for q, out in shortcuts.items():
             if out.value not in s:

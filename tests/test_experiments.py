@@ -164,25 +164,25 @@ def test_additivity_max_matches_c_sub(fixa):
             assert report.max_defect == sys.c_sub
 
 
-def test_battery_walks_each_system_twice_and_c_sub_fills_no_table(tmp_path, monkeypatch):
+def test_battery_walks_each_system_once_and_c_sub_fills_no_table(tmp_path, monkeypatch):
     walks = []
-    original = DescriptionSystem._member_conds
+    original = DescriptionSystem._walk_pairs
 
-    def counted(self):
+    def counted(self, found):
         walks.append(self)
-        return original(self)
+        return original(self, found)
 
-    monkeypatch.setattr(DescriptionSystem, "_member_conds", counted)
+    monkeypatch.setattr(DescriptionSystem, "_walk_pairs", counted)
     system = build_system(WEIGHT_8)
     assert system.c_sub == additivity_defect_report(system).max_defect
-    # c_sub leaves the containing table empty, so a lone profile still scans
-    assert walks == [system] and system._containing_cache == {}
+    # c_sub leaves the containing table unfilled, so a lone profile still scans
+    assert walks == [system] and system._containing is None
     walks.clear()
     system = build_system(WEIGHT_8)
     generate_gap_reports(tmp_path, systems={"hamming-8": system})
-    # the containing table, then one census for c_sub and the report; the
-    # planted-staircase system reads c_sub alone
-    assert walks.count(system) == 2 and all(walks.count(s) <= 2 for s in walks)
+    # one walk fills the containing table and takes the census for c_sub and
+    # the report; the planted-staircase system reads c_sub alone
+    assert system in walks and all(walks.count(s) == 1 for s in walks)
 
 
 def _assert_walk_matches_oracles(sys):
@@ -208,7 +208,11 @@ def test_additivity_walk_matches_oracle_on_random_systems():
             for q, out in table.items()
         )
         duplicate_sets += len(set(sys.set_programs.values())) < len(sys.set_programs)
-        pairs = list(sys._chain_rule_defects())
+        pairs = [
+            (rank, v, sys.K_data(v) - entry.K_S - sys.K_cond(v, entry.set))
+            for rank, entry in enumerate(sys.set_entries())
+            for v in entry.set.values
+        ]
         for extreme in (max, min):
             target = extreme(d for *_, d in pairs)
             tied = [(rank, v) for rank, v, d in pairs if d == target]
@@ -290,8 +294,8 @@ def test_reverse_fit_gap_reference(fixa):
     assert s0.min == 0.0
     assert s0.max == 2.0
     assert s0.mean == pytest.approx(0.75)
-    assert s0.max_witness == {"x": "00", "alpha": 1}
-    assert s0.min_witness == {"x": "10", "alpha": 1}
+    assert s0.max_witness == {"x": B("00"), "alpha": 1}
+    assert s0.min_witness == {"x": B("10"), "alpha": 1}
     assert by_label["epsilon=1"].count == 8
     assert by_label["epsilon=2"].count == 4
     assert by_label["epsilon=2"].mean == pytest.approx(0.75)
@@ -302,8 +306,8 @@ def test_reverse_fit_gap_sampling(fixa):
     report = reverse_fit_gap_report(fixa, [B("01"), B("11")], epsilons=(0,))
     assert report.strings_used == 2
     assert report.summaries[0].count == 6
-    assert report.summaries[0].min_witness["x"] in {"01", "11"}
-    assert report.summaries[0].max_witness["x"] in {"01", "11"}
+    assert report.summaries[0].min_witness["x"] in {B("01"), B("11")}
+    assert report.summaries[0].max_witness["x"] in {B("01"), B("11")}
 
 
 def test_reverse_fit_gap_refuses_negative_epsilon(fixa, monkeypatch):
@@ -433,18 +437,17 @@ def _battery_on_weight_8(out, full):
 @pytest.mark.parametrize("full", [False, True])
 def test_gap_battery_never_scans_sets_per_string(tmp_path, monkeypatch, full):
     system = build_system(WEIGHT_8)
-    lookups = {"cached": 0, "scanned": 0}
+    lookups = {"tabled": 0, "scanned": 0}
     original = DescriptionSystem.entries_containing
 
     def counted(self, x):
         if self is system:  # the planted-staircase section profiles one string
-            cached = self._value(x) in self._containing_cache
-            lookups["cached" if cached else "scanned"] += 1
+            lookups["scanned" if self._containing is None else "tabled"] += 1
         return original(self, x)
 
     monkeypatch.setattr(DescriptionSystem, "entries_containing", counted)
     generate_gap_reports(tmp_path, systems={"hamming-8": system}, full=full)
-    assert lookups["cached"] >= 256 and lookups["scanned"] == 0
+    assert lookups["tabled"] >= 256 and lookups["scanned"] == 0
 
 
 def test_gap_battery_builds_no_section_or_index(tmp_path, monkeypatch):
@@ -464,9 +467,9 @@ def test_gap_battery_builds_no_section_or_index(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_gap_sections_format_each_string_once(monkeypatch):
-    # One str(x) per string, and one str() per set-program witness built;
-    # no witness dict per sample.
+def test_gap_sections_format_no_string(monkeypatch):
+    # Witnesses keep strings and programs as BitStrings, which the encoder
+    # spells; no str() while measuring, and no witness dict per sample.
     sys = build_system(WEIGHT_8)
     xs = list(sys.universe_strings())
     calls = {"str": 0, "witness": 0}
@@ -490,8 +493,10 @@ def test_gap_sections_format_each_string_once(monkeypatch):
         calls.update(str=0, witness=0)
         report = section(sys, xs)
         samples = sum(summary.count for summary in report.summaries)
-        assert len(xs) <= calls["str"] <= len(xs) + calls["witness"]
+        assert calls["str"] == 0
         assert calls["witness"] * 20 < samples
+        encode(report)
+        assert 0 < calls["str"] <= 2 * calls["witness"]  # the counter sees spellings
 
 
 def test_induced_enumeration_makes_no_bitstring(monkeypatch):

@@ -78,6 +78,23 @@ def test_pmf_validation():
         ProbModel(1, {"0": Fraction(3, 2), "1": Fraction(-1, 2)})
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ProbModel(2, {"01": Fraction(1, 2), BitString("01"): Fraction(1, 2)}),
+         StructLabError, "repeated support string BitString('01')"),
+        (lambda: TotalFnModel(1, {"0": BitString("1"), BitString("0"): BitString("1")}),
+         StructLabError, "repeated table argument BitString('0')"),
+        (lambda: parse_pmf(".\t1\n"), FixtureError, "line 1: malformed string '.'"),
+    ],
+    ids=["pmf-support", "fn-table", "pmf-text"],
+)
+def test_repeated_or_malformed_strings_are_refused(make, error, message):
+    with pytest.raises(StructLabError) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.mark.parametrize("value", ["abc", "1/0", None, float("nan"), float("inf")])
 def test_malformed_probability_is_a_structlab_error(value):
     with pytest.raises(StructLabError, match=f"malformed probability value {value!r}"):

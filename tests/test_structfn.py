@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structlab.codec import BitString
-from structlab.descsys import FiniteSet, apply_permutation, build_system
+from structlab.descsys import DescriptionSystem, FiniteSet, apply_permutation, build_system
 from structlab.errors import StructLabError
 from structlab.structfn import (
     deficiency,
@@ -58,6 +58,22 @@ def test_fixa_deficiencies(fixa):
 def test_deficiency_requires_representable_set(fixa):
     with pytest.raises(StructLabError, match="representable"):
         deficiency(fixa, "00", FiniteSet(2, ["01", "10"]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sys: deficiency_key(sys, "00", FiniteSet(2, ["01", "10"])),
+         "deficiency requires a representable set"),
+        (lambda sys: deficiency_tail_count(sys, FiniteSet(2, ["00", "01"]), -1),
+         "tail parameter d must be nonnegative"),
+    ],
+    ids=["key-of-unrepresentable-set", "negative-tail"],
+)
+def test_deficiency_refusals_name_the_fault(fixa, call, message):
+    with pytest.raises(StructLabError) as exc:
+        call(fixa)
+    assert type(exc.value) is StructLabError and str(exc.value) == message
 
 
 def test_deficiency_with_shortcut():
@@ -344,6 +360,27 @@ def test_profile_universe_is_profile_of_each_string(seed, shape):
     for v, (x, prof) in enumerate(got):
         assert prof.x == x
         assert prof.signature() == profile(alone, v, alpha_max=alpha_max).signature()
+
+
+def test_profile_universe_walks_the_pairs_once(monkeypatch):
+    walks = []
+    original = DescriptionSystem._walk_pairs
+
+    def counted(self, found):
+        walks.append(found is not None)
+        return original(self, found)
+
+    monkeypatch.setattr(DescriptionSystem, "_walk_pairs", counted)
+    swept = random_system(7, n=6, max_sets=40)
+    assert sum(1 for _ in profile_universe(swept)) == 64
+    # one walk fills the table and takes the census every profile's c_sub reads
+    assert walks == [True]
+    walks.clear()
+    alone = random_system(7, n=6, max_sets=40)
+    assert alone.c_sub == swept.c_sub
+    profile(alone, 5)
+    # a lone c_sub walks once and fills no table, so the profile scans
+    assert walks == [False] and alone._containing is None
 
 
 ### Exact definitional inequalities (spot checks; the acceptance suite scales up)

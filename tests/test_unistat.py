@@ -75,6 +75,21 @@ def test_enumeration_rejects_bad_levels():
         EnumeratedD([("00", 3)], l=2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sys: induced_Dk(sys, -1), "complexity budget must be nonnegative, got -1"),
+        (lambda sys: reconstruct_from_prefix(induced_data_D(sys), -1),
+         "complexity level must be nonnegative, got -1"),
+    ],
+    ids=["induced_Dk", "reconstruct_from_prefix"],
+)
+def test_negative_levels_are_refused(fixa, call, message):
+    with pytest.raises(StructLabError) as exc:
+        call(fixa)
+    assert type(exc.value) is StructLabError and str(exc.value) == message
+
+
 def test_section_filters_and_reindexes():
     d = EnumeratedD([("00", 2), ("01", 1), ("10", 2)])
     sec = d.section(1)
