@@ -297,9 +297,6 @@ class ModelRecord:
             return math.nan
         return self.set.log_card - self.K_cond
 
-    def sort_key(self) -> tuple[int, int, tuple[int, int]]:
-        return (self.K_S, self.set.cardinality, self.witness_program.sort_key())
-
 
 # ---------------------------------------------------------------------------
 # Namespace helpers
@@ -465,7 +462,8 @@ class DescriptionSystem:
         self._max_program_length = len(p)  # the walk ends on a longest program
 
     def _read_sets(self) -> None:
-        """Index each distinct printed set's entry under its shortest program."""
+        """Index each distinct printed set's entry at its first, shortest
+        program; the walk is in program order, so the index is too."""
         set_index: dict[FiniteSet, ModelRecord] = {}
         for p, s in _in_program_order(self.set_programs.items()):
             if s.n != self.universe_n:
@@ -478,9 +476,7 @@ class DescriptionSystem:
         if set_index:
             self._max_program_length = max(self._max_program_length, len(p))
         self._set_index = set_index
-        self._set_entries: tuple[ModelRecord, ...] = tuple(
-            sorted(set_index.values(), key=ModelRecord.sort_key)
-        )
+        self._set_entries: tuple[ModelRecord, ...] = tuple(set_index.values())
 
     def _read_shortcuts(self) -> None:
         """Keep each conditional table's shortest shortcut per printed value."""
@@ -551,7 +547,8 @@ class DescriptionSystem:
     # -- canonical set entries ---------------------------------------------
 
     def set_entries(self) -> tuple[ModelRecord, ...]:
-        """All distinct representable sets with minimal witnesses, sorted."""
+        """All distinct representable sets with minimal witnesses, ranked by
+        their shortest program: K(S), then the witness program."""
         return self._set_entries
 
     def entries_containing(self, x: "int | str | BitString") -> tuple[ModelRecord, ...]:
@@ -575,7 +572,7 @@ class DescriptionSystem:
         Each set counts at its shortest program, so this can be less than the
         longest set program when a set is also printed by a shorter one.
         """
-        # The entries are sorted by K(S) first.
+        # The entries are ranked by K(S) first.
         return self._set_entries[-1].K_S if self._set_entries else 0
 
     def max_program_length(self) -> int:
@@ -602,19 +599,18 @@ class DescriptionSystem:
         }
 
     def _shortcut_tables(self) -> Iterator[tuple[str, dict[BitString, BitString]]]:
-        """Each conditional table under its set's witness text, by K(S), then members."""
-        for s in sorted(self.cond_shortcuts, key=lambda s: (self.K_set(s), tuple(s.values))):
+        """Each conditional table under its set's witness text, in witness program order."""
+        for s in sorted(self.cond_shortcuts, key=self.set_witness):
             yield show_bits(self.set_witness(s)), self.cond_shortcuts[s]
 
     def _walk_pairs(self, found: "list | None") -> None:
         """Walk every representable (set, member) pair once, O(sum of |S|).
 
-        Set-major: each entry of ``set_entries()`` in rank order, its members
-        in value order.  K(x|S) is the index code unless the set's shortcut
-        table holds a shorter program for x.  The walk always stores the
-        census of K(x) - K(S) - K(x|S) that :attr:`c_sub` and the additivity
-        report read: its histogram and the first pair in (x, entry rank)
-        order at its greatest and least defect, as ``(defect, v, rank)``.
+        Set-major: each entry of ``set_entries()`` in rank order, that is in
+        program order, its members in value order.  K(x|S) is the index code
+        unless the set's shortcut table holds a shorter program for x.  The
+        walk always stores the :attr:`defect_census` that :attr:`c_sub` and
+        the additivity report read.
         Ranks arrive in order, so an equal defect moves an extreme only to a
         smaller v.  Given ``found``, one list per universe value, it also
         appends each pair's containing record to its member's list; members
@@ -663,9 +659,14 @@ class DescriptionSystem:
         self._containing = found
 
     @property
-    def _defect_census(self) -> tuple[dict[int, int], "tuple | None", "tuple | None"]:
-        """The census of the last pair walk; a walk that fills no table
-        takes it when no walk has run yet."""
+    def defect_census(self) -> tuple[dict[int, int], "tuple | None", "tuple | None"]:
+        """``(histogram, highest, lowest)`` of K(x) - K(S) - K(x|S) over every
+        (set, member) pair, from the last pair walk (a walk that fills no
+        table takes it if none has run).  The histogram counts the pairs at
+        each defect; each extreme is the first pair in (x, rank) order at the
+        greatest or least defect, as ``(defect, v, rank)`` with rank indexing
+        :meth:`set_entries`, or None when there are no pairs.
+        """
         if self._census is None:
             self._walk_pairs(None)
         return self._census
@@ -677,7 +678,7 @@ class DescriptionSystem:
         The exact constant by which two-part descriptions in this system may
         undershoot plain data complexity; 0 for a system with no sets.
         """
-        high = self._defect_census[1]
+        high = self.defect_census[1]
         return 0 if high is None else high[0]
 
     # -- serialization ---------------------------------------------------
@@ -707,7 +708,7 @@ def enumerate_models(
 ) -> tuple[ModelRecord, ...]:
     """All distinct representable sets with K(S) <= alpha, optionally x in S.
 
-    Records come back sorted by (K(S), |S|, witness program); when ``x`` is
+    Records come back in (K(S), witness program) order; when ``x`` is
     given each record carries K(x|S) for that x.
     """
     if x is None:

@@ -276,12 +276,11 @@ class AdditivityReport:
 def additivity_defect_report(sys: DescriptionSystem) -> AdditivityReport:
     """Measure ``K(x) - K(S) - K(x|S)`` over every representable pair.
 
-    It reads the census of the system's one walk of every (set, member)
-    pair, O(sum of |S|), which ``c_sub`` shares and which the walk that
-    fills the containing table takes too.  Each extreme record is the first
-    pair in (x, entry rank) order to reach it.
+    It reads the system's ``defect_census``, taken by its one walk of every
+    (set, member) pair, O(sum of |S|), which ``c_sub`` shares.  Each extreme
+    record is the first pair in (x, set witness program) order to reach it.
     """
-    histogram, highest, lowest = sys._defect_census
+    histogram, highest, lowest = sys.defect_census
 
     def record(v: int, rank: int) -> AdditivityRecord:
         entry = sys.set_entries()[rank]

@@ -280,27 +280,27 @@ def profile(
     ``snooping_curve``: a set also printed by a shorter program counts at the
     shorter length.  ``mss_slack`` defaults to the system's ``c_sub``.
 
-    One ordered pass, O(r log r + alpha_max) for the r sets containing
-    ``x``.  The records are sorted once by (K(S), witness program), and the
-    budgets are swept in that order, keeping running h, lambda and beta
-    records, each replaced only by a strictly smaller key.  So the first
-    record to reach a minimum wins, which is the documented tie-break:
-    objective, then K(S), then witness program.
+    One ordered pass, O(r + alpha_max) for the r sets containing ``x``.
+    The row arrives in (K(S), witness program) order, the order of
+    ``set_entries()``, and the budgets are swept in it, keeping running h,
+    lambda and beta records, each replaced only by a strictly smaller key.
+    So the first record to reach a minimum wins, which is the documented
+    tie-break: objective, then K(S), then witness program.
     """
     v = sys._value(x)
     if alpha_max is None:
         alpha_max = sys.max_set_program_length()
     if alpha_max < 0:
         raise StructLabError("alpha_max must be nonnegative")
-    slack = sys.c_sub if mss_slack is None else mss_slack
+    c_sub = sys.c_sub
+    slack = c_sub if mss_slack is None else mss_slack
     k_x = sys.K_data(v)
     bound = 1 << (k_x + slack) if k_x + slack >= 0 else 0
 
     # Records sharing a (K(S), delta, Lambda) triple share every key, so
     # only the first of them, the least witness, can win a strict compare.
     first: dict[tuple[int, int, int], ModelRecord] = {}
-    containing = sys.entries_containing(v)
-    for rec in sorted(containing, key=lambda r: (r.K_S, r.witness_program.sort_key())):
+    for rec in sys.entries_containing(v):
         first.setdefault((rec.K_S, rec.delta_order, rec.lambda_key), rec)
     pending = list(reversed(first.items()))  # least K(S) last, to pop
 
@@ -330,7 +330,7 @@ def profile(
         x=BitString.from_value(sys.universe_n, v),
         K_x=k_x,
         alpha_max=alpha_max,
-        c_sub=sys.c_sub,
+        c_sub=c_sub,
         h_rows=h_rows,
         lambda_rows=lambda_rows,
         beta_rows=beta_rows,

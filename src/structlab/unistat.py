@@ -332,16 +332,13 @@ def induced_Dk(sys: DescriptionSystem, k: int) -> EnumeratedD:
     """
     if k < 0:
         raise StructLabError(f"complexity budget must be nonnegative, got {k}")
-    set_rows = sorted(
-        (e.K_S, e.witness_program.sort_key(), e.set) for e in sys.set_entries()
-    )
-    # the induced enumeration lists the strings in (K, witness) order already
+    # the set entries and the induced enumeration are in (K, witness) order
     data_rows = induced_data_D(sys).order
     pairs = []
     for i in range(k + 1):
-        for cost, _, s in set_rows:
-            if cost <= i:
-                pairs.append((s, i))
+        for e in sys.set_entries():
+            if e.K_S <= i:
+                pairs.append((e.set, i))
         for b, cost in data_rows:
             if cost <= i:
                 pairs.append((b, i))

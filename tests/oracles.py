@@ -90,13 +90,13 @@ def oracle_additivity_report(sys: DescriptionSystem) -> AdditivityReport:
     """The chain-rule defect census string by string.
 
     For each x in value order, scan every distinct set in the library's
-    rank order (K(S), |S|, witness); a later pair replaces an extreme only
-    when strictly beyond it, so the first pair in (x, rank) order wins.
+    rank order (K(S), witness); a later pair replaces an extreme only when
+    strictly beyond it, so the first pair in (x, rank) order wins.
     """
     k_data = oracle_K_data_table(sys)
     ranked = sorted(
         oracle_distinct_sets(sys).items(),
-        key=lambda kv: (kv[1][0], kv[0].cardinality, kv[1][1].sort_key()),
+        key=lambda kv: (kv[1][0], kv[1][1].sort_key()),
     )
     members = [(s, frozenset(s.values), k, w) for s, (k, w) in ranked]
     histogram: dict[int, int] = {}

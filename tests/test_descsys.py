@@ -30,6 +30,7 @@ from structlab.errors import DescriptorError, StructLabError
 from structlab.experiments import build_report_family_systems, make_nonstoch_system
 from structlab.predict import PredictionStrategy, StrategyCodebook
 from structlab.structfn import profile
+from structlab.unistat import induced_Dk
 
 from .gensys import random_prefix_code, random_system
 from .oracles import (
@@ -970,6 +971,15 @@ def test_random_systems_agree_with_oracles(seed):
     assert len(sys._set_index) == len(oracle_distinct_sets(sys))
     assert all(sys._set_index[e.set] is e for e in sys.set_entries())
     assert sys.c_sub == oracle_c_sub(sys)
+    # the entries are ranked by their shortest program, and so is each round
+    # of the induced enumeration's sets
+    ranked = list(oracle_distinct_sets(sys))
+    assert [e.set for e in sys.set_entries()] == ranked
+    k = sys.max_set_program_length()
+    rounds = induced_Dk(sys, k).order
+    for i in range(k + 1):
+        listed = [o for o, level in rounds if level == i and isinstance(o, FiniteSet)]
+        assert listed == [s for s in ranked if sys.K_set(s) <= i]
 
 
 @settings(max_examples=25)
@@ -990,7 +1000,7 @@ def _table_against_scan(seed: int, **shape) -> Counter:
     table = tabled._containing
     assert len(table) == scanned.universe_size()
     # the walk that fills the table takes the census a lone c_sub takes
-    assert tabled._defect_census == scanned._defect_census
+    assert tabled.defect_census == scanned.defect_census
     shared = {(id(r.set), r.K_cond): r for row in table for r in row}
     met: Counter = Counter()
     for v in scanned.universe_values():

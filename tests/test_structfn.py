@@ -175,12 +175,13 @@ def test_fixa_pareto_frontier_collapses(fixa):
     assert oracle_pareto_triples(fixa, "00") == [(1, Fraction(1), 8)]
 
 
-def test_ties_break_by_witness_not_by_set_entry_order():
+def test_containing_row_is_in_witness_order():
     # 00 lies in {00, 01} (printed by 00) and {00} (printed by 01): both have
-    # K(S) = 2 and delta_order 4, and set-entry order (by |S|) lists 01 first
+    # K(S) = 2 and delta_order 4, and the row lists the larger set first, by
+    # its witness; beta's tie goes to it, h's and lambda's to the smaller set
     sys = build_system("data 0 @family:literal(n=2)\nset 00 00,01\nset 01 00")
     containing = sys.entries_containing("00")
-    assert [str(rec.witness_program) for rec in containing] == ["01", "00"]
+    assert [str(rec.witness_program) for rec in containing] == ["00", "01"]
     assert [rec.delta_order for rec in containing] == [4, 4]
     p = profile(sys, "00")
     assert str(p.beta_rows[2].witness_program) == "00"
