@@ -174,9 +174,6 @@ class BitString:
             return False
         return (self._value >> (self._length - prefix._length)) == prefix._value
 
-    def is_proper_prefix_of(self, other: "BitString") -> bool:
-        return self._length < other._length and other.startswith(self)
-
     # -- enumeration order --------------------------------------------
 
     def to_integer(self) -> int:

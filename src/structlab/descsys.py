@@ -434,14 +434,13 @@ class DescriptionSystem:
     # -- construction: one program-order walk per namespace --------------
 
     def _read_data(self) -> None:
-        """Fill K(x) and its witness for every x; the universe must be covered."""
+        """Fill K(x) for every x; the universe must be covered."""
         n = self.universe_n
         size = 1 << n
         if not self.data_programs:
             raise DescriptorError("a system needs at least one data program")
-        k_data: list[int] = [0] * size
-        witness_data: list[BitString] = [None] * size  # type: ignore[list-item]
-        self._k_data, self._witness_data = k_data, witness_data
+        k_data: list[int] = [-1] * size  # -1 until x's first, shortest program
+        self._k_data = k_data
         filled = 0
         for p, out in _in_program_order(self.data_programs.items()):
             if len(out) != n:
@@ -449,12 +448,12 @@ class DescriptionSystem:
                     f"data program {str(p)!r} prints {str(out)!r}, not an {n}-bit string"
                 )
             v = out.value
-            if witness_data[v] is None:
-                k_data[v], witness_data[v] = len(p), p
+            if k_data[v] < 0:
+                k_data[v] = len(p)
                 filled += 1
         check_prefix_free(self.data_programs, "data")
         if filled != size:
-            missing = next(v for v, w in enumerate(witness_data) if w is None)
+            missing = k_data.index(-1)
             raise DescriptorError(
                 "data namespace leaves universe elements undescribed, e.g. "
                 + str(BitString.from_value(n, missing))
@@ -514,9 +513,6 @@ class DescriptionSystem:
     def K_data(self, x: "int | str | BitString") -> int:
         """K(x): length of the shortest data program printing x (total)."""
         return self._k_data[self._value(x)]
-
-    def data_witness(self, x: "int | str | BitString") -> BitString:
-        return self._witness_data[self._value(x)]
 
     def K_set(self, s: FiniteSet) -> "int | float":
         """K(S): shortest program printing exactly S, read off the set's

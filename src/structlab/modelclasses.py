@@ -179,10 +179,6 @@ class TotalFnModel:
     def arg_len(self) -> int:
         return self._arg_len
 
-    def covered_lengths(self) -> tuple[int, ...]:
-        """The argument lengths the table is total on, ascending."""
-        return self._lengths
-
     def value(self, d: "str | BitString") -> BitString:
         a = BitString(d)
         try:
@@ -502,9 +498,6 @@ class LikelihoodCurve:
     x: BitString
     alpha_max: int
     rows: tuple
-
-    def values(self) -> list[float]:
-        return [row.value for row in self.rows]
 
 
 def likelihood_curve(

@@ -357,9 +357,6 @@ class SnoopingCurve:
     alpha_max: int
     rows: tuple
 
-    def loss_values(self) -> list[float]:
-        return [row.loss for row in self.rows]
-
 
 def snooping_curve(
     codebook: StrategyCodebook, x: "str | BitString", alpha_max: "int | None" = None

@@ -92,9 +92,6 @@ class SearchTrace:
     final: "ModelRecord | None"
     flagged_empty: bool
 
-    def objective_keys(self) -> list["int | Fraction"]:
-        return [d.objective_key for d in self.declarations]
-
 
 def _check_request(sys: DescriptionSystem, alpha: int, stream: EnumerationStream) -> None:
     if alpha < 0:

@@ -37,7 +37,7 @@ from .codec import BitString, read_int, text_lines
 from .descsys import DescriptionSystem, FiniteSet, ModelRecord
 from .errors import FixtureError, StructLabError
 from .rational import ceil_log2, log2_display, pow2
-from .structfn import profile, staircase
+from .structfn import staircase
 
 __all__ = [
     "SynthEvent",
@@ -97,9 +97,6 @@ class SynthesisRun:
     def k(self) -> int:
         return len(self.target) - 1
 
-    def capacity(self, level: int) -> int:
-        return 1 << (self.target[level] - level)
-
     def replacement_bound(self, level: int) -> int:
         return 1 << (level + 1)
 
@@ -108,24 +105,6 @@ class SynthesisRun:
         return all(
             c <= self.replacement_bound(i)
             for i, c in enumerate(self.replacement_counts)
-        )
-
-    def witness_in_all_blocks(self) -> bool:
-        if self.witness_x is None:
-            return False
-        return all(self.witness_x in s for s in self.final_blocks)
-
-    def synthesized_curve(self, x) -> list["int | None"]:
-        """Two-part cost of describing ``x`` by the final blocks, per level.
-
-        Entry alpha is ``min(i + ceil(log2 |block_i|))`` over levels
-        ``i <= alpha`` whose final block contains x; None when no block
-        does.  For the surviving witness this is bounded by the target
-        pointwise.
-        """
-        return staircase(
-            ((i, i + s.ceil_log_card) for i, s in enumerate(self.final_blocks) if x in s),
-            len(self.final_blocks) - 1,
         )
 
     def to_json_dict(self) -> dict:
@@ -542,12 +521,18 @@ def improve_model(
     smaller set (the more specific model), then the lower complexity, then
     the earliest program.  Because the anchor itself competes, the result
     never has a worse total than the anchor.
+
+    The profile's keys at ``alpha`` are minima over the same row of sets
+    containing x, restricted to ``K(S) <= alpha``: the least size, the least
+    two-part key and the least deficiency.  So the row is scanned once.
     """
     xv = sys._value(x)
     if not sys.is_representable(a):
         raise StructLabError("the anchor set is not representable")
     if xv not in a:
         raise StructLabError("the anchor set does not contain the target string")
+    if alpha < 0:
+        raise StructLabError("alpha_max must be nonnegative")
 
     candidates = sys.entries_containing(xv)
     best = min(
@@ -555,14 +540,14 @@ def improve_model(
         key=lambda r: (r.lambda_key, r.cardinality, r.K_S, r.witness_program.sort_key()),
     )
     anchor = next(r for r in candidates if r.set == a)
-    prof = profile(sys, xv, alpha_max=alpha)
-    lam_key = prof.lambda_key(alpha)
-    h_key = prof.h_key(alpha)
-    beta_key = prof.beta_key(alpha)
+    affordable = [r for r in candidates if r.K_S <= alpha]
 
-    if lam_key is None:
+    if not affordable:
         slack_total = slack_complexity = slack_cardinality = None
     else:
+        h_key = min(r.cardinality for r in affordable)
+        lam_key = min(r.lambda_key for r in affordable)
+        beta_key = min(affordable, key=lambda r: r.delta_order).delta_key
         fit_gap = anchor.deficiency - log2_display(beta_key)
         lam_alpha = log2_display(lam_key)
         slack_total = best.total_length - lam_alpha - fit_gap

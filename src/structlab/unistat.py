@@ -429,10 +429,6 @@ class ReconstructionReport:
     cutoff_count: int
     objects: tuple
 
-    @property
-    def object_set(self) -> frozenset:
-        return frozenset(self.objects)
-
 
 def reconstruct_from_prefix(d: EnumeratedD, i: int) -> ReconstructionReport:
     """Recover {object : complexity <= i} from prefix-and-count data alone."""
@@ -492,11 +488,6 @@ class SliDominanceReport:
     x: BitString
     c_sub: int
     records: tuple
-
-    @property
-    def max_slack(self) -> "int | None":
-        slacks = [r.slack for r in self.records if r.slack is not None]
-        return max(slacks) if slacks else None
 
 
 def sli_dominance_report(sys: DescriptionSystem, x) -> SliDominanceReport:

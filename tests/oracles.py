@@ -369,6 +369,59 @@ def oracle_signature_rows(sys: DescriptionSystem, x, alpha_max: int) -> tuple:
     )
 
 
+def oracle_improve(sys: DescriptionSystem, x, a: FiniteSet, arrays) -> tuple:
+    """``improve_model``'s replacement of anchor ``a`` and its slacks per budget.
+
+    The replacement is ``(set, K, witness)`` minimizing (two-part key, size,
+    K, witness) over every distinct set containing x.  ``arrays`` is
+    ``oracle_profile_arrays(sys, x, alpha_max)``; the slacks at each budget
+    are ``(total, complexity, cardinality)`` read off its rows, None where no
+    model fits.
+    """
+    v = FiniteSet._coerce(sys.universe_n, x)
+    sets = oracle_distinct_sets(sys)
+
+    def rank(s):
+        k, witness = sets[s]
+        return ((1 << k) * s.cardinality, s.cardinality, k, witness.sort_key())
+
+    best = min((s for s in sets if v in s), key=rank)
+    k_best, k_a = sets[best][0], sets[a][0]
+    log_a = log2_display(a.cardinality)
+    deficiency = log_a - oracle_K_cond(sys, v, a)
+    slacks = []
+    for alpha, (h, lam, beta) in enumerate(zip(*arrays)):
+        if lam is None:
+            slacks.append(None)
+            continue
+        fit_gap = deficiency - log2_display(beta["delta_key"])
+        lam_alpha = log2_display(lam["lambda_key"])
+        slacks.append((
+            k_best + log2_display(best.cardinality) - lam_alpha - fit_gap,
+            k_best - k_a - (lam_alpha - (k_a + log_a)) - fit_gap,
+            k_best - alpha - (log2_display(h["card"]) - log_a) - fit_gap,
+        ))
+    return (best, k_best, sets[best][1]), slacks
+
+
+def oracle_synthesized_curve(run, x) -> list:
+    """Two-part cost of ``x`` by a synthesis run's final blocks, per level.
+
+    Entry alpha is the least ``i + ceil(log2 |block_i|)`` over the levels
+    ``i <= alpha`` whose final block holds x, None when none does; every
+    level rescans the blocks from the first.
+    """
+    curve = []
+    for alpha in range(len(run.final_blocks)):
+        costs = [
+            i + (s.cardinality - 1).bit_length()
+            for i, s in enumerate(run.final_blocks[: alpha + 1])
+            if x in s
+        ]
+        curve.append(min(costs, default=None))
+    return curve
+
+
 def oracle_mdl_guarantee(sys: DescriptionSystem, trace) -> bool:
     """``|L| * 2**(K(x) - K(x|L)) <= 2**(|p| + ceil(log2|L|) + c_sub)`` at every
     declaration, over Fractions."""

@@ -501,7 +501,7 @@ def test_c07_half_blocks_and_reconstruction(battery):
         for i in range(top + 2):
             recon += 1
             want = frozenset(o for o, level in d.order if level <= i)
-            if reconstruct_from_prefix(d, i).object_set != want:
+            if set(reconstruct_from_prefix(d, i).objects) != want:
                 violations.append((d_i, i, "reconstruction"))
     ok = not violations and blocks > 200
     report(
@@ -647,7 +647,7 @@ def test_c10_anytime_search(battery):
                     if final != want[mode]:
                         violations.append((sys_i, str(x), mode, "final"))
                     if mode in ("mdl", "ml"):
-                        keys = trace.objective_keys()
+                        keys = [dec.objective_key for dec in trace.declarations]
                         if any(b >= a for a, b in zip(keys, keys[1:])):
                             violations.append((sys_i, str(x), mode, "redeclared"))
                         if mode == "mdl" and not mdl_guarantee_holds(sys, trace):

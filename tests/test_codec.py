@@ -54,8 +54,6 @@ def test_bitstring_roundtrip_and_accessors():
     assert str(BitString("01") + BitString("10")) == "0110"
     assert BitString("0110").startswith(BitString("01"))
     assert not BitString("0110").startswith(BitString("11"))
-    assert BitString("01").is_proper_prefix_of(BitString("0110"))
-    assert not BitString("0110").is_proper_prefix_of(BitString("0110"))
 
 
 def test_bitstring_rejects_garbage():
@@ -144,7 +142,7 @@ def test_decode_sd_rejects_malformed():
 def test_encode_sd_is_prefix_free():
     codes = sorted(encode_sd(x) for x in all_strings(7))
     for a, b in zip(codes, codes[1:]):
-        assert not a.is_proper_prefix_of(b) and a != b
+        assert a != b and not b.startswith(a)
 
 
 def test_encode_sd_kraft_sum_exact():
@@ -183,7 +181,7 @@ def test_decode_std_roundtrip_with_remainder():
 def test_encode_std_is_prefix_free():
     codes = sorted(encode_std(x) for x in all_strings(7))
     for a, b in zip(codes, codes[1:]):
-        assert not a.is_proper_prefix_of(b) and a != b
+        assert a != b and not b.startswith(a)
 
 
 def test_decode_std_rejects_truncation():

@@ -239,7 +239,6 @@ def test_ceil_log_card_values():
 def test_fixa_data_complexities(fixa):
     for x, k in [("00", 1), ("01", 2), ("10", 3), ("11", 3)]:
         assert fixa.K_data(x) == k == oracle_K_data(fixa, x)
-    assert str(fixa.data_witness("00")) == "0"
 
 
 def test_fixa_set_complexities(fixa):

@@ -6,11 +6,12 @@ import pytest
 
 from structlab.artifacts import encode
 from structlab.codec import BitString
-from structlab.descsys import FiniteSet, build_system
+from structlab.descsys import DescriptionSystem, FiniteSet, build_system
 from structlab.errors import StructLabError
 from structlab.synth import improve_model
 
 from .gensys import random_system
+from .oracles import oracle_improve, oracle_profile_arrays
 
 B = BitString
 
@@ -62,6 +63,21 @@ def test_small_budget_leaves_slacks_undefined(fixa):
     assert report.slack_total is None
     assert report.slack_complexity is None
     assert report.slack_cardinality is None
+    with pytest.raises(StructLabError, match="alpha_max must be nonnegative"):
+        improve_model(fixa, "00", CUBE, -1)
+
+
+def test_improve_model_scans_the_set_entries_once(fixa, monkeypatch):
+    scans = []
+    original = DescriptionSystem.entries_containing
+
+    def counted(self, x):
+        scans.append(self._containing is None)
+        return original(self, x)
+
+    monkeypatch.setattr(DescriptionSystem, "entries_containing", counted)
+    improve_model(fixa, "00", CUBE, 3)
+    assert scans == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +119,18 @@ def test_randomized_replacement_never_worse():
         if not entries:
             continue
         anchor = entries[seed % len(entries)]
-        report = improve_model(sys, x, anchor.set, sys.max_set_program_length())
-        assert x in report.best.set
-        assert report.best.lambda_key <= anchor.lambda_key
-        assert report.improved == (report.best.lambda_key < anchor.lambda_key)
+        top = sys.max_set_program_length()
+        want_best, want_slacks = oracle_improve(
+            sys, x, anchor.set, oracle_profile_arrays(sys, x, top)
+        )
+        for alpha in range(top + 1):
+            report = improve_model(sys, x, anchor.set, alpha)
+            assert x in report.best.set
+            assert report.best.lambda_key <= anchor.lambda_key
+            assert report.improved == (report.best.lambda_key < anchor.lambda_key)
+            best = report.best
+            assert (best.set, best.K_S, best.witness_program) == want_best
+            slacks = (report.slack_total, report.slack_complexity, report.slack_cardinality)
+            assert slacks == (want_slacks[alpha] or (None, None, None))
         checked += 1
     assert checked > 60

@@ -180,7 +180,6 @@ def test_fn_requires_total_lengths():
 
 def test_fn_lookup_image_and_lengths():
     p = TotalFnModel(1, {"": "11", "0": "00", "1": "00"})
-    assert p.covered_lengths() == (0, 1)
     assert p.value("0") == B("00")
     assert p.image(0) == (B("11"),)
     assert p.image(1) == (B("00"),)
@@ -486,7 +485,7 @@ def test_likelihood_curve_on_fixture_sets(fixa):
         Fraction(1, 1),
     ]
     assert [row.witness for row in curve.rows] == [None, B("0"), B("10"), B("110")]
-    assert curve.values() == [math.inf, 2.0, 1.0, 0.0]
+    assert [row.value for row in curve.rows] == [math.inf, 2.0, 1.0, 0.0]
 
 
 def test_likelihood_row_zero_versus_none():
@@ -503,7 +502,7 @@ def test_likelihood_row_zero_versus_none():
     assert curve.rows[0].probability is None
     assert curve.rows[1].probability == 0
     assert curve.rows[1].witness is None
-    assert curve.values() == [math.inf, math.inf]
+    assert [row.value for row in curve.rows] == [math.inf, math.inf]
 
 
 def test_likelihood_curve_validation(fixa):
@@ -541,7 +540,7 @@ def test_likelihood_values_non_increasing():
         sys = random_system(seed)
         book = pmf_codebook_from_sets(sys)
         for x in sys.universe_strings():
-            values = likelihood_curve(book, x).values()
+            values = [row.value for row in likelihood_curve(book, x).rows]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -387,7 +387,7 @@ def test_set_codebook_reference_curve(fixa):
         Fraction(1),
     ]
     assert [row.witness for row in curve.rows] == [None, B("0"), B("10"), B("110")]
-    assert curve.loss_values() == [math.inf, 2.0, 1.0, 0.0]
+    assert [row.loss for row in curve.rows] == [math.inf, 2.0, 1.0, 0.0]
 
 
 def test_set_codebook_curve_equals_size_curve_everywhere():
@@ -415,7 +415,7 @@ def test_snooping_losses_never_increase():
         sys = random_system(seed)
         book = codebook_from_sets(sys)
         x = B.from_value(sys.universe_n, seed % sys.universe_size())
-        losses = snooping_curve(book, x).loss_values()
+        losses = [row.loss for row in snooping_curve(book, x).rows]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
 

@@ -7,8 +7,10 @@ system; the library must reproduce them bit for bit, witnesses included.
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,38 @@ def test_fixa_pareto_frontier_collapses(fixa):
         (1, Fraction(1), 8)
     ]
     assert oracle_pareto_triples(fixa, "00") == [(1, Fraction(1), 8)]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """Run the README's library example statement by statement, from the
+    repository root, and check every value its comments give."""
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library example")) + len("```python\n")
+    block = text[start : text.index("```", start)]
+    monkeypatch.chdir(README.parent)
+    namespace: dict = {}
+    seen = {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            seen[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    want = {
+        "prof.K_x": 1,
+        "prof.h_values()": [INF, 2.0, 1.0, 0.0],
+        "prof.lambda_values()": [INF, 3.0, 3.0, 3.0],
+        "prof.beta_values()": [INF, 0.0, 0.0, 0.0],
+        "prof.critical_alphas": (1,),
+        "prof.sufficiency.alpha": 1,
+    }
+    assert {source: seen[source] for source in want} == want
+    for source, value in want.items():
+        line = next(line for line in block.splitlines() if line.startswith(source + " "))
+        assert line.split("#", 1)[1].split("  ")[0].strip() == repr(value)
 
 
 def test_containing_row_is_in_witness_order():

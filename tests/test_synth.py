@@ -11,6 +11,8 @@ from structlab.descsys import FiniteSet
 from structlab.errors import FixtureError, StructLabError
 from structlab.synth import SynthEvent, analog_curve, parse_synth_stream, synthesize
 
+from .oracles import oracle_synthesized_curve
+
 B = BitString
 
 
@@ -90,7 +92,7 @@ def test_empty_stream_keeps_initial_blocks():
     assert run.certificate_witness == B("000")
     assert not run.exhausted
     assert run.kraft_total == 0
-    assert run.witness_in_all_blocks()
+    assert all(run.witness_x in s for s in run.final_blocks)
 
 
 def test_single_event_refills_two_levels():
@@ -102,13 +104,13 @@ def test_single_event_refills_two_levels():
     assert run.final_blocks[1] == FiniteSet(3, ["010", "011"])
     assert run.final_blocks[2] == FiniteSet(3, ["010"])
     assert run.witness_x == B("010")
-    assert run.witness_in_all_blocks()
+    assert all(run.witness_x in s for s in run.final_blocks)
     assert run.replacement_bounds_ok
     # the event uses its full allowance, so it constrains no certificate
     assert run.certificate_witness == B("000")
     assert analog_curve(run.events, run.witness_x, 2) == [None, None, None]
     assert analog_curve(run.events, B("000"), 2) == [None, 2, 2]
-    assert run.synthesized_curve(run.witness_x) == [3, 2, 2]
+    assert oracle_synthesized_curve(run, run.witness_x) == [3, 2, 2]
 
 
 def test_partial_refill_on_oversized_universe():
@@ -119,7 +121,7 @@ def test_partial_refill_on_oversized_universe():
     assert run.final_blocks[0] == FiniteSet(3, ["100"])
     assert run.witness_x == B("100")
     assert not run.exhausted
-    assert run.witness_in_all_blocks()
+    assert all(run.witness_x in s for s in run.final_blocks)
     assert run.certificate_witness == B("000")
     assert analog_curve(run.events, B("000"), 1) == [2, 2]
 
@@ -128,7 +130,6 @@ def test_exhausted_universe_is_flagged():
     run = synthesize((2, 1), cube(2), [(0, ["00", "01", "10", "11"])])
     assert run.exhausted
     assert run.witness_x is None
-    assert not run.witness_in_all_blocks()
     assert [s.cardinality for s in run.final_blocks] == [0, 0]
     assert run.certificate_witness == B("00")
     assert run.to_json_dict()["witness"] is None
@@ -242,10 +243,10 @@ def test_adversarial_bounds_hold(seed_base):
         assert all(c is None or c >= target[a] for a, c in enumerate(cert_curve))
         if run.witness_x is not None:
             assert not run.exhausted
-            assert run.witness_in_all_blocks()
+            assert all(run.witness_x in s for s in run.final_blocks)
             wit_curve = analog_curve(run.events, run.witness_x, k)
             assert all(c is None or c >= target[a] for a, c in enumerate(wit_curve))
-            synth_curve = run.synthesized_curve(run.witness_x)
+            synth_curve = oracle_synthesized_curve(run, run.witness_x)
             assert all(c is not None and c <= target[a] for a, c in enumerate(synth_curve))
         else:
             assert run.exhausted
