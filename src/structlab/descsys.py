@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -111,7 +111,8 @@ class FiniteSet:
 
     @classmethod
     def _trusted(cls, n: int, values: Sequence[int]) -> "FiniteSet":
-        """A set from values already ascending, distinct and inside ``[0, 2^n)``."""
+        """A set from values already ascending, distinct and inside ``[0, 2^n)``;
+        a contiguous run may come as a nonempty ``range`` of step 1."""
         self = cls.__new__(cls)
         self._store(n, values)
         return self
@@ -119,8 +120,10 @@ class FiniteSet:
     def _store(self, n: int, values: Sequence[int]) -> None:
         # Ascending distinct values are contiguous iff their ends are len - 1
         # apart.  A tuple may hold 2^n members, so its hash is taken once.
-        if values and values[-1] - values[0] == len(values) - 1:
-            self._values: Sequence[int] = range(values[0], values[-1] + 1)
+        if type(values) is range:
+            self._values: Sequence[int] = values
+        elif values and values[-1] - values[0] == len(values) - 1:
+            self._values = range(values[0], values[-1] + 1)
         else:
             self._values = tuple(values)
         self._n, self._hash = n, hash((n, self._values))
@@ -306,25 +309,35 @@ class ModelRecord:
 def check_prefix_free(programs: Iterable[BitString], namespace: str) -> None:
     """Raise DescriptorError when one program is a proper prefix of another."""
     programs = list(programs)
-    top = max(map(len, programs), default=0)
+    top = max([p._length for p in programs], default=0)
     # Lexicographic order of the bit texts: pad each value to the longest
     # length, and a prefix sorts before its extensions by its shorter length.
-    ordered = sorted(programs, key=lambda p: (p.value << (top - len(p)), len(p)))
-    for a, b in zip(ordered, ordered[1:]):
-        if not b.startswith(a):
+    # Both go in one int key, the length in its low ``w`` bits.  In that
+    # order a key a is a prefix of (or equal to) the next key b iff their
+    # leading |a| bits agree: a >> shift == b >> shift, shift = top - |a| + w.
+    w = top.bit_length()
+    low = (1 << w) - 1
+    keys = sorted([p._value << (top - p._length + w) | p._length for p in programs])
+
+    def text(key: int) -> str:
+        length = key & low
+        return str(BitString._trusted(length, key >> (top - length + w)))
+
+    for a, b in zip(keys, keys[1:]):
+        shift = top - (a & low) + w
+        if a >> shift != b >> shift:
             continue
         if a == b:
-            raise DescriptorError(f"duplicate program {str(a)!r} in {namespace} namespace")
+            raise DescriptorError(f"duplicate program {text(a)!r} in {namespace} namespace")
         raise DescriptorError(
-            f"{namespace} namespace not prefix-free: "
-            f"{str(a)!r} is a prefix of {str(b)!r}"
+            f"{namespace} namespace not prefix-free: {text(a)!r} is a prefix of {text(b)!r}"
         )
 
 
 def _in_program_order(items: Iterable[tuple]) -> list[tuple]:
-    """The ``(program, output)`` items sorted by (length, value), each key
-    read from the item, so no program is hashed again."""
-    return sorted(items, key=lambda item: item[0].sort_key())
+    """The ``(program, output)`` items sorted by (length, value), through the
+    one int key ``2^length | value``, so no program is hashed again."""
+    return sorted(items, key=lambda item: 1 << item[0]._length | item[0]._value)
 
 
 def kraft_sum(programs: Iterable[BitString]) -> Fraction:
@@ -372,6 +385,18 @@ class Codebook:
         check_prefix_free([b for b, _ in items], self.namespace)
         self._n = lengths.pop()
         self._programs = dict(_in_program_order(items))
+
+    @classmethod
+    def _trusted(cls, n: int, items: Iterable[tuple]) -> "Codebook":
+        """A codebook of ``(program, model)`` items from an audited namespace:
+        prefix-free ``BitString`` programs naming models of length ``n``.
+        Only a namespace with no programs is refused."""
+        programs = dict(_in_program_order(items))
+        if not programs:
+            raise StructLabError("a codebook needs at least one program")
+        self = cls.__new__(cls)
+        self._n, self._programs = n, programs
+        return self
 
     @property
     def n(self) -> int:
@@ -443,13 +468,13 @@ class DescriptionSystem:
         self._k_data = k_data
         filled = 0
         for p, out in _in_program_order(self.data_programs.items()):
-            if len(out) != n:
+            if out._length != n:
                 raise DescriptorError(
                     f"data program {str(p)!r} prints {str(out)!r}, not an {n}-bit string"
                 )
-            v = out.value
+            v = out._value
             if k_data[v] < 0:
-                k_data[v] = len(p)
+                k_data[v] = p._length
                 filled += 1
         check_prefix_free(self.data_programs, "data")
         if filled != size:
@@ -458,38 +483,40 @@ class DescriptionSystem:
                 "data namespace leaves universe elements undescribed, e.g. "
                 + str(BitString.from_value(n, missing))
             )
-        self._max_program_length = len(p)  # the walk ends on a longest program
+        self._max_program_length = p._length  # the walk ends on a longest program
 
     def _read_sets(self) -> None:
         """Index each distinct printed set's entry at its first, shortest
         program; the walk is in program order, so the index is too."""
+        n = self.universe_n
         set_index: dict[FiniteSet, ModelRecord] = {}
         for p, s in _in_program_order(self.set_programs.items()):
-            if s.n != self.universe_n:
+            if s._n != n:
                 raise DescriptorError(f"set program {str(p)!r} prints a set of wrong width")
-            if s.cardinality == 0:
+            if not s._values:
                 raise DescriptorError(f"set program {str(p)!r} prints the empty set")
             if s not in set_index:
-                set_index[s] = ModelRecord(s, len(p), p)
+                set_index[s] = ModelRecord(s, p._length, p)
         check_prefix_free(self.set_programs, "set")
         if set_index:
-            self._max_program_length = max(self._max_program_length, len(p))
+            self._max_program_length = max(self._max_program_length, p._length)
         self._set_index = set_index
         self._set_entries: tuple[ModelRecord, ...] = tuple(set_index.values())
 
     def _read_shortcuts(self) -> None:
         """Keep each conditional table's shortest shortcut per printed value."""
+        n = self.universe_n
         shortcut_min: dict[FiniteSet, dict[int, int]] = {}
         for s, table in self.cond_shortcuts.items():
             if s not in self._set_index:
                 raise DescriptorError("conditional shortcuts refer to a set no program prints")
             best: dict[int, int] = {}
             for q, out in _in_program_order(table.items()):
-                if len(out) != self.universe_n:
+                if out._length != n:
                     raise DescriptorError(
                         f"conditional shortcut {str(q)!r} prints a non-universe string"
                     )
-                best.setdefault(out.value, len(q))
+                best.setdefault(out._value, q._length)
             check_prefix_free(table, "conditional")
             shortcut_min[s] = best
         self._shortcut_min = shortcut_min
@@ -679,17 +706,21 @@ class DescriptionSystem:
 
     # -- serialization ---------------------------------------------------
 
+    def descriptor_lines(self) -> Iterator[str]:
+        """The lines of :meth:`to_descriptor_text`, without their newlines,
+        one at a time."""
+        yield f"# universe width {self.universe_n}"
+        for p, out in _in_program_order(self.data_programs.items()):
+            yield f"data\t{show_bits(p)}\t{out}"
+        for p, s in _in_program_order(self.set_programs.items()):
+            yield f"set\t{show_bits(p)}\t{s.show()}"
+        for anchor, table in self._shortcut_tables():
+            for q, out in _in_program_order(table.items()):
+                yield f"cond\t{show_bits(q)}\t{out}@{anchor}"
+
     def to_descriptor_text(self) -> str:
         """Serialize as an explicit descriptor (families already expanded)."""
-        lines = [f"# universe width {self.universe_n}"]
-        for p in sorted(self.data_programs, key=BitString.sort_key):
-            lines.append(f"data\t{show_bits(p)}\t{self.data_programs[p]}")
-        for p in sorted(self.set_programs, key=BitString.sort_key):
-            lines.append(f"set\t{show_bits(p)}\t{self.set_programs[p].show()}")
-        for anchor, table in self._shortcut_tables():
-            for q in sorted(table, key=BitString.sort_key):
-                lines.append(f"cond\t{show_bits(q)}\t{table[q]}@{anchor}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(self.descriptor_lines()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -864,8 +895,8 @@ def _weight_slices(n: int) -> list[list[int]]:
 
 def expand_family(
     kind: str, tag: BitString, name: str, args: dict[str, int]
-) -> list[tuple[str, BitString, "BitString | FiniteSet"]]:
-    """Expand one ``@family:`` descriptor entry into concrete entries.
+) -> list[tuple[BitString, "BitString | FiniteSet"]]:
+    """Expand one ``@family:`` descriptor entry into ``(program, output)`` pairs.
 
     Set families (``kind == "set"``):
 
@@ -891,58 +922,66 @@ def expand_family(
     ranks) are self-delimiting in context because their width is determined
     by what was already parsed.  Expansion is linear in what it writes.
     """
-    entries: list[tuple[str, BitString, BitString | FiniteSet]] = []
+    entries: list[tuple[BitString, BitString | FiniteSet]] = []
     # Every value below is built in range and every member list ascending,
-    # so the strings and sets skip the checks outside callers get.
+    # so the strings and sets skip the checks outside callers get.  Each
+    # program is written as one (length, value) pair: the tag's value
+    # shifted past the fields that follow it, with no concatenation.
     bits, members_of = BitString._trusted, FiniteSet._trusted
+    t_len, t_val = tag._length, tag._value
     if kind == "set":
         if name == "cube":
             (n,) = _require_args(name, args, "n")
-            entries.append(("set", tag, members_of(n, range(1 << n))))
+            entries.append((tag, members_of(n, range(1 << n))))
         elif name == "singletons":
             (n,) = _require_args(name, args, "n")
+            head = t_val << n
             for v in range(1 << n):
-                entries.append(("set", tag + bits(n, v), members_of(n, (v,))))
+                entries.append((bits(t_len + n, head | v), members_of(n, range(v, v + 1))))
         elif name == "cylinders":
             (n,) = _require_args(name, args, "n")
             for l in range(n + 1):
+                # tag, then encode_sd(p) = 1^l 0 p for each l-bit p
+                head = (t_val << l | ((1 << l) - 1)) << (l + 1)
+                width, rest = t_len + 2 * l + 1, n - l
                 for v in range(1 << l):
-                    members = range(v << (n - l), (v + 1) << (n - l))
-                    code = encode_sd(bits(l, v))
-                    entries.append(("set", tag + code, members_of(n, members)))
+                    entries.append(
+                        (bits(width, head | v), members_of(n, range(v << rest, (v + 1) << rest)))
+                    )
         elif name == "hamming":
             (n,) = _require_args(name, args, "n")
             for k, members in enumerate(_weight_slices(n)):
-                entries.append(
-                    ("set", tag + encode_sd(string_of_integer(k)), members_of(n, members))
-                )
+                entries.append((tag + encode_sd(string_of_integer(k)), members_of(n, members)))
         elif name == "patches":
             n, m = _require_args(name, args, "n", "m")
             if m < 1 or n % m != 0:
                 raise DescriptorError("patches family needs m >= 1 dividing n")
             slices = _weight_slices(m)
+            codes = [encode_sd(string_of_integer(k)) for k in range(m + 1)]
             for vector in iter_product(range(m + 1), repeat=n // m):
-                program, members = tag, [0]
+                length, value, members = t_len, t_val, [0]
                 # most significant patch outermost, so members come out sorted
                 for k in vector:
-                    program = program + encode_sd(string_of_integer(k))
+                    code = codes[k]
+                    length, value = length + code._length, value << code._length | code._value
                     members = [(u << m) | w for u in members for w in slices[k]]
-                entries.append(("set", program, members_of(n, members)))
+                entries.append((bits(length, value), members_of(n, members)))
         else:
             raise DescriptorError(f"unknown set family {name!r}")
     elif kind == "data":
         if name == "literal":
             (n,) = _require_args(name, args, "n")
+            head = t_val << n
             for v in range(1 << n):
-                b = bits(n, v)
-                entries.append(("data", tag + b, b))
+                entries.append((bits(t_len + n, head | v), bits(n, v)))
         elif name == "bernoulli":
             (n,) = _require_args(name, args, "n")
             for k, slice_vals in enumerate(_weight_slices(n)):
                 width = (len(slice_vals) - 1).bit_length()
-                head = tag + encode_sd(string_of_integer(k))
+                code = tag + encode_sd(string_of_integer(k))
+                head, length = code._value << width, code._length + width
                 for rank, v in enumerate(slice_vals):
-                    entries.append(("data", head + bits(width, rank), bits(n, v)))
+                    entries.append((bits(length, head | rank), bits(n, v)))
         else:
             raise DescriptorError(f"unknown data family {name!r}")
     else:
@@ -1004,11 +1043,11 @@ def build_system(text: str) -> DescriptionSystem:
         elif kind == "data":
             out = read_bits(payload, "data output", where, DescriptorError)
             width(len(out), where)
-            entries = [(kind, program, out)]
+            entries = [(program, out)]
         elif kind == "set":
             members = FiniteSet.read(payload, where, error=DescriptorError)
             width(members.n, where)
-            entries = [(kind, program, members)]
+            entries = [(program, members)]
         else:
             xtok, at, anchor = payload.partition("@")
             if not at:
@@ -1019,11 +1058,16 @@ def build_system(text: str) -> DescriptionSystem:
             conds.append((where, program, x, anchor))
             continue
         table = tables[kind]
-        for _, prog, value in entries:
-            size = len(table)
-            table.setdefault(prog, value)  # one hash per program; no growth means a duplicate
-            if len(table) == size:
-                raise DescriptorError(f"{where}: duplicate {kind} program {str(prog)!r}")
+        size = len(table)
+        table.update(entries)  # one hash per program
+        if len(table) - size < len(entries):
+            # Some program repeats: name the first, in entry order, that an
+            # earlier line or entry already gave.
+            seen = set(islice(table, size))
+            for prog, _ in entries:
+                if prog in seen:
+                    raise DescriptorError(f"{where}: duplicate {kind} program {str(prog)!r}")
+                seen.add(prog)
 
     if first is None:
         raise DescriptorError("cannot infer the universe width: no sized payloads")

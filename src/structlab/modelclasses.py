@@ -525,10 +525,11 @@ def pmf_codebook_from_sets(sys: DescriptionSystem) -> PmfCodebook:
 
     Each set program names the uniform pmf on its set at the same program
     length, so members cost exactly the log set size and the codebook's
-    likelihood curve reproduces the set-size curve of the profile.
+    likelihood curve reproduces the set-size curve of the profile.  The
+    system has already audited the namespace, so it is taken as it is.
     """
-    return PmfCodebook(
-        {prog: expand_set(s, "pmf") for prog, s in sys.set_programs.items()}
+    return PmfCodebook._trusted(
+        sys.universe_n, [(prog, expand_set(s, "pmf")) for prog, s in sys.set_programs.items()]
     )
 
 

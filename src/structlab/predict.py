@@ -383,10 +383,11 @@ def codebook_from_sets(sys: DescriptionSystem) -> StrategyCodebook:
     Each set program names the proportion-following strategy of its set, at
     the same program length; members of a set then cost exactly its log
     size, so this codebook's snooping curve reproduces the set-size curve
-    of the profile.
+    of the profile.  The system has already audited the namespace, so it
+    is taken as it is.
     """
-    return StrategyCodebook(
-        {prog: set_to_strategy(s) for prog, s in sys.set_programs.items()}
+    return StrategyCodebook._trusted(
+        sys.universe_n, [(prog, set_to_strategy(s)) for prog, s in sys.set_programs.items()]
     )
 
 

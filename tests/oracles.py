@@ -220,10 +220,11 @@ def oracle_patch_members(n: int, m: int, vector) -> list[int]:
 
 
 def oracle_family_entries(kind: str, tag: BitString, name: str, args: dict) -> list:
-    """``descsys.expand_family`` with every member list found by a universe scan.
+    """``descsys.expand_family`` with every program concatenated from its
+    fields and every member list found by a universe scan.
 
-    Returns ``(kind, program, payload)`` triples like the library, with set
-    payloads as plain member lists in increasing order.
+    Returns ``(program, payload)`` pairs like the library, with set payloads
+    as plain member lists in increasing order.
     """
     n = args["n"]
     universe = range(1 << n)
@@ -232,17 +233,17 @@ def oracle_family_entries(kind: str, tag: BitString, name: str, args: dict) -> l
         return encode_sd(string_of_integer(k))
 
     if name == "cube":
-        return [("set", tag, list(universe))]
+        return [(tag, list(universe))]
     if name == "singletons":
-        return [("set", tag + BitString.from_value(n, v), [v]) for v in universe]
+        return [(tag + BitString.from_value(n, v), [v]) for v in universe]
     if name == "cylinders":
         prefixes = [BitString.from_value(l, v) for l in range(n + 1) for v in range(1 << l)]
         return [
-            ("set", tag + encode_sd(p), [v for v in universe if BitString.from_value(n, v).startswith(p)])
+            (tag + encode_sd(p), [v for v in universe if BitString.from_value(n, v).startswith(p)])
             for p in prefixes
         ]
     if name == "hamming":
-        return [("set", tag + sd(k), oracle_weight_slice(n, k)) for k in range(n + 1)]
+        return [(tag + sd(k), oracle_weight_slice(n, k)) for k in range(n + 1)]
     if name == "patches":
         m = args["m"]
         entries = []
@@ -250,10 +251,10 @@ def oracle_family_entries(kind: str, tag: BitString, name: str, args: dict) -> l
             program = tag
             for k in vector:
                 program = program + sd(k)
-            entries.append(("set", program, oracle_patch_members(n, m, vector)))
+            entries.append((program, oracle_patch_members(n, m, vector)))
         return entries
     if name == "literal":
-        return [("data", tag + BitString.from_value(n, v), BitString.from_value(n, v)) for v in universe]
+        return [(tag + BitString.from_value(n, v), BitString.from_value(n, v)) for v in universe]
     assert name == "bernoulli", name
     entries = []
     for k in range(n + 1):
@@ -261,7 +262,7 @@ def oracle_family_entries(kind: str, tag: BitString, name: str, args: dict) -> l
         width = (len(members) - 1).bit_length()
         for rank, v in enumerate(members):
             program = tag + sd(k) + BitString.from_value(width, rank)
-            entries.append(("data", program, BitString.from_value(n, v)))
+            entries.append((program, BitString.from_value(n, v)))
     return entries
 
 

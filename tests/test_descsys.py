@@ -565,17 +565,23 @@ def _family_cases():
     yield "bernoulli", {"n": 12}
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    list(_family_cases()),
-    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{a}" for k, a in v.items()),
-)
-def test_expand_family_matches_the_scan_oracle(name, args):
+def _family_params(cases):
+    """Each family case under three tags: ``10`` keeps the case's own id,
+    and the empty tag and one past 64 bits add theirs.  Programs are
+    written by shifting the tag's value past the fields that follow it."""
+    for name, args in cases:
+        case = "-".join([name] + [f"{k}{a}" for k, a in args.items()])
+        for tag, suffix in ((B("10"), ""), (B(""), "-tag0"), (B("1" + "01" * 35), "-tag71")):
+            yield pytest.param(name, args, tag, id=case + suffix)
+
+
+@pytest.mark.parametrize("name, args, tag", _family_params(_family_cases()))
+def test_expand_family_matches_the_scan_oracle(name, args, tag):
     kind = "data" if name in ("literal", "bernoulli") else "set"
-    got = expand_family(kind, B("10"), name, args)
-    want = oracle_family_entries(kind, B("10"), name, args)
-    assert [(k, p) for k, p, _ in got] == [(k, p) for k, p, _ in want]
-    for (_, _, out), (_, _, expected) in zip(got, want):
+    got = expand_family(kind, tag, name, args)
+    want = oracle_family_entries(kind, tag, name, args)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (_, out), (_, expected) in zip(got, want):
         if kind == "set":
             assert tuple(out.values) == tuple(expected)
             assert out == FiniteSet(args["n"], expected)
@@ -584,15 +590,14 @@ def test_expand_family_matches_the_scan_oracle(name, args):
 
 
 @pytest.mark.parametrize(
-    "name, args",
-    [case for case in _family_cases() if case[1]["n"] <= 8],
-    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{a}" for k, a in v.items()),
+    "name, args, tag", _family_params(case for case in _family_cases() if case[1]["n"] <= 8)
 )
-def test_expand_family_entries_equal_a_checked_rebuild(name, args):
+def test_expand_family_entries_equal_a_checked_rebuild(name, args, tag):
     kind = "data" if name in ("literal", "bernoulli") else "set"
     n = args["n"]
-    for _, program, out in expand_family(kind, B("10"), name, args):
+    for program, out in expand_family(kind, tag, name, args):
         assert program == B.from_value(len(program), program.value)
+        assert program.startswith(tag)
         if kind == "data":
             assert out == B.from_value(n, out.value)
             continue
@@ -631,11 +636,15 @@ def test_kraft_sum_matches_the_oracle(programs):
 @st.composite
 def program_lists(draw):
     """Mixed-length programs, some made prefix pairs or duplicates of others
-    (a cut at 0 adds the empty program), or a random prefix-free code."""
+    (a cut at 0 adds the empty program), or a random prefix-free code under
+    a shared stem.  Long texts and the long stem take programs past 64 bits,
+    where the check's packed sort keys are big ints."""
     if draw(st.booleans()):
+        stem = draw(st.sampled_from(["", "0", "1" + "01" * 35]))
         code = random_prefix_code(draw(st.randoms()), draw(st.integers(1, 40)))
-        return draw(st.permutations(code))
-    texts = draw(st.lists(st.text(alphabet="01", max_size=12), max_size=12))
+        return draw(st.permutations([B(stem) + p for p in code]))
+    text = st.text(alphabet="01", max_size=12) | st.text(alphabet="01", min_size=60, max_size=80)
+    texts = draw(st.lists(text, max_size=12))
     extra = []
     if texts:
         for t in draw(st.lists(st.sampled_from(texts), max_size=4)):
@@ -892,6 +901,49 @@ def test_building_a_system_hashes_each_program_once(monkeypatch):
         kind = text.split()[-3]
         with pytest.raises(DescriptorError, match=f"duplicate {kind} program '0'"):
             build_system(text)
+
+
+def test_building_a_system_with_explicit_lines_hashes_each_program_once(monkeypatch):
+    hashes = []
+    original = BitString.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BitString, "__hash__", counted)
+    sys = build_system(
+        "data 1 0000\n"
+        "data 0 @family:literal(n=4)\n"
+        "set 0 0001,0010\n"
+        "set 10 0011\n"
+        "set 11 @family:cylinders(n=4)\n"
+    )
+    monkeypatch.undo()
+    assert len(sys.data_programs) == 1 + 16 and len(sys.set_programs) == 2 + 31
+    assert len(hashes) == len(sys.data_programs) + len(sys.set_programs)
+    assert len({id(p) for p in hashes}) == len(hashes)  # no program twice
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # literal(n=2) under tag 0 writes 000, 001, 010, 011: the third
+        # repeats an explicit program, and so does the fourth, given first
+        (
+            "data 011 00\ndata 010 11\ndata 0 @family:literal(n=2)\n",
+            "line 3: duplicate data program '010'",
+        ),
+        # cylinders(n=2) under tag 1 writes 10, 1100, 1101, ...
+        ("set 1100 00\nset 1 @family:cylinders(n=2)\n", "line 2: duplicate set program '1100'"),
+        ("data 0 @family:literal(n=1)\ndata 01 1\n", "line 2: duplicate data program '01'"),
+    ],
+    ids=["literal-third", "cylinders-second", "explicit-after-family"],
+)
+def test_a_repeated_family_program_is_named_in_entry_order(text, message):
+    with pytest.raises(DescriptorError) as exc:
+        build_system(text)
+    assert str(exc.value) == message
 
 
 ### Recoding invariance of complexities

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structlab import predict
+from structlab import descsys, predict
 from structlab.codec import BitString
-from structlab.descsys import FiniteSet
+from structlab.descsys import FiniteSet, build_system
 from structlab.errors import CodecError, FixtureError, StructLabError
 from structlab.experiments import build_report_family_systems
-from structlab.modelclasses import likelihood_curve, pmf_codebook_from_sets
+from structlab.modelclasses import PmfCodebook, expand_set, likelihood_curve, pmf_codebook_from_sets
 from structlab.predict import (
     PredictionStrategy,
     StrategyCodebook,
@@ -408,6 +408,38 @@ def test_set_codebook_curve_equals_size_curve_everywhere():
                 else:
                     assert row.product == Fraction(1, h)
                     assert row.loss == pytest.approx(log2_display(h))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_set_codebooks_take_the_audited_namespace_as_it_is(monkeypatch, seed):
+    sys = random_system(seed, max_sets=12)
+    checks = []
+    check = descsys.check_prefix_free
+
+    def counted(programs, namespace):
+        checks.append(namespace)
+        check(programs, namespace)
+
+    monkeypatch.setattr(descsys, "check_prefix_free", counted)
+    books = [codebook_from_sets(sys), pmf_codebook_from_sets(sys)]
+    assert checks == []
+    monkeypatch.undo()
+    # the checked constructors, given the same namespace
+    checked = [
+        StrategyCodebook({p: set_to_strategy(s) for p, s in sys.set_programs.items()}),
+        PmfCodebook({p: expand_set(s, "pmf") for p, s in sys.set_programs.items()}),
+    ]
+    for book, want in zip(books, checked):
+        assert type(book) is type(want) and book.n == want.n == sys.universe_n
+        assert list(book.programs.items()) == list(want.programs.items())
+        assert book.max_program_length() == want.max_program_length()
+
+
+def test_set_codebooks_refuse_a_system_with_no_sets():
+    sys = build_system("data 0 0\ndata 1 1\n")
+    for make in (codebook_from_sets, pmf_codebook_from_sets):
+        with pytest.raises(StructLabError, match="a codebook needs at least one program"):
+            make(sys)
 
 
 def test_snooping_losses_never_increase():
