@@ -364,7 +364,7 @@ def _cmd_audit(args):
 def _cmd_nonstoch(args):
     plan = make_nonstoch_system(args.n, args.alpha0, args.beta_level, seed=args.seed)
     yield "nonstoch.json", verify_nonstoch(plan)
-    yield "system.tsv", plan.system.to_descriptor_text()
+    yield "system.tsv", (line + "\n" for line in plan.system.descriptor_lines())
 
 
 _HANDLERS = {

@@ -337,7 +337,7 @@ def read_bits(token: str, what: str, where: str, error: type = FixtureError) -> 
 
 def show_bits(b: BitString) -> str:
     """The field :func:`read_bits` reads back as ``b``."""
-    return str(b) if len(b) else "."
+    return str(b) or "."
 
 
 def read_int(token: str, what: str, where: str) -> int:

@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, product as iter_product
+from itertools import chain, islice, product as iter_product, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -193,8 +193,9 @@ class FiniteSet:
         return tuple(BitString.from_value(self._n, v) for v in self._values)
 
     def show(self) -> str:
-        """The comma-separated member list that :meth:`read` reads back."""
-        return ",".join(str(b) for b in self.bitstrings())
+        """The comma-separated member list that :meth:`read` reads back,
+        each member formatted straight from its integer."""
+        return ",".join(map(format, self._values, repeat(f"0{self._n}b")))
 
     def __contains__(self, x: object) -> bool:
         if type(x) is not int:
@@ -239,8 +240,15 @@ class FiniteSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelRecord:
+class _DeltaKeySlot:
+    """The slot that caches :attr:`ModelRecord.delta_key`.  It is no
+    dataclass field, so equality, hash, ``repr`` and encoding never read it."""
+
+    __slots__ = ("_delta_key",)
+
+
+@dataclass(frozen=True, slots=True)
+class ModelRecord(_DeltaKeySlot):
     """A set model together with its exact description-length data.
 
     ``K_cond`` is ``K(x | S)`` for the query string the record was built
@@ -251,9 +259,11 @@ class ModelRecord:
     * ``delta_order = |S| << (n - K_cond)``     (as 2**n * 2**delta)
 
     Both are integers: a member's ``K(x|S) <= ceil(log2 |S|) <= n``.  So
-    integer comparisons decide every tie that floats would fudge.  The
-    exact value ``delta_key = 2**delta`` is a Fraction, built once, when
-    first read.
+    integer comparisons decide every tie that floats would fudge.  The keys
+    are computed on each read and stored nowhere; :func:`structfn.profile`
+    reads its fold's keys once per record straight from the integers.  The
+    exact value ``delta_key = 2**delta`` is a Fraction, built when first
+    read and cached in a slot.  The record has no instance dict.
     """
 
     set: FiniteSet
@@ -288,10 +298,15 @@ class ModelRecord:
             return None
         return self.set.cardinality << (self.set.n - self.K_cond)
 
-    @cached_property
+    @property
     def delta_key(self) -> "Fraction | None":
-        order = self.delta_order
-        return None if order is None else Fraction(order, 1 << self.set.n)
+        try:
+            return self._delta_key
+        except AttributeError:
+            order = self.delta_order
+            key = None if order is None else Fraction(order, 1 << self.set.n)
+            object.__setattr__(self, "_delta_key", key)
+            return key
 
     @property
     def deficiency(self) -> float:
@@ -719,8 +734,9 @@ class DescriptionSystem:
                 yield f"cond\t{show_bits(q)}\t{out}@{anchor}"
 
     def to_descriptor_text(self) -> str:
-        """Serialize as an explicit descriptor (families already expanded)."""
-        return "\n".join(self.descriptor_lines()) + "\n"
+        """Serialize as an explicit descriptor (families already expanded),
+        every line ending in a newline, in one join."""
+        return "\n".join(chain(self.descriptor_lines(), ("",)))
 
 
 # ---------------------------------------------------------------------------

@@ -281,12 +281,16 @@ def profile(
     shorter length.  ``mss_slack`` defaults to the system's ``c_sub``.
 
     One ordered pass, O(r + alpha_max) for the r sets containing ``x``.
-    The row arrives in (K(S), witness program) order, the order of
-    ``set_entries()``, and the budgets are swept in it, keeping running h,
-    lambda and beta records, each replaced only by a strictly smaller key.
-    So the first record to reach a minimum wins, which is the documented
-    tie-break: objective, then K(S), then witness program.
+    Each record's exact keys are read once, from integers: the triple
+    ``(K(S), |S| << (n - K(x|S)), |S| << K(S))``, that is K(S), the beta
+    key ``delta_order`` and the lambda key, with ``|S|`` recovered as
+    ``lambda >> K(S)``.  The row arrives in (K(S), witness program) order,
+    the order of ``set_entries()``, and the budgets are swept in it, keeping
+    running h, lambda and beta records, each replaced only by a strictly
+    smaller key.  So the first record to reach a minimum wins, which is the
+    documented tie-break: objective, then K(S), then witness program.
     """
+    n = sys.universe_n
     v = sys._value(x)
     if alpha_max is None:
         alpha_max = sys.max_set_program_length()
@@ -294,14 +298,15 @@ def profile(
         raise StructLabError("alpha_max must be nonnegative")
     c_sub = sys.c_sub
     slack = c_sub if mss_slack is None else mss_slack
-    k_x = sys.K_data(v)
+    k_x = sys._k_data[v]
     bound = 1 << (k_x + slack) if k_x + slack >= 0 else 0
 
     # Records sharing a (K(S), delta, Lambda) triple share every key, so
     # only the first of them, the least witness, can win a strict compare.
     first: dict[tuple[int, int, int], ModelRecord] = {}
     for rec in sys.entries_containing(v):
-        first.setdefault((rec.K_S, rec.delta_order, rec.lambda_key), rec)
+        k_s, card = rec.K_S, len(rec.set._values)
+        first.setdefault((k_s, card << (n - rec.K_cond), card << k_s), rec)
     pending = list(reversed(first.items()))  # least K(S) last, to pop
 
     rows: list[tuple] = []  # the (h, lambda, beta) records of each budget
@@ -327,7 +332,7 @@ def profile(
     h_rows, lambda_rows, beta_rows = zip(*rows)
 
     return StructureProfile(
-        x=BitString.from_value(sys.universe_n, v),
+        x=BitString._trusted(n, v),
         K_x=k_x,
         alpha_max=alpha_max,
         c_sub=c_sub,
@@ -369,6 +374,10 @@ def _pareto_frontier(
     # of whose K(S) are already <= its own.
     front: list[tuple[int, int, int]] = []
     for key in sorted(first):
-        if not any(f[1] <= key[1] and f[2] <= key[2] for f in front):
+        _, order, total = key
+        for f in front:
+            if f[1] <= order and f[2] <= total:
+                break
+        else:
             front.append(key)
     return tuple(ParetoPoint(key[0], key[2], first[key]) for key in front)

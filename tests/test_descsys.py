@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structlab import descsys
+from structlab.artifacts import encode
 from structlab.codec import BitString, encode_sd, string_of_integer
 from structlab.descsys import (
     DescriptionSystem,
     EnumerationStream,
     FiniteSet,
+    ModelRecord,
     apply_permutation,
     build_system,
     check_prefix_free,
@@ -293,6 +296,35 @@ def test_model_record_exact_keys(fixa):
     assert rec.delta_key == Fraction(2, 2)
     assert rec.total_length == 3.0
     assert rec.deficiency == 0.0
+
+
+def test_model_record_is_slotted_and_reads_only_its_four_fields(fixa):
+    rec = enumerate_models(fixa, 3, "00")[1]
+    fresh = ModelRecord(rec.set, rec.K_S, rec.witness_program, rec.K_cond)
+    assert not hasattr(rec, "__dict__")
+    assert [f.name for f in fields(ModelRecord)] == ["set", "K_S", "witness_program", "K_cond"]
+    shown = (
+        "ModelRecord(set=FiniteSet(n=2, {00,01}), K_S=2, "
+        "witness_program=BitString('10'), K_cond=1)"
+    )
+    text = (
+        '{\n  "K_S": 2,\n  "K_cond": 1,\n  "set": [\n    "00",\n    "01"\n  ],\n'
+        '  "witness_program": "10"\n}'
+    )
+    assert rec.delta_key == Fraction(2, 2)  # cached in its slot from here on
+    assert rec.delta_key is rec.delta_key
+    assert rec == fresh and hash(rec) == hash(fresh)
+    assert repr(rec) == repr(fresh) == shown
+    assert encode(rec) == encode(fresh) == text
+    for changed in (
+        ModelRecord(FiniteSet(2, ["00", "10"]), 2, rec.witness_program, 1),
+        ModelRecord(rec.set, 3, rec.witness_program, 1),
+        ModelRecord(rec.set, 2, BitString("11"), 1),
+        ModelRecord(rec.set, 2, rec.witness_program, 0),
+    ):
+        assert changed != rec
+    with pytest.raises(FrozenInstanceError):
+        rec.K_S = 3
 
 
 ### Validation errors

@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structlab.codec import BitString
-from structlab.descsys import DescriptionSystem, FiniteSet, apply_permutation, build_system
+from structlab.descsys import (
+    DescriptionSystem,
+    FiniteSet,
+    ModelRecord,
+    apply_permutation,
+    build_system,
+)
 from structlab.errors import StructLabError
 from structlab.structfn import (
     deficiency,
@@ -416,6 +422,26 @@ def test_profile_universe_walks_the_pairs_once(monkeypatch):
     profile(alone, 5)
     # a lone c_sub walks once and fills no table, so the profile scans
     assert walks == [False] and alone._containing is None
+
+
+def test_profile_reads_no_record_key_property(monkeypatch):
+    reads = []
+    for name in ("lambda_key", "delta_order", "cardinality"):
+        original = getattr(ModelRecord, name)
+
+        def counted(self, name=name, original=original):
+            reads.append(name)
+            return original.fget(self)
+
+        monkeypatch.setattr(ModelRecord, name, property(counted))
+    alone = random_system(7, n=6, max_sets=40)
+    profiles = [profile(alone, v) for v in range(alone.universe_size())]
+    swept = [prof for _, prof in profile_universe(random_system(7, n=6, max_sets=40))]
+    assert any(p.pareto for p in profiles)
+    # the fold takes each record's keys from its integers, never its properties
+    assert reads == []
+    assert [p.signature() for p in swept] == [p.signature() for p in profiles]
+    assert reads  # the signatures read them, so the counters are live
 
 
 ### Exact definitional inequalities (spot checks; the acceptance suite scales up)
