@@ -34,6 +34,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -119,7 +120,7 @@ def _bitstring(value, out, newline):
 
 
 def _finite_set(value, out, newline):
-    _array([str(b) for b in value.bitstrings()], out, newline)
+    _array(list(map(format, value.values, repeat(f"0{value.n}b"))), out, newline)
 
 
 def _dict(value, out, newline):

@@ -43,6 +43,7 @@ from .modelclasses import (
     restrict_to_set,
 )
 from .predict import codebook_from_sets, snooping_curve
+from .rational import log2_display
 from .search import (
     anytime_search,
     check_audit_constant,
@@ -229,7 +230,7 @@ def _cmd_search(args):
         "declaration_count": len(trace.declarations),
         "flagged_empty": trace.flagged_empty,
         "final_program": None if final is None else final.record.witness_program,
-        "final_objective": None if final is None else final.objective,
+        "final_objective": None if final is None else log2_display(final.objective_key),
         "final_objective_key": None if final is None else str(final.objective_key),
     }
     if args.mode == "mdl":

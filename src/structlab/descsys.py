@@ -61,7 +61,7 @@ from .codec import (
     text_lines,
 )
 from .errors import CodecError, DescriptorError, FixtureError, StructLabError
-from .rational import ceil_log2, log2_display
+from .rational import ceil_log2
 
 __all__ = [
     "FiniteSet",
@@ -94,7 +94,9 @@ class FiniteSet:
     values coincides with lexicographic order of the corresponding n-bit
     strings.  They are kept once: a ``range`` when contiguous (the cube,
     each cylinder and singleton), an ascending tuple otherwise, so equal
-    sets have equal stores however they were built.  The empty set is
+    sets have equal stores however they were built.  Text is formatted
+    straight from those integers (:meth:`show`, ``repr``); iteration yields
+    one ``BitString`` per member, made as it is read.  The empty set is
     representable as a value (it shows up as a flagged terminal state in
     synthesis) but description systems refuse to *print* it.
     """
@@ -185,13 +187,6 @@ class FiniteSet:
             raise DescriptorError("ceil_log_card of the empty set")
         return ceil_log2(len(self._values))
 
-    @property
-    def log_card(self) -> float:
-        return log2_display(len(self._values)) if self._values else -math.inf
-
-    def bitstrings(self) -> tuple[BitString, ...]:
-        return tuple(BitString.from_value(self._n, v) for v in self._values)
-
     def show(self) -> str:
         """The comma-separated member list that :meth:`read` reads back,
         each member formatted straight from its integer."""
@@ -210,7 +205,7 @@ class FiniteSet:
         return i < len(vals) and vals[i] == x
 
     def __iter__(self) -> Iterator[BitString]:
-        return iter(self.bitstrings())
+        return map(BitString._trusted, repeat(self._n), self._values)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -224,7 +219,7 @@ class FiniteSet:
         return self._hash
 
     def __repr__(self) -> str:
-        shown = ",".join(str(BitString.from_value(self._n, v)) for v in self._values[:6])
+        shown = ",".join(map(format, self._values[:6], repeat(f"0{self._n}b")))
         more = "" if len(self) <= 6 else f",...({len(self)} total)"
         return f"FiniteSet(n={self._n}, {{{shown}{more}}})"
 
@@ -263,7 +258,9 @@ class ModelRecord(_DeltaKeySlot):
     are computed on each read and stored nowhere; :func:`structfn.profile`
     reads its fold's keys once per record straight from the integers.  The
     exact value ``delta_key = 2**delta`` is a Fraction, built when first
-    read and cached in a slot.  The record has no instance dict.
+    read and cached in a slot.  The record has no instance dict and no
+    float: a writer that prints Lambda or delta takes ``log2_display`` of
+    the cardinality and adds the integer lengths itself.
     """
 
     set: FiniteSet
@@ -276,21 +273,12 @@ class ModelRecord(_DeltaKeySlot):
         return self.set.cardinality
 
     @property
-    def log_card(self) -> float:
-        return self.set.log_card
-
-    @property
     def ceil_log_card(self) -> int:
         return self.set.ceil_log_card
 
     @property
     def lambda_key(self) -> int:
         return (1 << self.K_S) * self.set.cardinality
-
-    @property
-    def total_length(self) -> float:
-        """Lambda(S) = K(S) + log2 |S| (display value)."""
-        return self.K_S + self.set.log_card
 
     @property
     def delta_order(self) -> "int | None":
@@ -307,13 +295,6 @@ class ModelRecord(_DeltaKeySlot):
             key = None if order is None else Fraction(order, 1 << self.set.n)
             object.__setattr__(self, "_delta_key", key)
             return key
-
-    @property
-    def deficiency(self) -> float:
-        """delta(x|S) = log2|S| - K(x|S) (display value)."""
-        if self.K_cond is None:
-            return math.nan
-        return self.set.log_card - self.K_cond
 
 
 # ---------------------------------------------------------------------------

@@ -471,8 +471,9 @@ class ImprovementSlackReport:
     """Deficiency behavior across large two-part improvements.
 
     ``improved_count`` counts qualifying pairs whose deficiency did not
-    increase; ``slack`` summarizes the extra bits each pair needed to meet
-    the drop-by-``c*log2(n)`` relation.
+    increase, compared by the declared records' exact ``delta_order``, so a
+    tie counts however its floats round; ``slack`` summarizes the extra
+    bits each pair needed to meet the drop-by-``c*log2(n)`` relation.
     """
 
     c: float
@@ -500,15 +501,17 @@ def improvement_slack_report(
     traces = {s: search_many(sys, xs, alpha, enumeration_stream(sys, s)) for s in seeds}
     for i, x in enumerate(xs):
         for s in seeds:
-            audit = improvement_audit(sys, traces[s][i], c=c)
+            trace = traces[s][i]
+            audit = improvement_audit(sys, trace, c=c)
             searches += 1
             if audit.qualifying_count:
                 traces_with_pairs += 1
+                order = {d.time: d.record.delta_order for d in trace.declarations}
             for pair in audit.pairs:
                 qualifying += 1
                 slack.add(pair.slack_needed, x, s, pair.program_1, pair.program_2)
                 drop.add(pair.delta_2 - pair.delta_1, x, s, pair.program_1, pair.program_2)
-                if pair.delta_2 <= pair.delta_1:
+                if order[pair.time_2] <= order[pair.time_1]:
                     improved += 1
     return ImprovementSlackReport(
         c=c,

@@ -44,7 +44,6 @@ __all__ = [
     "restrict_to_set",
     "probability_level",
     "pmf_deficiency_key",
-    "pmf_deficiency",
     "fn_deficiency",
     "likelihood_curve",
     "pmf_codebook_from_sets",
@@ -230,9 +229,9 @@ def expand_set(s: FiniteSet, target: str) -> "ProbModel | TotalFnModel":
         raise StructLabError("cannot expand an empty set")
     if target == "pmf":
         q = Fraction(1, s.cardinality)
-        return ProbModel(s.n, {b: q for b in s.bitstrings()})
+        return ProbModel(s.n, {b: q for b in s})
     if target == "fn":
-        members = s.bitstrings()
+        members = tuple(s)
         length = s.ceil_log_card
         table = {}
         for v in range(1 << length):
@@ -435,11 +434,6 @@ def pmf_deficiency_key(
     default = m if p == pow2(-m) else m + 1
     k = default if short is None else min(default, short)
     return pow2(-k) / p
-
-
-def pmf_deficiency(model: ProbModel, x: "str | BitString", shortcuts=None) -> float:
-    """``-log2 P(x) - K(x|P)`` as a float; infinite when P(x) = 0."""
-    return log2_display(pmf_deficiency_key(model, x, shortcuts))
 
 
 def fn_deficiency(model: TotalFnModel, x: "str | BitString", shortcuts=None) -> "int | float":

@@ -73,12 +73,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Declaration:
-    """One 'new best hypothesis' moment in a search."""
+    """One 'new best hypothesis' moment in a search.
+
+    The objective is kept only as its exact key; a writer that shows the
+    objective in bits takes ``log2_display`` of it.
+    """
 
     time: int
     record: ModelRecord          # K_S is the *event* program length
     objective_key: "int | Fraction"
-    objective: float
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,7 @@ def anytime_search(
         # same estimate: nothing new to declare.
         if winner is not None and winner != best:
             best = winner
-            key = winner.delta_key
-            declarations.append(Declaration(t, winner, key, log2_display(key)))
+            declarations.append(Declaration(t, winner, winner.delta_key))
 
     return SearchTrace("direct", xb, alpha, tuple(declarations), best, best is None)
 
@@ -200,9 +202,7 @@ def search_many(
     traces: dict[int, SearchTrace] = {}
     for v, events in kept.items():
         declarations = tuple(
-            Declaration(
-                t, ModelRecord(s, len(p), p, int(sys.K_cond(v, s))), key, log2_display(key)
-            )
+            Declaration(t, ModelRecord(s, len(p), p, int(sys.K_cond(v, s))), key)
             for t, s, p, key in events
         )
         final = declarations[-1].record if declarations else None
@@ -241,7 +241,7 @@ def trace_jsonl_lines(trace: SearchTrace) -> list[str]:
                     "time": d.time,
                     "program": str(d.record.witness_program),
                     "cardinality": d.record.cardinality,
-                    "objective": d.objective,
+                    "objective": log2_display(d.objective_key),
                     "objective_key": str(d.objective_key),
                 },
                 sort_keys=True,
@@ -316,7 +316,10 @@ def improvement_audit(
     exact whenever ``2*c`` is an integer.  For each qualifying pair the
     report records both true deficiencies and the slack needed for the
     drop-by-``c*log2(n)`` relation — measured, never asserted, because the
-    constant involved is not computable inside the system.
+    constant involved is not computable inside the system.  The pair's
+    floats are derived from the exact keys: each deficiency is
+    ``log2_display(|S|) - K(x|S)`` and the drop is the difference of the
+    two keys' ``log2_display``.
     """
     if trace.mode != "mdl":
         raise StructLabError("improvement audits are defined for mdl traces")
@@ -347,8 +350,8 @@ def improvement_audit(
             )
         if not qualifies:
             continue
-        delta_1 = d1.record.set.log_card - int(d1.record.K_cond)
-        delta_2 = d2.record.set.log_card - int(d2.record.K_cond)
+        delta_1 = log2_display(d1.record.cardinality) - d1.record.K_cond
+        delta_2 = log2_display(d2.record.cardinality) - d2.record.K_cond
         required = c * log_n
         pairs.append(
             AuditPair(
@@ -356,7 +359,7 @@ def improvement_audit(
                 time_2=d2.time,
                 program_1=d1.record.witness_program,
                 program_2=d2.record.witness_program,
-                lambda_drop=d1.objective - d2.objective,
+                lambda_drop=log2_display(d1.objective_key) - log2_display(d2.objective_key),
                 delta_1=delta_1,
                 delta_2=delta_2,
                 required_drop=required,

@@ -49,7 +49,6 @@ __all__ = [
     "profile_universe",
     "staircase",
     "codebook_curve",
-    "deficiency",
     "deficiency_key",
     "deficiency_tail_count",
 ]
@@ -58,19 +57,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Deficiency
 # ---------------------------------------------------------------------------
-
-
-def deficiency(sys: DescriptionSystem, x, s: FiniteSet) -> float:
-    """delta(x|S) = log2|S| - K(x|S) for members of a representable set.
-
-    Infinite when x is not in S; raises for unrepresentable sets (the
-    quantity is only meaningful for sets the system can describe).
-    """
-    if not sys.is_representable(s):
-        raise StructLabError("deficiency requires a representable set")
-    if sys._value(x) not in s:
-        return math.inf
-    return s.log_card - sys.K_cond(x, s)
 
 
 def deficiency_key(sys: DescriptionSystem, x, s: FiniteSet) -> "Fraction | None":
@@ -113,14 +99,6 @@ class ParetoPoint:
     @property
     def delta_key(self) -> Fraction:
         return self.record.delta_key
-
-    @property
-    def delta(self) -> float:
-        return log2_display(self.delta_key)
-
-    @property
-    def total_length(self) -> float:
-        return log2_display(self.lambda_key)
 
 
 @dataclass(frozen=True)

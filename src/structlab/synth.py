@@ -548,15 +548,12 @@ def improve_model(
         h_key = min(r.cardinality for r in affordable)
         lam_key = min(r.lambda_key for r in affordable)
         beta_key = min(affordable, key=lambda r: r.delta_order).delta_key
-        fit_gap = anchor.deficiency - log2_display(beta_key)
+        log_a, log_best = log2_display(anchor.cardinality), log2_display(best.cardinality)
+        fit_gap = log_a - anchor.K_cond - log2_display(beta_key)
         lam_alpha = log2_display(lam_key)
-        slack_total = best.total_length - lam_alpha - fit_gap
-        slack_complexity = (
-            best.K_S - anchor.K_S - (lam_alpha - anchor.total_length) - fit_gap
-        )
-        slack_cardinality = (
-            best.K_S - alpha - (log2_display(h_key) - anchor.log_card) - fit_gap
-        )
+        slack_total = best.K_S + log_best - lam_alpha - fit_gap
+        slack_complexity = best.K_S - anchor.K_S - (lam_alpha - (anchor.K_S + log_a)) - fit_gap
+        slack_cardinality = best.K_S - alpha - (log2_display(h_key) - log_a) - fit_gap
 
     return ImproveReport(
         x=BitString.from_value(sys.universe_n, xv),

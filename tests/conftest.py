@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+from structlab.codec import BitString
 from structlab.descsys import load_system
 
 settings.register_profile(
@@ -41,3 +42,18 @@ def fixa():
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def bitstring_builds(monkeypatch) -> list:
+    """The value of each ``BitString.from_value`` or ``BitString._trusted``
+    call made while the test runs (``from_value`` counts twice)."""
+    built: list = []
+    for name in ("from_value", "_trusted"):
+
+        def counted(length, value, original=getattr(BitString, name)):
+            built.append(value)
+            return original(length, value)
+
+        monkeypatch.setattr(BitString, name, staticmethod(counted))
+    return built

@@ -669,7 +669,7 @@ def oracle_jsonable(value):
     if isinstance(value, BitString):
         return str(value)
     if isinstance(value, FiniteSet):
-        return [str(b) for b in value.bitstrings()]
+        return [str(BitString.from_value(value.n, v)) for v in value.values]
     if isinstance(value, dict):
         return {str(k): oracle_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

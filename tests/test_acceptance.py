@@ -280,7 +280,7 @@ def test_c04_snooping_exactness(battery):
     for sys in battery[:10]:
         for e in sys.set_entries():
             strat = set_to_strategy(e.set)
-            for x in e.set.bitstrings():
+            for x in e.set:
                 losses += 1
                 if evaluate_loss(strat, x).product != Fraction(1, e.set.cardinality):
                     violations.append(("loss", str(x)))

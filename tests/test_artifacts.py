@@ -149,6 +149,13 @@ def test_encoder_matches_the_reference_bytes(value):
     assert encode(value) == oracle_artifact_text(value)
 
 
+def test_a_set_encodes_its_members_from_their_integers(bitstring_builds):
+    cube = FiniteSet(16, range(1 << 16))
+    text = encode(cube)
+    assert bitstring_builds == []
+    assert text == oracle_artifact_text(cube)
+
+
 @given(st.lists(_VALUES, max_size=4))
 def test_an_iterator_encodes_as_its_list(items):
     text = encode(iter(items))

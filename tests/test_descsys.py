@@ -56,7 +56,7 @@ B = BitString
 
 def test_finite_set_sorted_dedup_and_membership():
     s = FiniteSet(3, ["101", "001", "101", 2])
-    assert [str(b) for b in s.bitstrings()] == ["001", "010", "101"]
+    assert [str(b) for b in s] == ["001", "010", "101"]
     assert s.cardinality == 3
     assert "001" in s and B("101") in s and 2 in s
     assert "111" not in s and 9 not in s
@@ -179,19 +179,12 @@ def test_finite_set_agrees_with_a_frozenset_on_every_route(n, data):
             assert alien not in s
 
 
-def test_repr_spells_only_the_members_it_shows(monkeypatch):
+def test_repr_spells_only_the_members_it_shows(bitstring_builds):
+    # the shown members are formatted from their integers: no BitString is built
     cube = FiniteSet._trusted(16, range(1 << 16))
-    spelled = []
-    from_value = B.from_value
-
-    def counted(length, value):
-        spelled.append(value)
-        return from_value(length, value)
-
-    monkeypatch.setattr(B, "from_value", counted)
     shown = ",".join(format(v, "016b") for v in range(6))
     assert repr(cube) == f"FiniteSet(n=16, {{{shown},...(65536 total)}})"
-    assert spelled == list(range(6))
+    assert bitstring_builds == []
 
 
 @pytest.mark.parametrize("value", [2.7, 3.99, True, False, None, b"01", Fraction(1)])
@@ -294,8 +287,8 @@ def test_model_record_exact_keys(fixa):
     rec = enumerate_models(fixa, 3, "00")[1]  # the two-element set
     assert rec.lambda_key == (1 << 2) * 2
     assert rec.delta_key == Fraction(2, 2)
-    assert rec.total_length == 3.0
-    assert rec.deficiency == 0.0
+    assert rec.lambda_key == 1 << 3  # Lambda = 3 bits
+    assert rec.delta_order == 1 << fixa.universe_n  # delta = 0 bits
 
 
 def test_model_record_is_slotted_and_reads_only_its_four_fields(fixa):

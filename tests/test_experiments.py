@@ -371,6 +371,21 @@ def test_improvement_slack_report_weight_family():
     assert set(d["slack"]["max_witness"]) == {"x", "seed", "from", "to"}
 
 
+def test_improvement_slack_report_counts_exact_deficiency_ties():
+    # Index codes price |S| = 5 and |S| = 20 at the same deficiency,
+    # 5/8 = 20/32, but the floats log2(5) - 3 and log2(20) - 5 differ in the
+    # last bit.  The 32-fold two-part drop qualifies (n**2 = 25), and the
+    # exact comparison counts the tie as not worse.
+    sys = build_system(
+        "data 0 @family:literal(n=5)\n"
+        f"set 0 {FiniteSet(5, range(20)).show()}\n"
+        f"set 10000000 {FiniteSet(5, range(5)).show()}\n"
+    )
+    report = improvement_slack_report(sys, [B("00000")], c=1.0, seeds=(0,))
+    assert report.qualifying_pairs == 1
+    assert report.improved_count == 1
+
+
 def test_improvement_slack_report_empty_on_fixture(fixa):
     # one-bit universes never see a 2*log2(n) = 2-bit qualifying drop
     report = improvement_slack_report(fixa, list(fixa.universe_strings()), c=1.0, seeds=(0,))

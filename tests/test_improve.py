@@ -34,7 +34,7 @@ def test_reference_improves_cube_to_singleton(fixa):
     report = improve_model(fixa, "00", CUBE, 3)
     assert report.best.witness_program == B("110")
     assert report.best.cardinality == 1
-    assert report.best.total_length == pytest.approx(3.0)
+    assert report.best.lambda_key == 1 << 3  # Lambda = 3 bits
     assert not report.improved  # equal total, not strictly better
     assert report.slack_total == pytest.approx(0.0)
     assert report.slack_complexity == pytest.approx(2.0)
@@ -46,7 +46,7 @@ def test_reference_self_improvement(fixa):
     report = improve_model(fixa, "00", singleton, 3)
     assert report.best.set == singleton
     assert not report.improved
-    assert report.anchor.total_length == pytest.approx(3.0)
+    assert report.anchor.lambda_key == 1 << 3
     assert report.slack_total == pytest.approx(0.0)
 
 
@@ -99,13 +99,13 @@ def test_stray_anchor_swapped_for_clean_block():
     report = improve_model(sys, "00000", stray, 5)
 
     # the two models fit equally well...
-    assert report.anchor.deficiency == pytest.approx(0.0)
-    assert report.best.deficiency == pytest.approx(0.0)
+    assert report.anchor.delta_key == 1
+    assert report.best.delta_key == 1
     # ...but the clean block is strictly cheaper to name
     assert report.best.set == clean
     assert report.improved
-    assert report.anchor.total_length == pytest.approx(9.0)
-    assert report.best.total_length == pytest.approx(6.0)
+    assert report.anchor.lambda_key == 1 << 9
+    assert report.best.lambda_key == 1 << 6
     assert report.slack_total == pytest.approx(0.0)
     assert json.loads(encode(report))["improved"] is True
 

@@ -26,7 +26,6 @@ from structlab.modelclasses import (
     parse_fn,
     parse_pmf,
     pmf_codebook_from_sets,
-    pmf_deficiency,
     pmf_deficiency_key,
     probability_level,
     restrict_to_set,
@@ -241,9 +240,9 @@ def test_expand_member_cost_is_ceil_log_card():
         s = random_set(rng, n)
         p = expand_set(s, "fn")
         assert p.arg_len == s.ceil_log_card
-        for b in s.bitstrings():
+        for b in s:
             assert p.data_length(b) == s.ceil_log_card
-        assert set(p.image(p.arg_len)) == set(s.bitstrings())
+        assert set(p.image(p.arg_len)) == set(s)
 
 
 def test_expand_rejects_bad_input():
@@ -299,7 +298,7 @@ def test_restrict_uniform_power_of_two_is_identity():
     for values in (["00", "01", "10", "11"], ["00", "11"]):
         t = FiniteSet(2, values)
         m = expand_set(t, "pmf")
-        for b in t.bitstrings():
+        for b in t:
             assert restrict_to_set(m, b).set == t
     t = FiniteSet(3, ["000", "011", "101", "110"])
     m = expand_set(t, "pmf")
@@ -352,7 +351,7 @@ def test_restrict_fn_recovers_expanded_sets_exhaustively():
             values = [v for v in range(1 << n) if mask & (1 << v)]
             s = FiniteSet(n, values)
             p = expand_set(s, "fn")
-            for b in s.bitstrings():
+            for b in s:
                 r = restrict_to_set(p, b)
                 assert isinstance(r, FnRestriction)
                 assert r.set == s
@@ -367,7 +366,7 @@ def test_restrict_fn_round_trip_spot_checks():
         size = 1 << rng.randint(0, n)
         s = random_set(rng, n, size)
         p = expand_set(s, "fn")
-        x = rng.choice(s.bitstrings())
+        x = rng.choice(tuple(s))
         assert restrict_to_set(p, x).set == s
 
 
@@ -422,22 +421,21 @@ def test_pmf_deficiency_matches_set_deficiency_on_expansions():
         n = rng.randint(1, 5)
         s = random_set(rng, n)
         m = expand_set(s, "pmf")
-        for b in s.bitstrings():
-            expected = s.log_card - s.ceil_log_card
-            assert pmf_deficiency(m, b) == pytest.approx(expected)
+        for b in s:
+            expected = Fraction(s.cardinality, 1 << s.ceil_log_card)
+            assert pmf_deficiency_key(m, b) == expected
 
 
 def test_pmf_deficiency_key_and_shortcuts():
     m = expand_set(FiniteSet(2, ["00", "01", "10", "11"]), "pmf")
     assert pmf_deficiency_key(m, "00") == 1
-    assert pmf_deficiency(m, "00") == 0.0
     # a one-bit shortcut for 00 makes it atypically simple
-    assert pmf_deficiency(m, "00", {"00": "1"}) == 1.0
-    assert pmf_deficiency(m, "01", {"00": "1"}) == 0.0
+    assert pmf_deficiency_key(m, "00", {"00": "1"}) == 2
+    assert pmf_deficiency_key(m, "01", {"00": "1"}) == 1
     assert pmf_deficiency_key(m, "00", None) == 1
-    assert pmf_deficiency(ProbModel(2, {"00": 1}), "01") == math.inf
+    assert pmf_deficiency_key(ProbModel(2, {"00": 1}), "01") is None
     with pytest.raises(StructLabError, match="prefix"):
-        pmf_deficiency(m, "00", {"00": "1", "01": "11"})
+        pmf_deficiency_key(m, "00", {"00": "1", "01": "11"})
 
 
 def test_fn_deficiency():

@@ -248,7 +248,7 @@ def test_member_products_on_random_sets():
         card = rng.randint(1, 1 << n)
         a = FiniteSet(n, rng.sample(range(1 << n), card))
         strat = set_to_strategy(a)
-        for x in a.bitstrings():
+        for x in a:
             assert evaluate_loss(strat, x).product == Fraction(1, card)
 
 
@@ -294,7 +294,7 @@ def test_cardinality_bound_is_exact_for_every_strategy():
         for m in range(n + 1):
             picked = strategy_to_set(strat, m)
             assert picked.cardinality <= 1 << m
-            for x in picked.bitstrings():
+            for x in picked:
                 assert evaluate_loss(strat, x).product >= Fraction(1, 1 << m)
 
 

@@ -114,7 +114,6 @@ def test_reference_mdl_declares_once_any_seed(fixa):
         trace = anytime_search(fixa, "00", 3, enumeration_stream(fixa, seed), "mdl")
         assert [d.objective_key for d in trace.declarations] == [8]
         assert trace.final is not None and not trace.flagged_empty
-        assert trace.declarations[-1].objective == pytest.approx(3.0)
         assert mdl_guarantee_holds(fixa, trace)
 
 
@@ -150,7 +149,6 @@ def test_reference_direct_final_is_full_cube(fixa):
         trace = anytime_search(fixa, "00", 3, enumeration_stream(fixa, seed), "direct")
         assert trace.final.witness_program == B("0")
         assert trace.declarations[-1].objective_key == Fraction(1)
-        assert trace.declarations[-1].objective == pytest.approx(0.0)
 
 
 def test_alpha_zero_is_flagged_empty(fixa):
@@ -198,7 +196,6 @@ def test_direct_redeclares_after_unlock():
     assert [d.record.K_cond for d in trace.declarations] == [1, 0]
     assert [d.objective_key for d in trace.declarations] == [Fraction(1), Fraction(2)]
     assert trace.final.K_cond == 0
-    assert trace.declarations[-1].objective == pytest.approx(1.0)
 
 
 def test_direct_final_estimate_is_exact_deficiency():
@@ -225,7 +222,7 @@ def test_direct_objective_sequence_may_rise():
     sys = shortcut_system()
     stream = manual_stream(sys, first=[("set", B("0")), ("data", B("0"))])
     trace = anytime_search(sys, "00", 1, stream, "direct")
-    objectives = [d.objective for d in trace.declarations]
+    objectives = [d.objective_key for d in trace.declarations]
     assert objectives == sorted(objectives)
     assert objectives[0] < objectives[-1]
 
@@ -288,7 +285,6 @@ def test_guarantee_matches_the_fraction_oracle(seed, data):
             t,
             ModelRecord(r.set, data.draw(st.integers(0, 12)), r.witness_program, r.K_cond),
             0,
-            0.0,
         )
         for t, r in enumerate(data.draw(st.lists(st.sampled_from(containing), min_size=1)))
     )
@@ -337,9 +333,7 @@ def test_declarations_match_the_rescanning_oracle(seed, stream_seed, data):
 def oracle_trace(sys, x, alpha, stream, mode):
     """The oracle's declarations as a trace, records read from the system."""
     declarations = tuple(
-        Declaration(
-            t, ModelRecord(sys.set_programs[p], len(p), p, k), key, log2_display(key)
-        )
+        Declaration(t, ModelRecord(sys.set_programs[p], len(p), p, k), key)
         for t, p, k, key in oracle_search_trace(sys, x, alpha, stream, mode)
     )
     final = declarations[-1].record if declarations else None
@@ -443,7 +437,7 @@ def test_trace_jsonl_round_trip(fixa):
         assert row["time"] == decl.time
         assert row["program"] == str(decl.record.witness_program)
         assert row["cardinality"] == decl.record.cardinality
-        assert row["objective"] == decl.objective
+        assert row["objective"] == log2_display(decl.objective_key)
         assert list(row) == sorted(row)
 
 

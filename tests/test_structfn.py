@@ -26,7 +26,6 @@ from structlab.descsys import (
 )
 from structlab.errors import StructLabError
 from structlab.structfn import (
-    deficiency,
     deficiency_key,
     deficiency_tail_count,
     profile,
@@ -55,17 +54,15 @@ def test_fixa_deficiencies(fixa):
     a = FiniteSet(2, ["00", "01", "10", "11"])
     b = FiniteSet(2, ["00", "01"])
     c = FiniteSet(2, ["00"])
-    assert deficiency(fixa, "00", a) == 0.0
-    assert deficiency(fixa, "00", b) == 0.0
-    assert deficiency(fixa, "00", c) == 0.0
-    assert deficiency(fixa, "10", b) == INF
+    assert deficiency_key(fixa, "00", a) == Fraction(1)
     assert deficiency_key(fixa, "00", b) == Fraction(1)
+    assert deficiency_key(fixa, "00", c) == Fraction(1)
     assert deficiency_key(fixa, "10", b) is None
 
 
 def test_deficiency_requires_representable_set(fixa):
     with pytest.raises(StructLabError, match="representable"):
-        deficiency(fixa, "00", FiniteSet(2, ["01", "10"]))
+        deficiency_key(fixa, "00", FiniteSet(2, ["01", "10"]))
 
 
 @pytest.mark.parametrize(
@@ -92,9 +89,8 @@ def test_deficiency_with_shortcut():
     )
     sys = build_system(text)
     cube = FiniteSet(2, range(4))
-    assert deficiency(sys, "10", cube) == 1.0  # 2 - 1
-    assert deficiency(sys, "00", cube) == 0.0
-    assert deficiency_key(sys, "10", cube) == Fraction(4, 2)
+    assert deficiency_key(sys, "10", cube) == Fraction(4, 2)  # 2 - 1 bits
+    assert deficiency_key(sys, "00", cube) == Fraction(1)
 
 
 def test_deficiency_tail_counts():
